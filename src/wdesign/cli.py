@@ -28,7 +28,7 @@ from .estimable import (
     validate_system,
 )
 from .instances import random_instance
-from .linalg import SymMatrix, eig_sym
+from .linalg import DERIVED_RANK_RTOL, SymMatrix, eig_sym, max_abs
 from .model import (
     DesignSpec,
     EstimationSpace,
@@ -514,13 +514,15 @@ def cmd_weights(problem: Problem, digest: str, queries) -> tuple[Report, int]:
             shown = "outside span (zero weight)" if rec.secondary is None else _fmt(rec.secondary)
             lines.append(f"  query {_fmt_vector(rec.q)}: secondary={shown}")
         records.append(entry)
+    # entries below the formation roundoff of Q~ Q~' are structural zeros
+    floor = DERIVED_RANK_RTOL * max_abs(w.matrix.entries)
     annotations = {
         "diagonal": w.matrix.entries.diagonal(),
         "comparisons": [
             {"i": i + 1, "j": j + 1, "value": float(w.matrix.entries[i, j])}
             for i in range(w.v)
             for j in range(i + 1, w.v)
-            if abs(w.matrix.entries[i, j]) > 1e-12
+            if abs(w.matrix.entries[i, j]) > floor
         ],
     }
     results = {

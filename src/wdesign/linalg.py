@@ -114,16 +114,27 @@ def eig_sym(A) -> Spectrum:
     subspaces are contractual.
     """
     A = as_sym(A)
+    return eigh_desc(A.entries, A.tol_rank)
+
+
+def eigh_desc(a: np.ndarray, tol_rank: float) -> Spectrum:
+    """Spectrum of an exactly symmetric array, with no input checks.
+
+    The one place the spectral convention is written: descending
+    eigenvalues and the cutoff ``tol_rank * max(|lambda|_max, eps)``.
+    ``eig_sym`` calls it after validating its input; chains that symmetrize
+    their own products (the search scorer) call it directly.
+    """
     try:
-        w, s = np.linalg.eigh(A.entries)
+        w, s = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"eigendecomposition failed ({exc}); offending matrix:\n{A.entries!r}",
-            matrix=A.entries,
+            f"eigendecomposition failed ({exc}); offending matrix:\n{a!r}",
+            matrix=a,
         ) from exc
     w = w[::-1].copy()
     s = s[:, ::-1].copy()
-    cutoff = A.tol_rank * max(float(np.max(np.abs(w))), EPS)
+    cutoff = tol_rank * max(float(np.max(np.abs(w))), EPS)
     rank = int(np.count_nonzero(w > cutoff))
     return Spectrum(w, s, rank, cutoff)
 

@@ -10,6 +10,7 @@ are skipped, never scored.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -18,12 +19,19 @@ import numpy as np
 from .criteria import CriterionValue, POSITIVE_SPECTRUM_CRITERIA, value_from_positive_spectrum
 from .errors import FeasibilityError, SearchSpaceError, SpaceError
 from .estimable import EstimableSystem, scale_system, system_from_weight_matrix_sqrt
-from .linalg import DERIVED_RANK_RTOL, EPS, eig_sym, max_abs, projector, symmetrized
+from .linalg import DERIVED_RANK_RTOL, EPS, SYMMETRY_RTOL, eigh_desc, max_abs, projector
 from .model import DesignSpec, EstimationSpace, FEASIBILITY_RTOL, design_matrix
 from .weighting import WeightMatrix, weight_matrix_from_system
 
 #: Largest assignment count enumerate_optimal will walk.
 ENUMERATION_LIMIT = 10**6
+
+#: Most block incidences one scorer remembers, least recently used evicted
+#: first.  Only problems with ``v**(n-1) <= ENUMERATION_LIMIT`` get a cache,
+#: so n <= 20.  An entry holds an n-long key and the score, so its size
+#: grows with n: tracemalloc measured ~370 B an entry at n=9 and ~560 B at
+#: n=20, so a full cache holds at most ~4.5 MiB.
+SCORE_CACHE_LIMIT = 2**13
 
 #: Relative slack for collecting ties into the optimal set.
 TIE_RTOL = 1e-9
@@ -116,7 +124,7 @@ def label_symmetric(problem: SearchProblem) -> bool:
     for k in range(1, problem.v):
         perm = np.arange(problem.v)
         perm[[0, k]] = perm[[k, 0]]
-        if max_abs(w[np.ix_(perm, perm)] - w) > 1e-12 * scale:
+        if max_abs(w[np.ix_(perm, perm)] - w) > SYMMETRY_RTOL * scale:
             return False
     return True
 
@@ -124,9 +132,24 @@ def label_symmetric(problem: SearchProblem) -> bool:
 def make_evaluator(problem: SearchProblem):
     """Assignment scorer: returns ``(value, positive spectrum)`` or None.
 
-    The nuisance projector is fixed per problem, so each call costs one
-    small eigendecomposition chain.  ``None`` means the target is not
-    estimable under that assignment.
+    ``None`` means the target is not estimable under that assignment.  The
+    nuisance projector is fixed per problem, and each score is one chain on
+    raw arrays: ``C``, its spectrum, the residual of the target against
+    ``C``'s column space, and the spectrum of ``Q~' C^+ Q~``.  Nothing in the
+    chain is re-validated, because the scorer built every matrix itself.
+
+    Under an intercept or block nuisance, ``C`` depends on the assignment
+    only through the multiset of treatments in each block (the whole run is
+    one block under an intercept).  The scorer therefore scores the
+    assignment with each block's labels sorted.  When the problem is small
+    enough to enumerate (``v**(n-1) <= ENUMERATION_LIMIT``), the scorer also
+    remembers the scores of up to ``SCORE_CACHE_LIMIT`` such block
+    incidences, evicting the least recently used; larger problems, which
+    only exchange search takes, are scored afresh on every call.  Values are
+    thus exactly invariant under permuting units within a block and never
+    depend on what the cache holds.  An explicit ``L`` admits no such
+    reduction, so every assignment is scored as given.  The returned
+    spectra are read-only, because a cached result is shared.
     """
     dummy = problem.template(tuple([1] * problem.n))
     _, ell = design_matrix(dummy)
@@ -138,21 +161,36 @@ def make_evaluator(problem: SearchProblem):
     name = problem.criterion
     units = np.arange(problem.n)
 
-    def evaluate(assignment):
+    def score(assignment):
         x = np.zeros((problem.n, problem.v))
         x[units, np.asarray(assignment) - 1] = 1.0
-        c = symmetrized(x.T @ mres @ x, DERIVED_RANK_RTOL)
-        cs = eig_sym(c)
+        c = x.T @ mres @ x
+        cs = eigh_desc(0.5 * (c + c.T), DERIVED_RANK_RTOL)
         f = cs.basis()
         if max_abs(qs - f @ (f.T @ qs)) > FEASIBILITY_RTOL * qscale:
             return None
         cplus = (f / cs.positive()) @ f.T
-        m = symmetrized(qs.T @ cplus @ qs, DERIVED_RANK_RTOL)
-        pos = eig_sym(m).positive()
+        m = qs.T @ cplus @ qs
+        pos = eigh_desc(0.5 * (m + m.T), DERIVED_RANK_RTOL).positive()
         if pos.size != rank_needed:
             return None
         spectrum = 1.0 / pos[::-1]
+        spectrum.flags.writeable = False
         return value_from_positive_spectrum(name, spectrum), spectrum
+
+    if problem.nuisance_kind == "explicit":
+        return score
+    sizes = problem.block_sizes if problem.nuisance_kind == "blocks" else (problem.n,)
+    ends = tuple(itertools.accumulate(sizes))
+    blocks = tuple(zip((0,) + ends[:-1], ends))
+    if problem.v ** (problem.n - 1) <= ENUMERATION_LIMIT:
+        score = functools.lru_cache(maxsize=SCORE_CACHE_LIMIT)(score)
+
+    def evaluate(assignment):
+        labels = []
+        for start, end in blocks:
+            labels += sorted(assignment[start:end])
+        return score(tuple(labels))
 
     return evaluate
 
@@ -165,7 +203,7 @@ def enumeration_size(problem: SearchProblem) -> int:
 
 def _criterion_value(problem: SearchProblem, value: float, spectrum) -> CriterionValue:
     dim = problem.target.s if isinstance(problem.target, EstimableSystem) else problem.target.d
-    return CriterionValue(problem.criterion, value, np.asarray(spectrum), len(spectrum), dim)
+    return CriterionValue(problem.criterion, value, np.array(spectrum), len(spectrum), dim)
 
 
 def enumerate_optimal(problem: SearchProblem) -> SearchResult:

@@ -177,6 +177,19 @@ class TestWeights:
         assert "outside span (zero weight)" in out
         assert "diagonal" in out
 
+    def test_comparisons_do_not_depend_on_the_scale_of_the_system(self, tmp_path, capsys):
+        q = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) / np.sqrt(2)
+        pairs = []
+        for scale in (1.0, np.sqrt(1e-13)):
+            payload = {"model": {"v": 3, "replications": [2, 2, 2]},
+                       "system": {"Q": (scale * q).tolist()}}
+            out = tmp_path / "report.json"
+            assert main(["weights", "--file", write(tmp_path, payload),
+                         "--out", str(out)]) == EXIT_OK
+            comparisons = json.loads(out.read_text())["results"]["annotations"]["comparisons"]
+            pairs.append([(c["i"], c["j"]) for c in comparisons])
+        assert pairs[0] == pairs[1] == [(1, 2), (1, 3)]
+
     def test_needs_system(self, tmp_path, capsys):
         payload = {"model": {"v": 3, "replications": [2, 2, 2]}}
         assert main(["weights", "--file", write(tmp_path, payload)]) == EXIT_INPUT

@@ -15,7 +15,8 @@ from wdesign import (
     sqrt_factor,
     sqrt_psd,
 )
-from wdesign.errors import DomainError
+from wdesign.errors import DomainError, NumericalError
+from wdesign.linalg import eigh_desc
 
 
 def random_psd(rng, dim, rank=None):
@@ -81,6 +82,16 @@ class TestEig:
             rebuilt = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.T
             scale = max(1.0, np.max(np.abs(a.entries)))
             assert np.max(np.abs(rebuilt - a.entries)) <= 1e-9 * scale
+
+    def test_solver_failure_is_a_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            eig_sym(SymMatrix(np.eye(2)))
+        with pytest.raises(NumericalError, match="did not converge"):
+            eigh_desc(np.eye(2), 1e-12)
 
 
 class TestPinv:

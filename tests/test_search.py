@@ -1,6 +1,7 @@
 """Exhaustive enumeration, exchange ascent, and the two-route argmax check."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +20,12 @@ from wdesign import (
     value_from_positive_spectrum,
     eig_sym,
 )
+import wdesign.search as search_module
 from wdesign.errors import FeasibilityError, SearchSpaceError, SpaceError
+from wdesign.estimable import scale_system
 from wdesign.instances import random_instance
+from wdesign.linalg import DERIVED_RANK_RTOL, EPS, SYMMETRY_RTOL, max_abs, projector
+from wdesign.model import FEASIBILITY_RTOL, design_matrix
 from wdesign.search import ENUMERATION_LIMIT, enumeration_size, label_symmetric, make_evaluator
 
 
@@ -39,6 +44,122 @@ def brute_force_best(problem):
         elif abs(value - best) <= 1e-9 * max(1.0, abs(best)):
             argmax.append(assignment)
     return best, argmax
+
+
+def reference_evaluator(problem):
+    """The scorer chain as it stood before the scorer cache.
+
+    Every product goes through the checks and the double symmetrization of
+    ``symmetrized`` and through the eigendecomposition of ``eig_sym``; both
+    are written out here so that a change in the library cannot reach them.
+    """
+
+    def symmetrized(a):
+        a = np.array(0.5 * (a + a.T), dtype=float)
+        assert np.all(np.isfinite(a))
+        assert max_abs(a - a.T) <= SYMMETRY_RTOL * max_abs(a)
+        return 0.5 * (a + a.T)
+
+    def eig_sym(a):
+        w, s = np.linalg.eigh(a)
+        w = w[::-1].copy()
+        s = s[:, ::-1].copy()
+        cutoff = DERIVED_RANK_RTOL * max(float(np.max(np.abs(w))), EPS)
+        rank = int(np.count_nonzero(w > cutoff))
+        return w[:rank], s[:, :rank]
+
+    _, ell = design_matrix(problem.template(tuple([1] * problem.n)))
+    mres = np.eye(problem.n) - projector(ell).entries
+    if isinstance(problem.target, EstimableSystem):
+        qs, rank_needed = scale_system(problem.target), problem.target.r
+    else:
+        qs, rank_needed = problem.target.K, problem.target.d
+    qscale = max(max_abs(qs), EPS)
+
+    def evaluate(assignment):
+        x = np.zeros((problem.n, problem.v))
+        x[np.arange(problem.n), np.asarray(assignment) - 1] = 1.0
+        positive, f = eig_sym(symmetrized(x.T @ mres @ x))
+        if max_abs(qs - f @ (f.T @ qs)) > FEASIBILITY_RTOL * qscale:
+            return None
+        cplus = (f / positive) @ f.T
+        pos, _ = eig_sym(symmetrized(qs.T @ cplus @ qs))
+        if pos.size != rank_needed:
+            return None
+        spectrum = 1.0 / pos[::-1]
+        return value_from_positive_spectrum(problem.criterion, spectrum), spectrum
+
+    return evaluate
+
+
+def scorer_problems(count, seed=5):
+    """Search problems on random instances under all three nuisance kinds.
+
+    Every fourth problem replaces the drawn nuisance by an explicit ``L``
+    holding the intercept, a linear trend and a random covariate.
+    """
+    rng = np.random.default_rng(seed)
+    problems = []
+    for i in range(count):
+        spec, space, target = random_instance(rng, ("theorem1", "theorem3", "aopt")[i % 3])
+        nuisance = {"nuisance_kind": spec.nuisance_kind, "block_sizes": spec.block_sizes}
+        if i % 4 == 3:
+            ell = np.column_stack([np.ones(spec.n), np.linspace(-1.0, 1.0, spec.n),
+                                   rng.standard_normal(spec.n)])
+            nuisance = {"nuisance_kind": "explicit", "L": ell}
+        problems.append(SearchProblem(v=spec.v, n=spec.n, criterion="DAE"[i % 3],
+                                      target=target, space=space, **nuisance))
+    return problems
+
+
+def random_assignments(rng, problem, count):
+    return [tuple(int(t) for t in rng.integers(1, problem.v + 1, size=problem.n))
+            for _ in range(count)]
+
+
+def blocks_of(problem):
+    """Unit ranges of the blocks; an intercept is one block of all units."""
+    sizes = problem.block_sizes if problem.nuisance_kind == "blocks" else (problem.n,)
+    ends = np.cumsum(sizes)
+    return [range(end - size, end) for size, end in zip(sizes, ends)]
+
+
+def block_sorted(problem, assignment):
+    return tuple(t for block in blocks_of(problem)
+                 for t in sorted(assignment[block.start:block.stop]))
+
+
+def arrangements(labels):
+    """Distinct orderings of a multiset of labels."""
+    if not labels:
+        yield ()
+        return
+    for first in sorted(set(labels)):
+        rest = list(labels)
+        rest.remove(first)
+        for tail in arrangements(rest):
+            yield (first, *tail)
+
+
+def arrangement_count(labels):
+    count = math.factorial(len(labels))
+    for t in set(labels):
+        count //= math.factorial(labels.count(t))
+    return count
+
+
+def within_block_permutations(problem, assignment):
+    """Every distinct assignment reached by permuting units inside blocks."""
+    per_block = [list(arrangements(assignment[b.start:b.stop])) for b in blocks_of(problem)]
+    for parts in itertools.product(*per_block):
+        yield tuple(t for part in parts for t in part)
+
+
+def same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return (np.float64(a[0]).tobytes() == np.float64(b[0]).tobytes()
+            and a[1].dtype == b[1].dtype and a[1].tobytes() == b[1].tobytes())
 
 
 @pytest.fixture
@@ -99,6 +220,142 @@ class TestEnumerate:
                                     np.column_stack([contrast(3, 1, 2), contrast(3, 1, 3)])),
                                 space=estimation_space("contrasts", 3))
         assert not label_symmetric(control)
+
+
+class TestScorer:
+    def test_matches_the_information_matrix_route(self):
+        rng = np.random.default_rng(11)
+        outcomes = {"none": 0, "scored": 0}
+        kinds = set()
+        for problem in scorer_problems(60):
+            if not isinstance(problem.target, EstimableSystem):
+                continue
+            kinds.add(problem.nuisance_kind)
+            evaluate = make_evaluator(problem)
+            for assignment in random_assignments(rng, problem, 15):
+                try:
+                    n = info_matrix_for_system(
+                        information_matrix(problem.template(assignment)), problem.target)
+                    pos = eig_sym(n).positive()
+                    expected = (None if pos.size != problem.target.r else
+                                value_from_positive_spectrum(problem.criterion, pos))
+                except FeasibilityError:
+                    expected = None
+                scored = evaluate(assignment)
+                if expected is None:
+                    assert scored is None
+                    outcomes["none"] += 1
+                else:
+                    assert scored is not None
+                    assert scored[0] == pytest.approx(expected, rel=1e-12)
+                    outcomes["scored"] += 1
+        assert kinds == {"intercept", "blocks", "explicit"}
+        assert min(outcomes.values()) > 50
+
+    def test_bit_identical_to_the_validated_chain(self):
+        rng = np.random.default_rng(12)
+        compared = 0
+        for problem in scorer_problems(60):
+            evaluate = make_evaluator(problem)
+            reference = reference_evaluator(problem)
+            for assignment in random_assignments(rng, problem, 15):
+                if problem.nuisance_kind != "explicit":
+                    assignment = block_sorted(problem, assignment)
+                scored = evaluate(assignment)
+                assert same_bits(scored, reference(assignment))
+                compared += scored is not None
+        assert compared > 100
+
+    @pytest.mark.parametrize("limit", [search_module.SCORE_CACHE_LIMIT, 0])
+    def test_values_are_invariant_within_blocks(self, monkeypatch, limit):
+        monkeypatch.setattr(search_module, "SCORE_CACHE_LIMIT", limit)
+        rng = np.random.default_rng(13)
+        checked = {"intercept": 0, "blocks": 0}
+        for problem in scorer_problems(40):
+            if problem.nuisance_kind == "explicit":
+                continue
+            evaluate = make_evaluator(problem)
+            for assignment in random_assignments(rng, problem, 3):
+                size = math.prod(arrangement_count(assignment[b.start:b.stop])
+                                 for b in blocks_of(problem))
+                if size > 500:
+                    continue
+                first = evaluate(assignment)
+                if first is not None:
+                    assert not first[1].flags.writeable
+                for other in within_block_permutations(problem, assignment):
+                    assert same_bits(evaluate(other), first)
+                checked[problem.nuisance_kind] += 1
+        assert min(checked.values()) >= 5
+
+    @pytest.mark.parametrize("limit", [0, 7])
+    def test_cache_cap_does_not_change_enumeration(self, monkeypatch, contrasts3,
+                                                   control_system, limit):
+        pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+        problems = [
+            SearchProblem(v=3, n=8, criterion="A", target=EstimableSystem(pairs),
+                          space=contrasts3, nuisance_kind="blocks", block_sizes=(3, 3, 2)),
+            SearchProblem(v=3, n=6, criterion="E", target=control_system, space=contrasts3),
+        ]
+        default = [enumerate_optimal(problem) for problem in problems]
+        monkeypatch.setattr(search_module, "SCORE_CACHE_LIMIT", limit)
+        for problem, base in zip(problems, default):
+            capped = enumerate_optimal(problem)
+            assert capped.best_design.assignment == base.best_design.assignment
+            assert np.float64(capped.best_value.value).tobytes() == \
+                np.float64(base.best_value.value).tobytes()
+            assert capped.best_value.spectrum_used.tobytes() == \
+                base.best_value.spectrum_used.tobytes()
+            assert capped.optimal_assignments == base.optimal_assignments
+            assert len(base.optimal_assignments) > 1
+
+
+    def test_values_are_invariant_within_blocks_without_a_cache(self, contrasts3):
+        # n = 40 is too large to enumerate, so no cache; scoring the caller's
+        # labelling as given changes the last bits under most shuffles here.
+        pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+        rng = np.random.default_rng(14)
+        scored = 0
+        for kind, sizes in (("intercept", None), ("blocks", (10, 10, 10, 10))):
+            problem = SearchProblem(v=3, n=40, criterion="A", target=EstimableSystem(pairs),
+                                    space=contrasts3, nuisance_kind=kind, block_sizes=sizes)
+            evaluate = make_evaluator(problem)
+            for assignment in random_assignments(rng, problem, 10):
+                first = evaluate(assignment)
+                scored += first is not None
+                for _ in range(5):
+                    shuffled = np.array(assignment)
+                    for block in blocks_of(problem):
+                        shuffled[block.start:block.stop] = rng.permutation(
+                            shuffled[block.start:block.stop])
+                    assert same_bits(evaluate(tuple(int(t) for t in shuffled)), first)
+        assert scored >= 15
+
+    def test_only_enumerable_problems_keep_scores(self, monkeypatch, contrasts3):
+        pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+        problem = SearchProblem(v=3, n=8, criterion="A", target=EstimableSystem(pairs),
+                                space=contrasts3, nuisance_kind="blocks", block_sizes=(3, 3, 2))
+        assignment, shuffled = (1, 2, 3, 3, 1, 2, 1, 2), (3, 2, 1, 1, 2, 3, 2, 1)
+        evaluate = make_evaluator(problem)
+        assert evaluate(assignment) is evaluate(shuffled)
+        monkeypatch.setattr(search_module, "ENUMERATION_LIMIT", problem.v ** (problem.n - 1) - 1)
+        evaluate = make_evaluator(problem)
+        first, second = evaluate(assignment), evaluate(shuffled)
+        assert first is not second
+        assert same_bits(first, second)
+
+    def test_search_results_own_writable_spectra(self, contrasts3):
+        pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+        problem = SearchProblem(v=3, n=6, criterion="A", target=EstimableSystem(pairs),
+                                space=contrasts3, nuisance_kind="blocks", block_sizes=(3, 3),
+                                seed=3, restarts=4)
+        for search in (enumerate_optimal, exchange_search):
+            spectrum = search(problem).best_value.spectrum_used
+            assert spectrum.flags.writeable
+            before = spectrum.copy()
+            spectrum *= 2.0
+            again = search(problem).best_value.spectrum_used
+            assert again.tobytes() == before.tobytes()
 
 
 class TestExchange:
