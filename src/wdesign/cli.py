@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -721,6 +721,8 @@ def cmd_search(problem: Problem, digest: str, both_routes: bool) -> tuple[Report
     if result.enumerated:
         results["optimal_assignments"] = [list(a) for a in result.optimal_assignments]
         lines.append(f"tied optima: {len(result.optimal_assignments)}")
+    else:
+        results["restarts"] = [asdict(stats) for stats in result.restarts]
     passed = None
     if both_routes:
         if not enumerable:

@@ -120,23 +120,40 @@ def eig_sym(A) -> Spectrum:
 def eigh_desc(a: np.ndarray, tol_rank: float) -> Spectrum:
     """Spectrum of an exactly symmetric array, with no input checks.
 
+    ``eig_sym`` calls it after validating its input; it is
+    ``eigh_desc_stack`` of a one-matrix stack.
+    """
+    w, s, ranks, cutoffs = eigh_desc_stack(a[None], tol_rank)
+    return Spectrum(w[0].copy(), s[0], ranks[0], cutoffs[0])
+
+
+def eigh_desc_stack(a: np.ndarray, tol_rank: float):
+    """Descending spectra of a ``(B, v, v)`` stack of exactly symmetric arrays.
+
     The one place the spectral convention is written: descending
     eigenvalues and the cutoff ``tol_rank * max(|lambda|_max, eps)``.
-    ``eig_sym`` calls it after validating its input; chains that symmetrize
-    their own products (the search scorer) call it directly.
+    Returns the eigenvalues ``(B, v)``, the matching eigenvectors
+    ``(B, v, v)``, and lists of the numeric ranks and the cutoffs.  One
+    solver call decomposes each matrix of the stack on its own, so a row's
+    result does not depend on the stack it came in; chains that symmetrize
+    their own products (the search scorer) call it directly.  The cutoffs
+    are taken on Python floats, which is exact and, for the few short rows of
+    a search stack, cheaper than array reductions.
     """
     try:
         w, s = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"eigendecomposition failed ({exc}); offending matrix:\n{a!r}",
+            f"eigendecomposition failed ({exc}); offending matrices:\n{a!r}",
             matrix=a,
         ) from exc
-    w = w[::-1].copy()
-    s = s[:, ::-1].copy()
-    cutoff = tol_rank * max(float(np.max(np.abs(w))), EPS)
-    rank = int(np.count_nonzero(w > cutoff))
-    return Spectrum(w, s, rank, cutoff)
+    ranks = []
+    cutoffs = []
+    for row in w.tolist():
+        cutoff = tol_rank * max(max(map(abs, row)), EPS)
+        cutoffs.append(cutoff)
+        ranks.append(sum(x > cutoff for x in row))
+    return w[:, ::-1], s[:, :, ::-1].copy(), ranks, cutoffs
 
 
 def _require_psd(spec: Spectrum, op: str) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from .criteria import CriterionValue, POSITIVE_SPECTRUM_CRITERIA, value_from_positive_spectrum
 from .errors import FeasibilityError, SearchSpaceError, SpaceError
 from .estimable import EstimableSystem, scale_system, system_from_weight_matrix_sqrt
-from .linalg import DERIVED_RANK_RTOL, EPS, SYMMETRY_RTOL, eigh_desc, max_abs, projector
+from .linalg import DERIVED_RANK_RTOL, EPS, SYMMETRY_RTOL, eigh_desc_stack, max_abs, projector
 from .model import DesignSpec, EstimationSpace, FEASIBILITY_RTOL, design_matrix
 from .weighting import WeightMatrix, weight_matrix_from_system
 
@@ -90,7 +90,8 @@ class SearchResult:
 
     Values follow the positive-spectrum convention (for full-rank targets
     this is the plain criterion).  ``optimal_assignments`` lists the tied
-    argmax set when the search was exhaustive.
+    argmax set when the search was exhaustive; ``restarts`` holds one
+    ``RestartStats`` per restart of an exchange search.
     """
 
     best_design: DesignSpec
@@ -98,6 +99,24 @@ class SearchResult:
     trace: tuple[float, ...]
     enumerated: bool
     optimal_assignments: tuple[tuple[int, ...], ...] = ()
+    restarts: tuple[RestartStats, ...] = ()
+
+
+@dataclass(frozen=True)
+class RestartStats:
+    """What one exchange restart did.
+
+    ``passes`` counts sweeps over the units, the last one included;
+    ``moves_scored`` counts the candidate reassignments scored, feasible or
+    not (``passes * n * (v - 1)``); ``improving_moves`` counts those
+    accepted.  ``final_value`` is the restart's entry in the trace.
+    """
+
+    start_value: float
+    passes: int
+    improving_moves: int
+    moves_scored: int
+    final_value: float
 
 
 def _target_matrix(problem: SearchProblem) -> np.ndarray:
@@ -129,14 +148,132 @@ def label_symmetric(problem: SearchProblem) -> bool:
     return True
 
 
+def _blocks(problem: SearchProblem) -> tuple[tuple[int, int], ...]:
+    """Unit ranges ``(start, end)`` of the blocks; an intercept is one block."""
+    sizes = problem.block_sizes if problem.nuisance_kind == "blocks" else (problem.n,)
+    ends = tuple(itertools.accumulate(sizes))
+    return tuple(zip((0,) + ends[:-1], ends))
+
+
+def _key_function(problem: SearchProblem):
+    """The key an assignment is scored by, as a tuple: the assignment itself
+    under an explicit ``L``, else the assignment with each block's labels
+    sorted."""
+    if problem.nuisance_kind == "explicit":
+        return tuple
+    blocks = _blocks(problem)
+
+    def key_of(assignment):
+        labels = []
+        for start, end in blocks:
+            labels += sorted(assignment[start:end])
+        return tuple(labels)
+
+    return key_of
+
+
+def _stack_scorer(problem: SearchProblem):
+    """Scorer of a stack of labellings: ``score(keys)`` gives one result per row.
+
+    ``keys`` holds ``B`` keys (see ``_key_function``), as tuples or as a
+    ``(B, n)`` array of treatment labels; each result is ``(value, positive spectrum)``, or
+    ``None`` when the target is not estimable under that labelling.  The
+    nuisance projector is fixed per problem, and the chain runs on raw
+    ``(B, v, v)`` arrays: ``C``, one batched eigendecomposition of it, the
+    residual of the target against each ``C``'s column space, and, for the
+    estimable rows of each rank of ``C``, one batched eigendecomposition of
+    ``Q~' C^+ Q~``.  Each matrix goes through the operations it would go
+    through alone, so a row's result does not depend on the stack it came
+    in.  Nothing in the chain is re-validated, because the scorer built every
+    matrix itself.  The returned spectra are read-only, because a cached
+    result is shared.
+    """
+    _, ell = design_matrix(problem.template(tuple([1] * problem.n)))
+    mres = np.eye(problem.n) - projector(ell).entries
+    # K plays the role of Q~ for weight targets: the same chain scores both.
+    qs = _target_matrix(problem)
+    qst = qs.T
+    rank_needed = _target_rank(problem)
+    bound = FEASIBILITY_RTOL * max(max_abs(qs), EPS)
+    name = problem.criterion
+    # row t is the indicator of treatment t, so onehot[keys] is the stack of X
+    onehot = np.eye(problem.v + 1)[:, 1:]
+
+    def score(keys):
+        x = onehot[np.asarray(keys)]
+        count = len(x)
+        c = x.transpose(0, 2, 1) @ mres @ x
+        values, vectors, ranks, _ = eigh_desc_stack(0.5 * (c + c.transpose(0, 2, 1)),
+                                                    DERIVED_RANK_RTOL)
+        results = [None] * count
+        for rank, rows in _rank_groups(ranks):
+            f = _take(vectors, rows, count)[:, :, :rank]
+            residual = np.maximum.reduce(np.abs(qs - f @ (f.transpose(0, 2, 1) @ qs)),
+                                         axis=(1, 2)).tolist()
+            if max(residual) > bound:
+                rows = [row for row, r in zip(rows, residual) if not r > bound]
+                if not rows:
+                    continue
+                f = vectors[rows][:, :, :rank]
+            positive = _take(values, rows, count)[:, None, :rank]
+            m = qst @ ((f / positive) @ f.transpose(0, 2, 1)) @ qs
+            inverse, _, ranks_m, _ = eigh_desc_stack(0.5 * (m + m.transpose(0, 2, 1)),
+                                                     DERIVED_RANK_RTOL)
+            for row, pos, rank_m in zip(rows, inverse, ranks_m):
+                if rank_m == rank_needed:
+                    spectrum = 1.0 / pos[:rank_needed][::-1]
+                    spectrum.flags.writeable = False
+                    results[row] = value_from_positive_spectrum(name, spectrum), spectrum
+        return results
+
+    return score
+
+
+def _rank_groups(ranks: list[int]):
+    """``(rank, rows)`` pairs that cover a stack, one per distinct rank."""
+    if ranks.count(ranks[0]) == len(ranks):
+        return ((ranks[0], list(range(len(ranks)))),)
+    groups = {}
+    for row, rank in enumerate(ranks):
+        groups.setdefault(rank, []).append(row)
+    return groups.items()
+
+
+def _take(stack: np.ndarray, rows: list[int], count: int) -> np.ndarray:
+    """The given rows of a ``count``-row stack; all of them without a copy."""
+    return stack if len(rows) == count else stack[rows]
+
+
+def _keeps_scores(problem: SearchProblem) -> bool:
+    """Whether scores are remembered: block incidences of enumerable problems."""
+    return (problem.nuisance_kind != "explicit"
+            and problem.v ** (problem.n - 1) <= ENUMERATION_LIMIT)
+
+
+def _remembering(score, limit: int):
+    """Stack scorer that remembers the results of up to ``limit`` keys.
+
+    Only the keys it has not seen are scored, in one stack; when they would
+    overflow the memory, it is emptied first.
+    """
+    memo = {}
+
+    def remembered(keys):
+        missing = [key for key in keys if key not in memo]
+        if missing:
+            if len(memo) + len(missing) > limit:
+                memo.clear()
+            memo.update(zip(missing, score(missing)))
+        return [memo[key] for key in keys]
+
+    return remembered
+
+
 def make_evaluator(problem: SearchProblem):
     """Assignment scorer: returns ``(value, positive spectrum)`` or None.
 
-    ``None`` means the target is not estimable under that assignment.  The
-    nuisance projector is fixed per problem, and each score is one chain on
-    raw arrays: ``C``, its spectrum, the residual of the target against
-    ``C``'s column space, and the spectrum of ``Q~' C^+ Q~``.  Nothing in the
-    chain is re-validated, because the scorer built every matrix itself.
+    ``None`` means the target is not estimable under that assignment.  Each
+    call scores a one-row stack through the chain of ``_stack_scorer``.
 
     Under an intercept or block nuisance, ``C`` depends on the assignment
     only through the multiset of treatments in each block (the whole run is
@@ -144,53 +281,26 @@ def make_evaluator(problem: SearchProblem):
     assignment with each block's labels sorted.  When the problem is small
     enough to enumerate (``v**(n-1) <= ENUMERATION_LIMIT``), the scorer also
     remembers the scores of up to ``SCORE_CACHE_LIMIT`` such block
-    incidences, evicting the least recently used; larger problems, which
-    only exchange search takes, are scored afresh on every call.  Values are
-    thus exactly invariant under permuting units within a block and never
-    depend on what the cache holds.  An explicit ``L`` admits no such
-    reduction, so every assignment is scored as given.  The returned
-    spectra are read-only, because a cached result is shared.
+    incidences, evicting the least recently used; larger problems are scored
+    afresh on every call.  Values are thus exactly invariant under permuting
+    units within a block and never depend on what the cache holds.  An
+    explicit ``L`` admits no such reduction, so every assignment is scored
+    as given.  The returned spectra are read-only, because a cached result
+    is shared.
     """
-    dummy = problem.template(tuple([1] * problem.n))
-    _, ell = design_matrix(dummy)
-    mres = np.eye(problem.n) - projector(ell).entries
-    # K plays the role of Q~ for weight targets: the same chain scores both.
-    qs = _target_matrix(problem)
-    rank_needed = _target_rank(problem)
-    qscale = max(max_abs(qs), EPS)
-    name = problem.criterion
-    units = np.arange(problem.n)
+    stack = _stack_scorer(problem)
 
-    def score(assignment):
-        x = np.zeros((problem.n, problem.v))
-        x[units, np.asarray(assignment) - 1] = 1.0
-        c = x.T @ mres @ x
-        cs = eigh_desc(0.5 * (c + c.T), DERIVED_RANK_RTOL)
-        f = cs.basis()
-        if max_abs(qs - f @ (f.T @ qs)) > FEASIBILITY_RTOL * qscale:
-            return None
-        cplus = (f / cs.positive()) @ f.T
-        m = qs.T @ cplus @ qs
-        pos = eigh_desc(0.5 * (m + m.T), DERIVED_RANK_RTOL).positive()
-        if pos.size != rank_needed:
-            return None
-        spectrum = 1.0 / pos[::-1]
-        spectrum.flags.writeable = False
-        return value_from_positive_spectrum(name, spectrum), spectrum
+    def score(key):
+        return stack((key,))[0]
 
     if problem.nuisance_kind == "explicit":
         return score
-    sizes = problem.block_sizes if problem.nuisance_kind == "blocks" else (problem.n,)
-    ends = tuple(itertools.accumulate(sizes))
-    blocks = tuple(zip((0,) + ends[:-1], ends))
-    if problem.v ** (problem.n - 1) <= ENUMERATION_LIMIT:
+    if _keeps_scores(problem):
         score = functools.lru_cache(maxsize=SCORE_CACHE_LIMIT)(score)
+    key_of = _key_function(problem)
 
     def evaluate(assignment):
-        labels = []
-        for start, end in blocks:
-            labels += sorted(assignment[start:end])
-        return score(tuple(labels))
+        return score(key_of(assignment))
 
     return evaluate
 
@@ -255,54 +365,57 @@ def enumerate_optimal(problem: SearchProblem) -> SearchResult:
 
 
 def exchange_search(problem: SearchProblem) -> SearchResult:
-    """Restarted point-exchange ascent, deterministic for a fixed seed.
+    """Restarted coordinate-exchange ascent, deterministic for a fixed seed.
 
     Each restart draws a feasible assignment, then sweeps the units; at each
-    unit every reassignment is tried and the best strict improvement is
-    accepted (ties broken toward the lowest treatment index).  A sweep with
-    no improvement, or ``max_passes`` sweeps, ends the restart.
+    unit the ``v - 1`` reassignments are scored in one stacked call and the
+    best strict improvement is accepted (ties broken toward the lowest
+    treatment index).  A sweep with no improvement, or ``max_passes``
+    sweeps, ends the restart.  This is coordinate exchange (Meyer and
+    Nachtsheim, Technometrics 37, 1995) with the units as coordinates.
+    Candidates are scored through their keys, as ``make_evaluator`` scores
+    them, and on problems whose scorer keeps scores the moves remember
+    theirs too, so a revisited block incidence is not scored again.
     """
     evaluate = make_evaluator(problem)
+    score = _stack_scorer(problem)
+    if _keeps_scores(problem):
+        score = _remembering(score, SCORE_CACHE_LIMIT)
+    key_of = _key_function(problem)
+    treatments = range(1, problem.v + 1)
     children = np.random.SeedSequence(problem.seed).spawn(problem.restarts)
     trace = []
+    restarts = []
     best = None
     best_assignment = None
     best_spectrum = None
     for child in children:
-        rng = np.random.default_rng(child)
-        current = None
-        for _ in range(1000):
-            cand = tuple(int(t) for t in rng.integers(1, problem.v + 1, size=problem.n))
-            scored = evaluate(cand)
-            if scored is not None:
-                current, (value, spectrum) = list(cand), scored
-                break
-        if current is None:
-            raise FeasibilityError(
-                "no feasible starting assignment found in 1000 draws"
-            )
-        for _ in range(problem.max_passes):
+        current, (value, spectrum) = _start(problem, np.random.default_rng(child), evaluate)
+        start_value = value
+        improving = moves = 0
+        for passes in range(1, problem.max_passes + 1):
             improved = False
             for unit in range(problem.n):
                 original = current[unit]
-                chosen = None
-                chosen_value = value
-                chosen_spectrum = None
-                for treatment in range(1, problem.v + 1):
-                    if treatment == original:
-                        continue
+                others = [t for t in treatments if t != original]
+                keys = []
+                for treatment in others:
                     current[unit] = treatment
-                    scored = evaluate(tuple(current))
-                    if scored is not None and scored[0] > chosen_value:
-                        chosen, (chosen_value, chosen_spectrum) = treatment, scored
+                    keys.append(key_of(current))
                 current[unit] = original
+                moves += len(others)
+                chosen = None
+                for treatment, scored in zip(others, score(keys)):
+                    if scored is not None and scored[0] > value:
+                        chosen, (value, spectrum) = treatment, scored
                 if chosen is not None:
                     current[unit] = chosen
-                    value, spectrum = chosen_value, chosen_spectrum
+                    improving += 1
                     improved = True
             if not improved:
                 break
         trace.append(value)
+        restarts.append(RestartStats(start_value, passes, improving, moves, value))
         if best is None or value > best:
             best = value
             best_assignment = tuple(current)
@@ -312,7 +425,38 @@ def exchange_search(problem: SearchProblem) -> SearchResult:
         best_value=_criterion_value(problem, best, best_spectrum),
         trace=tuple(trace),
         enumerated=False,
+        restarts=tuple(restarts),
     )
+
+
+def _start(problem: SearchProblem, rng: np.random.Generator, evaluate):
+    """A feasible starting assignment of one restart and its score.
+
+    Up to 1000 uniform draws come first.  If none is feasible, the start is
+    a covering assignment: each block holds as many distinct treatments as
+    its size allows, cycling on from the previous block's last one so that
+    consecutive smaller-than-``v`` blocks share a treatment, and its other
+    units are drawn from ``rng``.
+    """
+    for _ in range(1000):
+        cand = tuple(int(t) for t in rng.integers(1, problem.v + 1, size=problem.n))
+        scored = evaluate(cand)
+        if scored is not None:
+            return list(cand), scored
+    cand = []
+    first = 0
+    for start, end in _blocks(problem):
+        cover = min(end - start, problem.v)
+        cand += [(first + i) % problem.v + 1 for i in range(cover)]
+        cand += rng.integers(1, problem.v + 1, size=end - start - cover).tolist()
+        first += cover - 1
+    scored = evaluate(tuple(cand))
+    if scored is None:
+        raise FeasibilityError(
+            "no feasible starting assignment found in 1000 draws "
+            "or in a covering assignment"
+        )
+    return cand, scored
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,6 +43,11 @@ SPACE_RTOL = 1e-8
 #: Relative tolerance of the proportionality test in estimation equivalence.
 EQUIVALENCE_RTOL = 1e-8
 
+#: Relative slack of the weight-dominance check: a secondary weight counts as
+#: above (or below) its primary weight only by more than this share of the
+#: larger of the two, so the verdict does not depend on the scale of ``b``.
+DOMINANCE_RTOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
@@ -283,7 +288,7 @@ def secondary_weights(system: EstimableSystem, queries=()) -> WeightReport:
     return WeightReport(w, tuple(records))
 
 
-def check_weight_dominance(system: EstimableSystem, atol: float = 1e-9) -> tuple[bool, ...]:
+def check_weight_dominance(system: EstimableSystem) -> tuple[bool, ...]:
     """Verify each secondary weight ``w(q_i) >= b_i``; return strictness flags.
 
     A violation beyond tolerance cannot come from the model, only from a
@@ -296,10 +301,13 @@ def check_weight_dominance(system: EstimableSystem, atol: float = 1e-9) -> tuple
     for j in range(system.s):
         secondary = report.records[j].secondary
         primary = float(system.b[j])
-        if secondary is None or secondary < primary - atol:
+        if secondary is None:
+            raise InternalConsistencyError(f"column {j} has no secondary weight")
+        slack = DOMINANCE_RTOL * max(primary, secondary)
+        if secondary < primary - slack:
             raise InternalConsistencyError(
                 f"secondary weight {secondary} of column {j} fell below its "
                 f"primary weight {primary}"
             )
-        flags.append(bool(secondary > primary + atol))
+        flags.append(bool(secondary > primary + slack))
     return tuple(flags)

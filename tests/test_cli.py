@@ -190,6 +190,19 @@ class TestWeights:
             pairs.append([(c["i"], c["j"]) for c in comparisons])
         assert pairs[0] == pairs[1] == [(1, 2), (1, 3)]
 
+    def test_dominance_flags_do_not_depend_on_the_scale_of_the_weights(self, tmp_path):
+        q = np.array([[-1.0, -1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 1.0]]) / np.sqrt(2)
+        flags = []
+        for b in (1.0, 1e-10):
+            payload = {"model": {"v": 3, "replications": [2, 2, 2]},
+                       "system": {"Q": q.tolist(), "b": [b] * 3}}
+            out = tmp_path / "report.json"
+            assert main(["weights", "--file", write(tmp_path, payload),
+                         "--out", str(out)]) == EXIT_OK
+            records = json.loads(out.read_text())["results"]["records"]
+            flags.append([r["dominance_strict"] for r in records])
+        assert flags[0] == flags[1] == [True, True, True]
+
     def test_needs_system(self, tmp_path, capsys):
         payload = {"model": {"v": 3, "replications": [2, 2, 2]}}
         assert main(["weights", "--file", write(tmp_path, payload)]) == EXIT_INPUT
@@ -235,3 +248,25 @@ class TestSearch:
         assert main(["search", "--file", write(tmp_path, payload)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "exchange" in out
+
+    def test_exchange_report_lists_the_restarts(self, tmp_path, capsys):
+        payload = {
+            "model": {"v": 4, "n": 12, "assignment": [1] * 12,
+                      "nuisance": {"kind": "blocks", "sizes": [4, 4, 4]}},
+            "system": {"generator": "pairwise"},
+            "criterion": {"name": "A"},
+            "search": {"seed": 11, "restarts": 4, "max_passes": 40},
+        }
+        out = tmp_path / "report.json"
+        assert main(["search", "--file", write(tmp_path, payload), "--out", str(out)]) == EXIT_OK
+        assert "restart" not in capsys.readouterr().out
+        results = json.loads(out.read_text())["results"]
+        assert [r["final_value"] for r in results["restarts"]] == results["trace"]
+        for r in results["restarts"]:
+            assert set(r) == {"start_value", "passes", "improving_moves", "moves_scored",
+                              "final_value"}
+            assert r["moves_scored"] == r["passes"] * 12 * 3
+        enumerated = tmp_path / "enumerated.json"
+        assert main(["search", "--file", write(tmp_path, BALANCED),
+                     "--out", str(enumerated)]) == EXIT_OK
+        assert "restarts" not in json.loads(enumerated.read_text())["results"]

@@ -16,7 +16,7 @@ from wdesign import (
     sqrt_psd,
 )
 from wdesign.errors import DomainError, NumericalError
-from wdesign.linalg import eigh_desc
+from wdesign.linalg import eigh_desc, eigh_desc_stack
 
 
 def random_psd(rng, dim, rank=None):
@@ -92,6 +92,25 @@ class TestEig:
             eig_sym(SymMatrix(np.eye(2)))
         with pytest.raises(NumericalError, match="did not converge"):
             eigh_desc(np.eye(2), 1e-12)
+        with pytest.raises(NumericalError, match="did not converge"):
+            eigh_desc_stack(np.eye(2)[None], 1e-12)
+
+    def test_stack_rows_are_bit_identical_to_single_matrices(self):
+        rng = np.random.default_rng(21)
+        for dim in (1, 2, 4, 7):
+            # ranks vary within a stack; the last two are the zero matrix and
+            # an indefinite one whose eigenvalue of largest magnitude is negative
+            stack = np.array([random_psd(rng, dim, rng.integers(0, dim + 1)).entries
+                              for _ in range(6)]
+                             + [np.zeros((dim, dim)), np.diag(np.linspace(-2.0, 1.0, dim))])
+            values, vectors, ranks, cutoffs = eigh_desc_stack(stack, 1e-12)
+            assert len(set(ranks)) > 1
+            for a, w, s, rank, cutoff in zip(stack, values, vectors, ranks, cutoffs):
+                w_alone, s_alone = np.linalg.eigh(a)
+                assert w.tobytes() == w_alone[::-1].tobytes()
+                assert s.tobytes() == s_alone[:, ::-1].tobytes()
+                assert cutoff == 1e-12 * max(float(np.max(np.abs(w_alone))), np.finfo(float).eps)
+                assert rank == np.count_nonzero(w_alone > cutoff)
 
 
 class TestPinv:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from wdesign import (
     exchange_search,
     info_matrix_for_system,
     information_matrix,
+    make_weight_matrix,
     value_from_positive_spectrum,
     eig_sym,
 )
@@ -46,13 +48,16 @@ def brute_force_best(problem):
     return best, argmax
 
 
-def reference_evaluator(problem):
+def reference_evaluator(problem, outcomes=None):
     """The scorer chain as it stood before the scorer cache.
 
     Every product goes through the checks and the double symmetrization of
     ``symmetrized`` and through the eigendecomposition of ``eig_sym``; both
     are written out here so that a change in the library cannot reach them.
+    When ``outcomes`` is a list, each call appends the rank of ``C`` and
+    whether the key was scored or skipped by the residual or the rank check.
     """
+    outcomes = [] if outcomes is None else outcomes
 
     def symmetrized(a):
         a = np.array(0.5 * (a + a.T), dtype=float)
@@ -81,15 +86,90 @@ def reference_evaluator(problem):
         x[np.arange(problem.n), np.asarray(assignment) - 1] = 1.0
         positive, f = eig_sym(symmetrized(x.T @ mres @ x))
         if max_abs(qs - f @ (f.T @ qs)) > FEASIBILITY_RTOL * qscale:
+            outcomes.append((positive.size, "residual"))
             return None
         cplus = (f / positive) @ f.T
         pos, _ = eig_sym(symmetrized(qs.T @ cplus @ qs))
         if pos.size != rank_needed:
+            outcomes.append((positive.size, "rank"))
             return None
+        outcomes.append((positive.size, "scored"))
         spectrum = 1.0 / pos[::-1]
         return value_from_positive_spectrum(problem.criterion, spectrum), spectrum
 
     return evaluate
+
+
+def reference_exchange(problem):
+    """Exchange search as it stood before stacking: one scalar score per move.
+
+    Scores go through ``reference_evaluator`` on the block-sorted key,
+    remembered per key; the starts are the library's 1000 draws.  Returns
+    the best assignment, its score, the trace and, per restart, the start
+    value, passes, improving moves, moves scored and final value; None when
+    a restart finds no feasible draw.
+    """
+    reference = reference_evaluator(problem)
+    memo = {}
+
+    def evaluate(assignment):
+        if problem.nuisance_kind != "explicit":
+            assignment = block_sorted(problem, assignment)
+        if assignment not in memo:
+            memo[assignment] = reference(assignment)
+        return memo[assignment]
+
+    best = best_assignment = best_scored = None
+    trace, stats = [], []
+    for child in np.random.SeedSequence(problem.seed).spawn(problem.restarts):
+        rng = np.random.default_rng(child)
+        for _ in range(1000):
+            current = [int(t) for t in rng.integers(1, problem.v + 1, size=problem.n)]
+            scored = evaluate(tuple(current))
+            if scored is not None:
+                break
+        else:
+            return None
+        start, improving, moves = scored[0], 0, 0
+        for passes in range(1, problem.max_passes + 1):
+            improved = False
+            for unit in range(problem.n):
+                original, chosen = current[unit], None
+                for treatment in range(1, problem.v + 1):
+                    if treatment == original:
+                        continue
+                    current[unit] = treatment
+                    candidate = evaluate(tuple(current))
+                    moves += 1
+                    if candidate is not None and candidate[0] > scored[0]:
+                        chosen, scored = treatment, candidate
+                current[unit] = original if chosen is None else chosen
+                improving += chosen is not None
+                improved = improved or chosen is not None
+            if not improved:
+                break
+        trace.append(scored[0])
+        stats.append((start, passes, improving, moves, scored[0]))
+        if best is None or scored[0] > best:
+            best, best_assignment, best_scored = scored[0], tuple(current), scored
+    return best_assignment, best_scored, tuple(trace), stats
+
+
+def trend_problem(restarts):
+    """Exchange on v=6, n=24 with an explicit quadratic trend and a weight target.
+
+    ``W = K K'`` with ``K_k = sqrt(k) (e_{k+1} - e_1) / sqrt(2)``; criterion D.
+    """
+    v, n = 6, 24
+    t = np.linspace(-1.0, 1.0, n)
+    ell = np.column_stack([np.ones(n), t, t**2 - np.mean(t**2)])
+    k = np.zeros((v, v - 1))
+    for j in range(1, v):
+        k[0, j - 1], k[j, j - 1] = -np.sqrt(j / 2.0), np.sqrt(j / 2.0)
+    space = estimation_space("contrasts", v)
+    return SearchProblem(v=v, n=n, criterion="D", target=make_weight_matrix(k @ k.T, space),
+                         space=space, nuisance_kind="explicit", L=ell, seed=3,
+                         restarts=restarts)
 
 
 def scorer_problems(count, seed=5):
@@ -266,6 +346,43 @@ class TestScorer:
                 compared += scored is not None
         assert compared > 100
 
+    def test_stacks_are_bit_identical_to_the_validated_chain(self):
+        # the one-contrast targets estimate from deficient C; the L without an
+        # intercept column gives C of full rank v
+        t = np.linspace(-1.0, 1.0, 6)
+        partial = [SearchProblem(v=4, n=6, criterion=criterion,
+                                 target=EstimableSystem(contrast(4, 1, 2)),
+                                 space=estimation_space("contrasts", 4), **nuisance)
+                   for criterion, nuisance in (
+                       ("A", {}),
+                       ("D", {"nuisance_kind": "blocks", "block_sizes": (3, 3)}),
+                       ("E", {"nuisance_kind": "explicit",
+                              "L": np.column_stack([np.ones(6), t])}),
+                       ("A", {"nuisance_kind": "explicit", "L": t[:, None]}))]
+        rng = np.random.default_rng(15)
+        seen = set()
+        mixed = 0
+        for problem in scorer_problems(60) + partial:
+            stack = search_module._stack_scorer(problem)
+            outcomes = []
+            reference = reference_evaluator(problem, outcomes)
+            for size in (1, 2, 6, 6, 6):
+                keys = random_assignments(rng, problem, size)
+                if problem.nuisance_kind != "explicit":
+                    keys = [block_sorted(problem, key) for key in keys]
+                start = len(outcomes)
+                for key, scored in zip(keys, stack(keys), strict=True):
+                    assert same_bits(scored, reference(key))
+                mixed += len({rank for rank, _ in outcomes[start:]}) > 1
+            # rank of C against the v - 1 of a connected design
+            seen.update((problem.nuisance_kind, why, np.sign(rank - (problem.v - 1)))
+                        for rank, why in outcomes)
+        assert mixed > 100
+        for kind in ("intercept", "blocks", "explicit"):
+            # scored from full and deficient C; skipped by the residual check
+            assert {(kind, "scored", 0), (kind, "scored", -1), (kind, "residual", -1)} <= seen
+        assert ("explicit", "scored", 1) in seen
+
     @pytest.mark.parametrize("limit", [search_module.SCORE_CACHE_LIMIT, 0])
     def test_values_are_invariant_within_blocks(self, monkeypatch, limit):
         monkeypatch.setattr(search_module, "SCORE_CACHE_LIMIT", limit)
@@ -378,6 +495,79 @@ class TestExchange:
             gap = abs(exact.best_value.value - heuristic.best_value.value)
             assert gap <= 1e-9 * max(1.0, abs(exact.best_value.value))
             checked += 1
+
+    def test_matches_the_sequential_reference(self):
+        problems = [replace(problem, seed=i, restarts=1)
+                    for i, problem in enumerate(scorer_problems(60))]
+        compared = 0
+        for problem in problems + [trend_problem(restarts=2)]:
+            if (problem.nuisance_kind == "explicit"
+                    and problem.n - problem.L.shape[1] < search_module._target_rank(problem)):
+                continue  # rank C <= n - rank L: no design estimates the target
+            expected = reference_exchange(problem)
+            if expected is None:
+                continue
+            result = exchange_search(problem)
+            assignment, scored, trace, stats = expected
+            assert result.best_design.assignment == assignment
+            assert same_bits((result.best_value.value, result.best_value.spectrum_used), scored)
+            assert np.array(result.trace).tobytes() == np.array(trace).tobytes()
+            assert [(r.start_value, r.passes, r.improving_moves, r.moves_scored, r.final_value)
+                    for r in result.restarts] == stats
+            compared += 1
+        assert compared > 50
+
+    def test_restart_statistics(self, contrasts3):
+        pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+        blocks = SearchProblem(v=3, n=40, criterion="A", target=EstimableSystem(pairs),
+                               space=contrasts3, nuisance_kind="blocks",
+                               block_sizes=(10, 10, 10, 10), seed=2, restarts=3)
+        capped = replace(trend_problem(restarts=4), max_passes=1)
+        for problem in (trend_problem(restarts=4), capped, blocks):
+            result = exchange_search(problem)
+            assert len(result.restarts) == problem.restarts
+            assert [r.final_value for r in result.restarts] == list(result.trace)
+            for r in result.restarts:
+                assert 1 <= r.passes <= problem.max_passes
+                assert r.moves_scored == r.passes * problem.n * (problem.v - 1)
+                # every pass but the last accepted a move
+                assert r.passes - 1 <= r.improving_moves
+                assert r.final_value >= r.start_value
+                assert (r.final_value > r.start_value) == (r.improving_moves > 0)
+        assert any(r.improving_moves > 0 for r in exchange_search(capped).restarts)
+
+    def test_starts_where_random_draws_fail(self):
+        # v = 8, n = 8 under an intercept: only a design with every treatment
+        # once estimates these targets, and uniform draws rarely hit one
+        for seed, kind in ((751, "theorem3"), (773, "theorem3"), (990, "aopt")):
+            spec, space, target = random_instance(np.random.default_rng(seed), kind)
+            problem = SearchProblem(v=spec.v, n=spec.n, criterion="A", target=target,
+                                    space=space, nuisance_kind=spec.nuisance_kind,
+                                    block_sizes=spec.block_sizes, seed=51, restarts=5)
+            result = exchange_search(problem)
+            assert sorted(result.best_design.assignment) == list(range(1, problem.v + 1))
+            scored = make_evaluator(problem)(result.best_design.assignment)
+            assert same_bits(scored, (result.best_value.value, result.best_value.spectrum_used))
+
+    def test_covering_start_spreads_the_treatments_over_the_blocks(self):
+        problem = SearchProblem(v=4, n=11, criterion="A",
+                                target=EstimableSystem(contrast(4, 1, 2)),
+                                space=estimation_space("contrasts", 4),
+                                nuisance_kind="blocks", block_sizes=(5, 3, 3))
+        tried = []
+
+        def evaluate(assignment):
+            tried.append(assignment)
+            return None if len(tried) <= 1000 else (1.0, np.ones(1))
+
+        start, _ = search_module._start(problem, np.random.default_rng(0), evaluate)
+        assert len(tried) == 1001
+        assert tuple(start) == tried[-1]
+        # a block as large as v holds every treatment; smaller blocks cycle
+        # on, each sharing one treatment with the block before it
+        assert start[:4] == [1, 2, 3, 4]
+        assert start[5:8] == [4, 1, 2]
+        assert start[8:] == [2, 3, 4]
 
     def test_deterministic_given_seed(self, single_contrast_problem):
         a = exchange_search(single_contrast_problem)

@@ -276,6 +276,15 @@ class TestWeightDominance:
         system = EstimableSystem(np.column_stack([q1, q2, q3]), [1.0, 1.0, 0.5])
         assert check_weight_dominance(system) == (True, True, True)
 
+    def test_flags_do_not_depend_on_the_scale_of_the_weights(self, q1, q2, q3, control_system):
+        # with an absolute slack of 1e-9, every weight of the 1e-10 scale fell inside it
+        pairwise = np.column_stack([q1, q2, q3])
+        for scale in (1.0, 1e-10, 1e10):
+            assert check_weight_dominance(EstimableSystem(pairwise, [scale] * 3)) == \
+                (True, True, True)
+            assert check_weight_dominance(
+                EstimableSystem(control_system.Q, [scale, 2.0 * scale])) == (False, False)
+
 
 class TestSystemWeightIdentities:
     def test_gram_inverse_identity_full_rank(self, contrasts3):
