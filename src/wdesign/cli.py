@@ -32,9 +32,9 @@ from .linalg import DERIVED_RANK_RTOL, SymMatrix, eig_sym, max_abs
 from .model import (
     DesignSpec,
     EstimationSpace,
+    _information,
     estimation_space,
     infeasible_columns,
-    information_matrix,
 )
 from .weighting import (
     check_weight_dominance,
@@ -380,14 +380,14 @@ def _target_of(problem: Problem):
 
 
 def cmd_info(problem: Problem, digest: str) -> tuple[Report, int]:
-    c = information_matrix(problem.spec)
+    c = _information(problem.spec)
     s = eig_sym(c)
     results = {
         "v": problem.spec.v,
         "n": problem.spec.n,
         "replications": problem.spec.replications().tolist(),
         "information_matrix": c.entries,
-        "spectrum": s.eigenvalues,
+        "spectrum": s.eigenvalues.copy(),
         "rank": s.numeric_rank,
         "estimation_space": {"kind": problem.space.kind, "dim": problem.space.dim},
     }
@@ -447,7 +447,7 @@ def cmd_criterion(problem: Problem, digest: str) -> tuple[Report, int]:
         raise ParseError("this command needs a 'criterion' section")
     target = _target_of(problem)
     name = problem.criterion
-    c = information_matrix(problem.spec)
+    c = _information(problem.spec)
     if isinstance(target, EstimableSystem):
         n = info_matrix_for_system(c, target)
         system_value = criteria.criterion_value(n, name)

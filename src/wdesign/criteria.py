@@ -64,15 +64,20 @@ POSITIVE_SPECTRUM_CRITERIA = {
 }
 
 
-def value_from_positive_spectrum(name: str, positive) -> float:
-    """Criterion value computed from the positive eigenvalues alone."""
+def _criterion_function(name: str):
+    """The registered criterion ``name``; DomainError for an unknown name."""
     try:
-        fn = POSITIVE_SPECTRUM_CRITERIA[name]
+        return POSITIVE_SPECTRUM_CRITERIA[name]
     except KeyError:
         raise DomainError(
             f"unknown criterion {name!r}; available: "
             f"{sorted(POSITIVE_SPECTRUM_CRITERIA)}"
         ) from None
+
+
+def value_from_positive_spectrum(name: str, positive) -> float:
+    """Criterion value computed from the positive eigenvalues alone."""
+    fn = _criterion_function(name)
     pos = np.asarray(positive, dtype=float)
     if pos.size == 0:
         return 0.0
@@ -109,11 +114,7 @@ def criterion_value(m, name: str) -> CriterionValue:
     mean, and E the smallest eigenvalue of the full declared spectrum, hence
     0 for singular matrices.
     """
-    if name not in POSITIVE_SPECTRUM_CRITERIA:
-        raise DomainError(
-            f"unknown criterion {name!r}; available: "
-            f"{sorted(POSITIVE_SPECTRUM_CRITERIA)}"
-        )
+    _criterion_function(name)
     m = as_sym(m)
     spec = eig_sym(m)
     smallest = float(spec.eigenvalues[-1])
@@ -142,7 +143,11 @@ def phi_weighted(spec_or_C, w: WeightMatrix, name: str) -> CriterionValue:
 
 @dataclass(frozen=True, eq=False)
 class CertificationReport:
-    """Outcome of one spectral-equivalence certification."""
+    """Outcome of one spectral-equivalence certification.
+
+    The spectra are the report's own arrays, copied from the cached spectra
+    they were read from, so callers may write into them.
+    """
 
     name: str
     passed: bool
@@ -188,8 +193,8 @@ def certify_theorem1(spec: DesignSpec, system: EstimableSystem,
     wp = np.eye(space.v) - space.projector.entries + qs @ qs.T
     wph = pinv_sqrt(symmetrized(wp)).entries
     cw = symmetrized(wph @ c.entries @ wph, DERIVED_RANK_RTOL)
-    sys_pos = eig_sym(n).positive()
-    w_pos = eig_sym(cw).positive()
+    sys_pos = eig_sym(n).positive().copy()
+    w_pos = eig_sym(cw).positive().copy()
     dev = spectral_deviation(sys_pos, w_pos)
     return CertificationReport("theorem1", dev <= tol, dev, tol, sys_pos, w_pos)
 
@@ -213,8 +218,8 @@ def certify_theorem2(spec: DesignSpec, w_pd, space: EstimationSpace,
     cw = symmetrized(wph @ c.entries @ wph, DERIVED_RANK_RTOL)
     r_system = system_from_weight_matrix_R(wm, space)
     n = info_matrix_for_system(c, r_system)
-    full_cw = eig_sym(cw).eigenvalues
-    full_n = eig_sym(n).eigenvalues
+    full_cw = eig_sym(cw).eigenvalues.copy()
+    full_n = eig_sym(n).eigenvalues.copy()
     dev = spectral_deviation(full_n, full_cw)
     return CertificationReport("theorem2", dev <= tol, dev, tol, full_n, full_cw)
 
@@ -231,8 +236,8 @@ def certify_theorem3(spec: DesignSpec, system: EstimableSystem,
     n = info_matrix_for_system(c, system)
     w = weight_matrix_from_system(system, space)
     cw = weighted_info_matrix(c, w)
-    sys_pos = eig_sym(n).positive()
-    w_pos = eig_sym(cw).positive()
+    sys_pos = eig_sym(n).positive().copy()
+    w_pos = eig_sym(cw).positive().copy()
     dev = spectral_deviation(sys_pos, w_pos)
     return CertificationReport("theorem3", dev <= tol, dev, tol, sys_pos, w_pos)
 
@@ -250,7 +255,7 @@ def certify_theorem4(spec: DesignSpec, w: WeightMatrix,
     n = info_matrix_for_system(c, sqrt_system)
     padded_cw = np.zeros(w.v)
     padded_cw[: w.d] = eig_sym(cw).eigenvalues
-    full_n = eig_sym(n).eigenvalues
+    full_n = eig_sym(n).eigenvalues.copy()
     dev = spectral_deviation(full_n, padded_cw)
     return CertificationReport("theorem4", dev <= tol, dev, tol, full_n, padded_cw)
 

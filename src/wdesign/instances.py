@@ -12,7 +12,7 @@ import numpy as np
 
 from .estimable import EstimableSystem
 from .linalg import SymMatrix, eig_sym, symmetrized
-from .model import DesignSpec, EstimationSpace, estimation_space, information_matrix
+from .model import DesignSpec, EstimationSpace, _information, estimation_space
 from .weighting import WeightMatrix, make_weight_matrix
 
 #: Smallest accepted ratio of extreme positive eigenvalues in drawn instances.
@@ -48,7 +48,7 @@ def random_design(rng, v: int | None = None, n: int | None = None,
                 raise ValueError(f"no connected block design with v={v}, n={n}")
             sizes = _partition(rng, n, parts)
         spec = DesignSpec(v, tuple(int(t) for t in assignment), kind, sizes)
-        s = eig_sym(information_matrix(spec))
+        s = eig_sym(_information(spec))
         if s.numeric_rank != v - 1:
             continue
         pos = s.positive()

@@ -4,8 +4,8 @@ Every matrix that matters downstream (information matrices, weight matrices,
 projectors) is symmetric, so this module fixes a single spectral convention
 for all of them: eigenvalues are sorted in descending order, and an
 eigenvalue counts as nonzero when it exceeds ``tol_rank * max(|lambda|_max,
-eps)``.  Pseudoinverses, square roots, factors and projectors all derive
-from that one cutoff, which keeps rank decisions consistent everywhere.
+eps)``.  Pseudoinverses, square roots and projectors all derive from that
+one cutoff, which keeps rank decisions consistent everywhere.
 """
 
 from __future__ import annotations
@@ -43,9 +43,12 @@ class SymMatrix:
         The stored copy is exactly symmetrized and marked read-only.
     tol_rank : float, optional
         Relative eigenvalue cutoff; defaults to ``dim * eps``.
+
+    The matrix never changes, so ``eig_sym`` and ``pinv`` decompose and
+    invert it once and keep the results on the object.
     """
 
-    __slots__ = ("entries", "dim", "tol_rank")
+    __slots__ = ("entries", "dim", "tol_rank", "_spectrum", "_pinv")
 
     def __init__(self, entries, tol_rank: float | None = None):
         a = np.array(entries, dtype=float)
@@ -64,13 +67,19 @@ class SymMatrix:
         if tol < 0:
             raise ValueError("tol_rank must be nonnegative")
         self.tol_rank = tol
+        self._spectrum = None
+        self._pinv = None
 
     def __repr__(self):
         return f"SymMatrix(dim={self.dim}, tol_rank={self.tol_rank:.3g})"
 
 
 def as_sym(a, tol_rank: float | None = None) -> SymMatrix:
-    """Coerce an array (or pass a SymMatrix through) to SymMatrix."""
+    """Coerce an array (or pass a SymMatrix through) to SymMatrix.
+
+    A SymMatrix with another ``tol_rank`` becomes a new object, whose
+    spectrum and pseudoinverse are cached apart from the original's.
+    """
     if isinstance(a, SymMatrix):
         if tol_rank is None or tol_rank == a.tol_rank:
             return a
@@ -111,10 +120,16 @@ def eig_sym(A) -> Spectrum:
 
     The rank cutoff is ``tol_rank * max(|lambda|_max, eps)``.  Within ties
     the eigenvector order is solver-dependent; only spectra and spanned
-    subspaces are contractual.
+    subspaces are contractual.  The spectrum is computed once per SymMatrix
+    and shared by every later call, so its arrays are read-only.
     """
     A = as_sym(A)
-    return eigh_desc(A.entries, A.tol_rank)
+    if A._spectrum is None:
+        spec = eigh_desc(A.entries, A.tol_rank)
+        spec.eigenvalues.flags.writeable = False
+        spec.eigenvectors.flags.writeable = False
+        A._spectrum = spec
+    return A._spectrum
 
 
 def eigh_desc(a: np.ndarray, tol_rank: float) -> Spectrum:
@@ -175,15 +190,18 @@ def pinv(A) -> SymMatrix:
 
     Eigenvalues whose magnitude clears the rank cutoff are inverted, the
     rest are zeroed; the four Penrose identities then hold to working
-    precision, and ``pinv(pinv(A))`` recovers ``A``.
+    precision, and ``pinv(pinv(A))`` recovers ``A``.  Built once per
+    SymMatrix; later calls return the same object.
     """
     A = as_sym(A)
-    spec = eig_sym(A)
-    w = spec.eigenvalues
-    keep = np.abs(w) > spec.cutoff
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
-    return _rebuild(spec, inv, A.tol_rank)
+    if A._pinv is None:
+        spec = eig_sym(A)
+        w = spec.eigenvalues
+        keep = np.abs(w) > spec.cutoff
+        inv = np.zeros_like(w)
+        inv[keep] = 1.0 / w[keep]
+        A._pinv = _rebuild(spec, inv, A.tol_rank)
+    return A._pinv
 
 
 def pinv_sqrt(A) -> SymMatrix:
@@ -210,20 +228,6 @@ def sqrt_psd(A) -> SymMatrix:
     return _rebuild(spec, vals, A.tol_rank)
 
 
-def sqrt_factor(A) -> np.ndarray:
-    """Full-column-rank factor ``K`` with ``K @ K.T == A`` (``A`` psd).
-
-    Stacks the eigenvectors of the positive eigenvalues scaled by their
-    square roots, columns in descending eigenvalue order; ``K`` has
-    ``numeric_rank(A)`` columns.
-    """
-    A = as_sym(A)
-    spec = eig_sym(A)
-    _require_psd(spec, "sqrt_factor")
-    d = spec.numeric_rank
-    return spec.eigenvectors[:, :d] * np.sqrt(spec.eigenvalues[:d])
-
-
 def projector(columns) -> SymMatrix:
     """Orthogonal projector onto the column space of ``columns``.
 
@@ -237,15 +241,6 @@ def projector(columns) -> SymMatrix:
         raise ValueError(f"projector needs a nonempty set of columns, got shape {b.shape}")
     g = pinv(symmetrized(b.T @ b))
     return symmetrized(b @ g.entries @ b.T, default_tol_rank(b.shape[0]))
-
-
-def column_space_projector(A) -> SymMatrix:
-    """Orthogonal projector onto the column space of a symmetric matrix."""
-    A = as_sym(A)
-    f = eig_sym(A).basis()
-    if f.shape[1] == 0:
-        return SymMatrix(np.zeros((A.dim, A.dim)), A.tol_rank)
-    return symmetrized(f @ f.T, A.tol_rank)
 
 
 def generalized_inverse_sample(A, rng, scale: float = 1.0) -> np.ndarray:

@@ -9,7 +9,7 @@ projected out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,8 @@ class DesignSpec:
 
     ``assignment`` holds treatment indices in ``1..v``, one per unit.  The
     nuisance is an intercept column, consecutive blocks of the given sizes,
-    or an explicit ``n x m`` matrix ``L``.
+    or an explicit ``n x m`` matrix ``L``.  The information matrix at the
+    default rank cutoff is built on first use and kept on the spec.
     """
 
     v: int
@@ -45,6 +46,7 @@ class DesignSpec:
     nuisance_kind: str = "intercept"
     block_sizes: tuple[int, ...] | None = None
     L: np.ndarray | None = None
+    _information_matrix: SymMatrix | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if int(self.v) < 1:
@@ -145,7 +147,8 @@ def information_matrix(spec: DesignSpec, tol_rank: float = DERIVED_RANK_RTOL) ->
 
     Nonnegative definite by construction; when the nuisance contains the
     intercept its rows sum to zero, so the all-ones vector is in its null
-    space.
+    space.  Each call builds a new matrix; the certification routes build
+    it once per spec, at the default cutoff, and keep it on the spec.
     """
     x, ell = design_matrix(spec)
     resid = np.eye(spec.n) - projector(ell).entries
@@ -201,8 +204,13 @@ def estimation_space(kind: str, v: int, basis=None) -> EstimationSpace:
 
 
 def _information(spec_or_matrix) -> SymMatrix:
+    """``C`` of a design, built once per DesignSpec, or a given matrix as SymMatrix."""
     if isinstance(spec_or_matrix, DesignSpec):
-        return information_matrix(spec_or_matrix)
+        c = spec_or_matrix._information_matrix
+        if c is None:
+            c = information_matrix(spec_or_matrix)
+            object.__setattr__(spec_or_matrix, "_information_matrix", c)
+        return c
     return as_sym(spec_or_matrix)
 
 
@@ -225,11 +233,6 @@ def infeasible_columns(spec_or_C, Q, rtol: float = FEASIBILITY_RTOL) -> tuple[in
     return tuple(j for j in range(q.shape[1]) if max_abs(resid[:, j]) > tol)
 
 
-def is_feasible(spec_or_C, Q, rtol: float = FEASIBILITY_RTOL) -> bool:
-    """Whether the whole system ``Q'tau`` is estimable under the design."""
-    return not infeasible_columns(spec_or_C, Q, rtol)
-
-
 def check_estimation_space(spec: DesignSpec, space: EstimationSpace,
                            rtol: float = FEASIBILITY_RTOL) -> SymMatrix:
     """Verify ``C(C(xi))`` equals the declared estimation space; return C.
@@ -237,7 +240,7 @@ def check_estimation_space(spec: DesignSpec, space: EstimationSpace,
     Cross-design comparisons assume all competing designs share this column
     space; operations that rely on it call this check instead of assuming.
     """
-    c = information_matrix(spec)
+    c = _information(spec)
     s = eig_sym(c)
     resid = max_abs(c.entries - space.projector.entries @ c.entries)
     scale = max(max_abs(c.entries), EPS)

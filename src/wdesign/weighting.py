@@ -106,7 +106,7 @@ def make_weight_matrix(w_raw, space: EstimationSpace | None = None,
             )
         checked = True
     d = spec.numeric_rank
-    f = spec.eigenvectors[:, :d]
+    f = spec.eigenvectors[:, :d].copy()
     k = f * np.sqrt(spec.eigenvalues[:d])
     if d:
         wplus = symmetrized((f / spec.eigenvalues[:d]) @ f.T).entries
@@ -206,7 +206,7 @@ def variance_decomposition(spec_or_C, w: WeightMatrix, q,
     total = float(g @ g)
     if total <= 0.0:
         raise InternalConsistencyError("in-span q produced a zero coordinate vector")
-    return g**2 / total, spec.eigenvalues
+    return g**2 / total, spec.eigenvalues.copy()
 
 
 def estimation_equivalent(w1: WeightMatrix, w2: WeightMatrix,

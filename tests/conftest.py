@@ -1,9 +1,17 @@
-"""Shared fixtures: the two-test-treatments-vs-control setting reused throughout."""
+"""Shared fixtures (the two-test-treatments-vs-control setting reused throughout)
+and the Hypothesis profile of the suite."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wdesign import DesignSpec, EstimableSystem, estimation_space
+
+# Property tests draw the same few examples on every run, so the suite stays
+# reproducible and quick; nothing is written to an example database.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=25,
+                          database=None)
+settings.load_profile("tier1")
 
 SQRT2 = np.sqrt(2.0)
 

@@ -11,22 +11,62 @@ from wdesign import (
     certify_theorem2,
     certify_theorem3,
     certify_theorem4,
+    check_estimation_space,
     criterion_value,
     e_opt_interpretation_check,
     eig_sym,
+    estimation_space,
     info_matrix_for_system,
     information_matrix,
     make_weight_matrix,
     phi_for_system,
     phi_weighted,
     value_from_positive_spectrum,
+    variance_decomposition,
     weight_matrix_from_system,
     weighted_info_matrix,
     weighted_variance,
 )
 from wdesign.errors import DomainError, RankError, SingularWeightError
 from wdesign.instances import random_instance
-from wdesign.linalg import SymMatrix
+from wdesign.linalg import DERIVED_RANK_RTOL, SymMatrix
+
+#: Certification kind -> its run on a ``random_instance`` draw.
+CERTIFY = {
+    "theorem1": lambda spec, space, t: certify_theorem1(spec, t, space),
+    "theorem2": lambda spec, space, t: certify_theorem2(spec, t, space),
+    "theorem3": lambda spec, space, t: certify_theorem3(spec, t, space),
+    "theorem4": lambda spec, space, t: certify_theorem4(spec, t),
+    "aopt": lambda spec, space, t: a_opt_interpretation_check(spec, t, seed=5),
+    "eopt": lambda spec, space, t: e_opt_interpretation_check(spec, t),
+}
+
+
+def fresh_copies(spec, space, target):
+    """The instance rebuilt from its data, with none of its cached analyses."""
+    spec = DesignSpec(spec.v, spec.assignment, spec.nuisance_kind, spec.block_sizes, spec.L)
+    space = estimation_space(space.kind, space.v)
+    if isinstance(target, EstimableSystem):
+        target = EstimableSystem(target.Q.copy(), target.b.copy())
+    elif isinstance(target, SymMatrix):
+        target = SymMatrix(target.entries.copy(), target.tol_rank)
+    else:
+        target = make_weight_matrix(
+            SymMatrix(target.matrix.entries.copy(), target.matrix.tol_rank), space)
+    return spec, space, target
+
+
+def report_arrays(report):
+    """Every array a certification report hands to its caller."""
+    values = list(vars(report).values()) + list(getattr(report, "deviations", {}).values())
+    return [x for x in values if isinstance(x, np.ndarray)]
+
+
+def assert_same_report(a, b):
+    assert (a.name, a.passed, a.tolerance) == (b.name, b.passed, b.tolerance)
+    assert np.float64(a.deviation).tobytes() == np.float64(b.deviation).tobytes()
+    assert getattr(a, "deviations", None) == getattr(b, "deviations", None)
+    assert [x.tobytes() for x in report_arrays(a)] == [x.tobytes() for x in report_arrays(b)]
 
 
 class TestCriterionValue:
@@ -233,3 +273,50 @@ class TestInterpretationChecks:
             samples.append(weighted_variance(c, w, q))
         assert max(samples) <= bound * (1 + 1e-9)
         assert max(samples) >= 0.9 * bound
+
+
+class TestCachedAnalyses:
+    def test_warm_objects_give_the_bits_of_fresh_copies(self):
+        rng = np.random.default_rng(38)
+        for kind, run in CERTIFY.items():
+            for _ in range(8):
+                instance = random_instance(rng, kind)
+                first = run(*instance)
+                warm = run(*instance)
+                cold = run(*fresh_copies(*instance))
+                assert_same_report(first, cold)
+                assert_same_report(warm, cold)
+
+    def test_reports_keep_writable_arrays_of_their_own(self):
+        rng = np.random.default_rng(39)
+        for kind, run in CERTIFY.items():
+            instance = random_instance(rng, kind)
+            report = run(*instance)
+            arrays = report_arrays(report)
+            assert len(arrays) == (2 if kind.startswith("theorem") else 0)
+            for x in arrays:
+                assert x.flags.writeable
+                x[...] = 7.0
+            again = run(*instance)
+            assert np.float64(again.deviation).tobytes() == np.float64(
+                report.deviation).tobytes()
+            spec, _, target = instance
+            if isinstance(target, (SymMatrix, EstimableSystem)):
+                continue
+            assert target.F.flags.writeable and target.K.flags.writeable
+            _, eigenvalues = variance_decomposition(spec, target, target.K[:, 0])
+            assert eigenvalues.flags.writeable
+
+    def test_information_matrix_is_built_once_per_design(self, balanced_design, contrasts3):
+        c = check_estimation_space(balanced_design, contrasts3)
+        assert check_estimation_space(balanced_design, contrasts3) is c
+        assert c.tol_rank == DERIVED_RANK_RTOL
+        assert information_matrix(balanced_design) is not c
+
+    def test_explicit_tol_rank_is_not_served_from_the_cache(self, contrasts3):
+        spec = DesignSpec.from_replications(3, [2, 2, 2])
+        loose = information_matrix(spec, tol_rank=1e-6)
+        assert loose.tol_rank == 1e-6
+        c = check_estimation_space(spec, contrasts3)
+        assert c is not loose and c.tol_rank == DERIVED_RANK_RTOL
+        assert information_matrix(spec, tol_rank=1e-6) is not loose

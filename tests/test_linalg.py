@@ -6,17 +6,16 @@ import scipy.linalg
 
 from wdesign import (
     SymMatrix,
-    column_space_projector,
     eig_sym,
     generalized_inverse_sample,
+    make_weight_matrix,
     pinv,
     pinv_sqrt,
     projector,
-    sqrt_factor,
     sqrt_psd,
 )
 from wdesign.errors import DomainError, NumericalError
-from wdesign.linalg import eigh_desc, eigh_desc_stack
+from wdesign.linalg import as_sym, eigh_desc, eigh_desc_stack
 
 
 def random_psd(rng, dim, rank=None):
@@ -111,6 +110,44 @@ class TestEig:
                 assert s.tobytes() == s_alone[:, ::-1].tobytes()
                 assert cutoff == 1e-12 * max(float(np.max(np.abs(w_alone))), np.finfo(float).eps)
                 assert rank == np.count_nonzero(w_alone > cutoff)
+
+
+class TestCache:
+    def test_spectrum_and_pinv_are_built_once_and_read_only(self):
+        a = random_psd(np.random.default_rng(22), 4, 3)
+        s = eig_sym(a)
+        assert eig_sym(a) is s
+        assert not s.eigenvalues.flags.writeable
+        assert not s.eigenvectors.flags.writeable
+        with pytest.raises(ValueError):
+            s.eigenvalues[0] = 0.0
+        p = pinv(a)
+        assert pinv(a) is p
+        assert not p.entries.flags.writeable
+
+    def test_cold_copy_is_bit_identical(self):
+        rng = np.random.default_rng(23)
+        for dim in (1, 2, 3, 5, 8):
+            for a in (random_psd(rng, dim), random_psd(rng, dim, rng.integers(0, dim + 1)),
+                      SymMatrix(np.diag(np.linspace(-2.0, 1.0, dim)))):
+                warm_s, warm_p = eig_sym(a), pinv(a)
+                cold = SymMatrix(a.entries.copy(), a.tol_rank)
+                cold_s = eig_sym(cold)
+                assert cold_s is not warm_s
+                assert cold_s.eigenvalues.tobytes() == warm_s.eigenvalues.tobytes()
+                assert cold_s.eigenvectors.tobytes() == warm_s.eigenvectors.tobytes()
+                assert (cold_s.numeric_rank, cold_s.cutoff) == (warm_s.numeric_rank,
+                                                                warm_s.cutoff)
+                assert pinv(cold).entries.tobytes() == warm_p.entries.tobytes()
+
+    def test_another_tol_rank_has_a_cache_of_its_own(self):
+        a = SymMatrix(np.diag([1.0, 1e-6, 0.0]))
+        loose = as_sym(a, 1e-3)
+        assert loose is not a
+        assert eig_sym(a).numeric_rank == 2 and eig_sym(loose).numeric_rank == 1
+        assert pinv(a).entries[1, 1] == pytest.approx(1e6)
+        assert pinv(loose).entries[1, 1] == 0.0
+        assert as_sym(a, a.tol_rank) is a
 
 
 class TestPinv:
@@ -213,6 +250,11 @@ class TestProjector:
             assert abs(np.trace(p) - np.linalg.matrix_rank(cols)) <= 1e-9
 
 
+def sqrt_factor(a):
+    """The full-column-rank factor ``K`` (``K K' = A``) that weighting keeps."""
+    return make_weight_matrix(a).K
+
+
 class TestSqrtFactor:
     def test_identity_up_to_sign_and_tie_order(self):
         # eigenvalue ties leave column order solver-dependent; the contract
@@ -262,9 +304,8 @@ class TestGeneralizedInverse:
 
 
 def test_column_space_projector_matches_projector():
+    # F F' from the spectral basis is the projector feasibility tests against
     rng = np.random.default_rng(9)
     g = rng.standard_normal((5, 2))
-    a = SymMatrix(g @ g.T)
-    np.testing.assert_allclose(
-        column_space_projector(a).entries, projector(g).entries, atol=1e-10
-    )
+    f = eig_sym(SymMatrix(g @ g.T)).basis()
+    np.testing.assert_allclose(f @ f.T, projector(g).entries, atol=1e-10)

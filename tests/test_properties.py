@@ -1,0 +1,44 @@
+"""Hypothesis properties of the model: invariances the paper's math implies."""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from wdesign import (
+    DesignSpec,
+    EstimableSystem,
+    eig_sym,
+    info_matrix_for_system,
+    information_matrix,
+)
+from wdesign.instances import random_instance
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_c=st.floats(-3.0, 3.0))
+def test_scaling_the_system_scales_the_spectrum_of_n_q(seed, log_c):
+    # N_Q = (Q~'C^+Q~)^+, so Q -> cQ scales its positive spectrum by 1/c^2
+    spec, _, system = random_instance(np.random.default_rng(seed), "theorem3")
+    c = 10.0**log_c
+    scaled = EstimableSystem(c * system.Q, system.b)
+    base = eig_sym(info_matrix_for_system(spec, system)).positive()
+    after = eig_sym(info_matrix_for_system(spec, scaled)).positive()
+    np.testing.assert_allclose(after, base / c**2, rtol=1e-9)
+
+
+@given(st.data())
+def test_permuting_units_within_a_block_keeps_the_spectrum_of_c(data):
+    v = data.draw(st.integers(2, 5), label="v")
+    sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4), label="sizes")
+    n = sum(sizes)
+    assignment = data.draw(st.lists(st.integers(1, v), min_size=n, max_size=n),
+                           label="assignment")
+    order, start = [], 0
+    for size in sizes:
+        order += [start + i for i in data.draw(st.permutations(range(size)))]
+        start += size
+    permuted = [assignment[i] for i in order]
+    base = eig_sym(information_matrix(DesignSpec(v, assignment, "blocks", sizes)))
+    after = eig_sym(information_matrix(DesignSpec(v, permuted, "blocks", sizes)))
+    assert after.numeric_rank == base.numeric_rank
+    scale = max(1.0, float(np.max(np.abs(base.eigenvalues))))
+    np.testing.assert_allclose(after.eigenvalues, base.eigenvalues, rtol=0, atol=1e-12 * scale)
