@@ -36,7 +36,6 @@ from .linalg import (
     Spectrum,
     SymMatrix,
     eig_sym,
-    generalized_inverse_sample,
     pinv,
     pinv_sqrt,
     projector,
@@ -109,7 +108,6 @@ __all__ = [
     "estimation_equivalent",
     "estimation_space",
     "exchange_search",
-    "generalized_inverse_sample",
     "infeasible_columns",
     "info_matrix_for_system",
     "information_matrix",

@@ -26,13 +26,13 @@ from .linalg import (
     as_sym,
     eig_sym,
     max_abs,
-    pinv,
     pinv_sqrt,
     symmetrized,
 )
 from .model import DesignSpec, EstimationSpace, _information, check_estimation_space
 from .weighting import (
     WeightMatrix,
+    _weighted_chain,
     weight_matrix_from_system,
     weighted_info_matrix,
     weighted_variance,
@@ -40,6 +40,12 @@ from .weighting import (
 
 #: Pass threshold for spectral deviations in the theorem certifications.
 SPECTRAL_TOL = 1e-8
+
+#: Pass threshold of the averaged-variance reading of weighted A-optimality.
+A_INTERPRETATION_TOL = 1e-8
+
+#: Pass threshold of the worst-case-variance reading of weighted E-optimality.
+E_INTERPRETATION_TOL = 1e-9
 
 
 def _geometric_mean(pos: np.ndarray) -> float:
@@ -298,7 +304,8 @@ def _w_orthogonal_set(rng, w: WeightMatrix) -> np.ndarray:
 
 
 def a_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix, seed: int = 0,
-                               trials: int = 3, tol: float = 1e-8) -> InterpretationReport:
+                               trials: int = 3,
+                               tol: float = A_INTERPRETATION_TOL) -> InterpretationReport:
     """Averaged-variance reading of weighted A-optimality.
 
     (a) any ``Q = K Z`` with orthogonal ``Z`` satisfies ``Q Q' = W`` and the
@@ -326,7 +333,7 @@ def a_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix, seed: int = 0,
 
 
 def e_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix,
-                               tol: float = 1e-9) -> InterpretationReport:
+                               tol: float = E_INTERPRETATION_TOL) -> InterpretationReport:
     """Worst-case-variance reading of weighted E-optimality.
 
     ``1 / Phi_EW`` must equal the largest weighted variance over the span of
@@ -334,9 +341,8 @@ def e_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix,
     the top eigenvector ``u``.
     """
     c = _information(spec)
-    cw = weighted_info_matrix(c, w)
+    m, cw = _weighted_chain(c, w)
     phi_e = criterion_value(cw, "E").value
-    m = symmetrized(w.K.T @ pinv(c).entries @ w.K, DERIVED_RANK_RTOL)
     ms = eig_sym(m)
     lam_max = float(ms.eigenvalues[0])
     scale = max(1.0, lam_max)

@@ -6,6 +6,11 @@ for all of them: eigenvalues are sorted in descending order, and an
 eigenvalue counts as nonzero when it exceeds ``tol_rank * max(|lambda|_max,
 eps)``.  Pseudoinverses, square roots and projectors all derive from that
 one cutoff, which keeps rank decisions consistent everywhere.
+
+Input is validated once, at the boundary: ``SymMatrix(...)`` and ``as_sym``
+on an array check shape, finiteness and symmetry.  Products the package
+forms itself go through ``symmetrized``, which makes them exactly symmetric
+and so skips the symmetry test, which could not fail on them.
 """
 
 from __future__ import annotations
@@ -33,6 +38,14 @@ def default_tol_rank(dim: int) -> float:
     return dim * EPS
 
 
+def _square_finite(a: np.ndarray) -> np.ndarray:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
 class SymMatrix:
     """Dense real symmetric matrix plus the rank tolerance attached to it.
 
@@ -51,15 +64,24 @@ class SymMatrix:
     __slots__ = ("entries", "dim", "tol_rank", "_spectrum", "_pinv")
 
     def __init__(self, entries, tol_rank: float | None = None):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
+        a = _square_finite(np.array(entries, dtype=float))
         scale = float(np.max(np.abs(a)))
         if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
             raise ValueError("matrix is not symmetric within tolerance")
-        a = 0.5 * (a + a.T)
+        self._fill(0.5 * (a + a.T), tol_rank)
+
+    @classmethod
+    def _trusted(cls, a: np.ndarray, tol_rank: float | None) -> SymMatrix:
+        """SymMatrix taking ``a``, an exactly symmetric array, as its entries.
+
+        No symmetry test and no copy: ``a`` is marked read-only and kept.
+        Shape, finiteness and ``tol_rank`` are still checked.
+        """
+        m = cls.__new__(cls)
+        m._fill(_square_finite(a), tol_rank)
+        return m
+
+    def _fill(self, a: np.ndarray, tol_rank: float | None) -> None:
         a.flags.writeable = False
         self.entries = a
         self.dim = int(a.shape[0])
@@ -83,13 +105,20 @@ def as_sym(a, tol_rank: float | None = None) -> SymMatrix:
     if isinstance(a, SymMatrix):
         if tol_rank is None or tol_rank == a.tol_rank:
             return a
-        return SymMatrix(a.entries, tol_rank)
+        return SymMatrix._trusted(a.entries, tol_rank)
     return SymMatrix(a, tol_rank)
 
 
 def symmetrized(a: np.ndarray, tol_rank: float | None = None) -> SymMatrix:
-    """SymMatrix from a product that is symmetric only up to roundoff."""
-    return SymMatrix(0.5 * (a + a.T), tol_rank)
+    """SymMatrix from a product the package formed, symmetric up to roundoff.
+
+    ``0.5 * (a + a')`` is exactly symmetric, because floating-point addition
+    commutes, so it is taken as the entries without the symmetry test that
+    ``SymMatrix(...)`` applies to outside input.  Its shape and finiteness
+    are still checked.  The entries equal those of
+    ``SymMatrix(0.5 * (a + a'), tol_rank)`` bit for bit.
+    """
+    return SymMatrix._trusted(np.asarray(0.5 * (a + a.T), dtype=float), tol_rank)
 
 
 @dataclass(frozen=True)
@@ -241,20 +270,6 @@ def projector(columns) -> SymMatrix:
         raise ValueError(f"projector needs a nonempty set of columns, got shape {b.shape}")
     g = pinv(symmetrized(b.T @ b))
     return symmetrized(b @ g.entries @ b.T, default_tol_rank(b.shape[0]))
-
-
-def generalized_inverse_sample(A, rng, scale: float = 1.0) -> np.ndarray:
-    """Random generalized inverse ``A^+ + Z - A^+ A Z A A^+`` of symmetric A.
-
-    Satisfies ``A G A = A`` for any ``Z``; used to verify that quantities
-    defined through an arbitrary generalized inverse do not depend on the
-    choice.
-    """
-    A = as_sym(A)
-    z = scale * rng.standard_normal((A.dim, A.dim))
-    ap = pinv(A).entries
-    a = A.entries
-    return ap + z - ap @ a @ z @ a @ ap
 
 
 def max_abs(a) -> float:

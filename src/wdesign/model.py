@@ -9,6 +9,8 @@ projected out.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +31,13 @@ from .linalg import (
 FEASIBILITY_RTOL = 1e-8
 
 NUISANCE_KINDS = ("intercept", "blocks", "explicit")
+
+#: Most floats the cache of nuisance residuals ``I - P_L`` holds, least
+#: recently used evicted first; 2**17 floats is 1 MiB.  The random
+#: certification designs (n <= 14, an intercept or 2-3 blocks) have under 470
+#: keys and 60,000 floats in all.  A residual larger than the limit (n > 362)
+#: is rebuilt on every call.
+RESIDUAL_CACHE_FLOATS = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +135,18 @@ class DesignSpec:
 
 def design_matrix(spec: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(X, L)``: 0/1 treatment indicators and the nuisance matrix."""
+    return _indicators(spec), _nuisance_matrix(spec)
+
+
+def _indicators(spec: DesignSpec) -> np.ndarray:
     n = spec.n
     x = np.zeros((n, spec.v))
     x[np.arange(n), np.asarray(spec.assignment) - 1] = 1.0
+    return x
+
+
+def _nuisance_matrix(spec: DesignSpec) -> np.ndarray:
+    n = spec.n
     if spec.nuisance_kind == "intercept":
         ell = np.ones((n, 1))
     elif spec.nuisance_kind == "blocks":
@@ -139,7 +157,56 @@ def design_matrix(spec: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
             start += size
     else:
         ell = np.array(spec.L, dtype=float)
-    return x, ell
+    return ell
+
+
+class _ResidualCache:
+    """Read-only ``I - P_L`` per ``(n, nuisance kind, block sizes)``.
+
+    Holds at most ``limit`` floats, least recently used evicted first.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.floats = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def residual(self, spec: DesignSpec) -> np.ndarray:
+        key = (spec.n, spec.nuisance_kind, spec.block_sizes)
+        with self._lock:
+            resid = self._entries.get(key)
+            if resid is not None:
+                self._entries.move_to_end(key)
+                return resid
+            resid = _residual(spec)
+            resid.flags.writeable = False
+            if resid.size <= self.limit:
+                self._entries[key] = resid
+                self.floats += resid.size
+                while self.floats > self.limit:
+                    _, old = self._entries.popitem(last=False)
+                    self.floats -= old.size
+            return resid
+
+
+def _residual(spec: DesignSpec) -> np.ndarray:
+    return np.eye(spec.n) - projector(_nuisance_matrix(spec)).entries
+
+
+_RESIDUALS = _ResidualCache(RESIDUAL_CACHE_FLOATS)
+
+
+def nuisance_residual(spec: DesignSpec) -> np.ndarray:
+    """``I - P_L``, the projector onto the complement of the nuisance span.
+
+    Shared, and so read-only, for an intercept or blocks nuisance: designs
+    with the same ``n`` and nuisance get the same array.  An explicit ``L``
+    comes from outside and is rarely shared, so its residual is built anew.
+    """
+    if spec.nuisance_kind == "explicit":
+        return _residual(spec)
+    return _RESIDUALS.residual(spec)
 
 
 def information_matrix(spec: DesignSpec, tol_rank: float = DERIVED_RANK_RTOL) -> SymMatrix:
@@ -150,9 +217,8 @@ def information_matrix(spec: DesignSpec, tol_rank: float = DERIVED_RANK_RTOL) ->
     space.  Each call builds a new matrix; the certification routes build
     it once per spec, at the default cutoff, and keep it on the spec.
     """
-    x, ell = design_matrix(spec)
-    resid = np.eye(spec.n) - projector(ell).entries
-    return symmetrized(x.T @ resid @ x, tol_rank)
+    x = _indicators(spec)
+    return symmetrized(x.T @ nuisance_residual(spec) @ x, tol_rank)
 
 
 @dataclass(frozen=True, eq=False)

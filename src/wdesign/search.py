@@ -19,8 +19,8 @@ import numpy as np
 from .criteria import CriterionValue, POSITIVE_SPECTRUM_CRITERIA, value_from_positive_spectrum
 from .errors import FeasibilityError, SearchSpaceError, SpaceError
 from .estimable import EstimableSystem, scale_system, system_from_weight_matrix_sqrt
-from .linalg import DERIVED_RANK_RTOL, EPS, SYMMETRY_RTOL, eigh_desc_stack, max_abs, projector
-from .model import DesignSpec, EstimationSpace, FEASIBILITY_RTOL, design_matrix
+from .linalg import DERIVED_RANK_RTOL, EPS, SYMMETRY_RTOL, eigh_desc_stack, max_abs
+from .model import DesignSpec, EstimationSpace, FEASIBILITY_RTOL, nuisance_residual
 from .weighting import WeightMatrix, weight_matrix_from_system
 
 #: Largest assignment count enumerate_optimal will walk.
@@ -33,7 +33,9 @@ ENUMERATION_LIMIT = 10**6
 #: n=20, so a full cache holds at most ~4.5 MiB.
 SCORE_CACHE_LIMIT = 2**13
 
-#: Relative slack for collecting ties into the optimal set.
+#: Relative slack for collecting ties into the optimal set: a value ties
+#: the best when it is within ``TIE_RTOL * max(|best|, eps)``, so the set
+#: does not depend on the scale of the primary weights.
 TIE_RTOL = 1e-9
 
 
@@ -188,8 +190,7 @@ def _stack_scorer(problem: SearchProblem):
     matrix itself.  The returned spectra are read-only, because a cached
     result is shared.
     """
-    _, ell = design_matrix(problem.template(tuple([1] * problem.n)))
-    mres = np.eye(problem.n) - projector(ell).entries
+    mres = nuisance_residual(problem.template(tuple([1] * problem.n)))
     # K plays the role of Q~ for weight targets: the same chain scores both.
     qs = _target_matrix(problem)
     qst = qs.T
@@ -347,13 +348,13 @@ def enumerate_optimal(problem: SearchProblem) -> SearchResult:
                 best = value
                 best_assignment = assignment
                 best_spectrum = spectrum
-                slack = TIE_RTOL * max(1.0, abs(best))
+                slack = TIE_RTOL * max(abs(best), EPS)
                 optima = [(a, val) for a, val in optima if val >= best - slack]
-            if value >= best - TIE_RTOL * max(1.0, abs(best)):
+            if value >= best - TIE_RTOL * max(abs(best), EPS):
                 optima.append((assignment, value))
     if best is None:
         raise FeasibilityError("no feasible assignment can estimate the target")
-    slack = TIE_RTOL * max(1.0, abs(best))
+    slack = TIE_RTOL * max(abs(best), EPS)
     tied = tuple(a for a, val in optima if val >= best - slack)
     return SearchResult(
         best_design=problem.template(best_assignment),
@@ -492,7 +493,7 @@ def argmax_equivalence_check(problem: SearchProblem,
     rs = enumerate_optimal(system_problem)
     rw = enumerate_optimal(weighted_problem)
     va, vb = rs.best_value.value, rw.best_value.value
-    values_close = abs(va - vb) <= tol * max(1.0, abs(va), abs(vb))
+    values_close = abs(va - vb) <= tol * max(abs(va), abs(vb), EPS)
     sets_equal = set(rs.optimal_assignments) == set(rw.optimal_assignments)
     return ArgmaxEquivalenceReport(
         passed=bool(values_close and sets_equal),

@@ -168,6 +168,11 @@ def weighted_info_matrix(spec_or_C, w: WeightMatrix) -> SymMatrix:
     Requires every weighted function to be estimable, i.e. the span of ``W``
     inside the column space of ``C``.
     """
+    return _weighted_chain(spec_or_C, w)[1]
+
+
+def _weighted_chain(spec_or_C, w: WeightMatrix) -> tuple[SymMatrix, SymMatrix]:
+    """``(K' C^+ K, (K' C^+ K)^{-1})``; see ``weighted_info_matrix``."""
     if w.d == 0:
         raise DomainError("weight matrix of rank zero weights nothing")
     c = _information(spec_or_C)
@@ -185,7 +190,7 @@ def weighted_info_matrix(spec_or_C, w: WeightMatrix) -> SymMatrix:
             "K' C^+ K is numerically singular; the design sits on the feasibility boundary"
         )
     inv = (spec.eigenvectors / spec.eigenvalues) @ spec.eigenvectors.T
-    return symmetrized(inv, DERIVED_RANK_RTOL)
+    return m, symmetrized(inv, DERIVED_RANK_RTOL)
 
 
 def variance_decomposition(spec_or_C, w: WeightMatrix, q,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from wdesign import DesignSpec, EstimableSystem, estimation_space
+from wdesign.linalg import as_sym, pinv
 
 # Property tests draw the same few examples on every run, so the suite stays
 # reproducible and quick; nothing is written to an example database.
@@ -21,6 +22,20 @@ def contrast(v, i, j):
     q = np.zeros(v)
     q[i - 1], q[j - 1] = -1.0, 1.0
     return q / SQRT2
+
+
+def generalized_inverse_sample(A, rng, scale=1.0):
+    """Random generalized inverse ``A^+ + Z - A^+ A Z A A^+`` of symmetric A.
+
+    Satisfies ``A G A = A`` for any ``Z``; the oracle for quantities defined
+    through an arbitrary generalized inverse, which must not depend on the
+    choice.
+    """
+    A = as_sym(A)
+    z = scale * rng.standard_normal((A.dim, A.dim))
+    ap = pinv(A).entries
+    a = A.entries
+    return ap + z - ap @ a @ z @ a @ ap
 
 
 @pytest.fixture

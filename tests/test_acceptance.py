@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from conftest import contrast
+from conftest import contrast, generalized_inverse_sample
 from wdesign import (
     EstimableSystem,
     SearchProblem,
@@ -26,7 +26,6 @@ from wdesign import (
     certify_theorem4,
     e_opt_interpretation_check,
     estimation_equivalent,
-    generalized_inverse_sample,
     info_matrix_for_system,
     information_matrix,
     make_weight_matrix,

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import contrast
+from conftest import contrast, generalized_inverse_sample
 from wdesign import (
     DesignSpec,
     EstimableSystem,
     eig_sym,
     estimation_space,
-    generalized_inverse_sample,
     info_matrix_for_system,
     information_matrix,
     pinv,

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import generalized_inverse_sample
 from wdesign import (
     SymMatrix,
     eig_sym,
-    generalized_inverse_sample,
     make_weight_matrix,
     pinv,
     pinv_sqrt,
@@ -15,7 +15,7 @@ from wdesign import (
     sqrt_psd,
 )
 from wdesign.errors import DomainError, NumericalError
-from wdesign.linalg import as_sym, eigh_desc, eigh_desc_stack
+from wdesign.linalg import DERIVED_RANK_RTOL, as_sym, eigh_desc, eigh_desc_stack, symmetrized
 
 
 def random_psd(rng, dim, rank=None):
@@ -34,12 +34,48 @@ class TestSymMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             SymMatrix([[1.0, 2.0], [1.0, 3.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            as_sym(np.array([[1.0, 2.0], [1.0, 3.0]]))
 
     def test_rejects_nonsquare_and_bad_tol(self):
         with pytest.raises(ValueError):
             SymMatrix(np.ones((2, 3)))
         with pytest.raises(ValueError):
             SymMatrix(np.eye(2), tol_rank=-1.0)
+
+
+class TestSymmetrized:
+    def test_bit_identical_to_the_validated_constructor(self):
+        rng = np.random.default_rng(31)
+        for trial in range(200):
+            dim = int(rng.integers(1, 9))
+            scale = 10.0 ** rng.uniform(-12, 12)
+            a = scale * rng.standard_normal((dim, dim))
+            if trial % 2:
+                # a product that is symmetric up to roundoff, as the package forms them
+                g = rng.standard_normal((dim, dim))
+                a = g @ a @ a.T @ g.T
+            tol = None if trial % 3 == 0 else DERIVED_RANK_RTOL
+            fast = symmetrized(a, tol)
+            checked = SymMatrix(0.5 * (a + a.T), tol)
+            assert fast.entries.tobytes() == checked.entries.tobytes()
+            assert (fast.dim, fast.tol_rank) == (checked.dim, checked.tol_rank)
+            assert not fast.entries.flags.writeable
+            with pytest.raises(ValueError):
+                fast.entries[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        a = np.eye(3)
+        a[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            symmetrized(a)
+
+    def test_rejects_non_square_input_and_bad_tol(self):
+        with pytest.raises(ValueError, match="square"):
+            symmetrized(np.ones(3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            symmetrized(np.eye(2), -1.0)
 
 
 class TestEig:
@@ -144,6 +180,8 @@ class TestCache:
         a = SymMatrix(np.diag([1.0, 1e-6, 0.0]))
         loose = as_sym(a, 1e-3)
         assert loose is not a
+        assert loose.entries.tobytes() == a.entries.tobytes()
+        assert not loose.entries.flags.writeable
         assert eig_sym(a).numeric_rank == 2 and eig_sym(loose).numeric_rank == 1
         assert pinv(a).entries[1, 1] == pytest.approx(1e6)
         assert pinv(loose).entries[1, 1] == 0.0

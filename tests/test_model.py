@@ -13,7 +13,9 @@ from wdesign import (
     infeasible_columns,
     information_matrix,
 )
+from wdesign import model
 from wdesign.errors import SpaceError
+from wdesign.linalg import DERIVED_RANK_RTOL, projector, symmetrized
 
 
 class TestDesignSpec:
@@ -102,6 +104,72 @@ class TestInformationMatrix:
             rng.shuffle(second)
             shuffled = DesignSpec(3, tuple(first + second), "blocks", sizes)
             np.testing.assert_allclose(information_matrix(shuffled).entries, base, atol=1e-12)
+
+
+def random_specs(rng, count):
+    """Designs with an intercept, blocks or an explicit L, in turn."""
+    specs = []
+    for i in range(count):
+        v = int(rng.integers(2, 6))
+        n = int(rng.integers(v + 1, 13))
+        assignment = tuple(int(t) for t in rng.integers(1, v + 1, size=n))
+        kind = ("intercept", "blocks", "explicit")[i % 3]
+        if kind == "blocks":
+            cut = int(rng.integers(1, n))
+            specs.append(DesignSpec(v, assignment, kind, (cut, n - cut)))
+        elif kind == "explicit":
+            specs.append(DesignSpec(v, assignment, kind,
+                                    L=rng.standard_normal((n, int(rng.integers(1, 3))))))
+        else:
+            specs.append(DesignSpec(v, assignment))
+    return specs
+
+
+class TestNuisanceResidual:
+    def test_bit_identical_to_the_uncached_projector_route(self, monkeypatch):
+        monkeypatch.setattr(model, "_RESIDUALS",
+                            model._ResidualCache(model.RESIDUAL_CACHE_FLOATS))
+        rng = np.random.default_rng(41)
+        # every intercept and blocks key comes twice: once cold, once cached
+        specs = random_specs(rng, 30)
+        for spec in specs + [DesignSpec(s.v, s.assignment[::-1], s.nuisance_kind,
+                                        s.block_sizes, s.L) for s in specs]:
+            x, ell = design_matrix(spec)
+            expected = symmetrized(x.T @ (np.eye(spec.n) - projector(ell).entries) @ x,
+                                   DERIVED_RANK_RTOL)
+            assert information_matrix(spec).entries.tobytes() == expected.entries.tobytes()
+        keys = {(s.n, s.nuisance_kind, s.block_sizes) for s in specs if s.L is None}
+        assert set(model._RESIDUALS._entries) == keys
+
+    def test_shared_only_for_intercept_and_blocks(self):
+        for spec in random_specs(np.random.default_rng(42), 3):
+            resid = model.nuisance_residual(spec)
+            assert not resid.flags.writeable or spec.nuisance_kind == "explicit"
+            same = model.nuisance_residual(spec) is resid
+            assert same == (spec.nuisance_kind != "explicit")
+
+    def test_cache_never_exceeds_its_limit(self, monkeypatch):
+        limit = 300
+        cache = model._ResidualCache(limit)
+        monkeypatch.setattr(model, "_RESIDUALS", cache)
+        rng = np.random.default_rng(43)
+        for spec in random_specs(rng, 60) + [DesignSpec(2, (1, 2) * 9)]:
+            resid = model.nuisance_residual(spec)
+            x, ell = design_matrix(spec)
+            assert resid.tobytes() == (np.eye(spec.n) - projector(ell).entries).tobytes()
+            assert cache.floats == sum(r.size for r in cache._entries.values()) <= limit
+        # an n = 18 residual holds 324 floats, more than the limit, so it is not kept
+        assert all(r.size <= limit for r in cache._entries.values())
+        assert model.nuisance_residual(DesignSpec(2, (1, 2) * 9)) is not resid
+
+    def test_default_limit_bounds_any_n(self, monkeypatch):
+        cache = model._ResidualCache(model.RESIDUAL_CACHE_FLOATS)
+        monkeypatch.setattr(model, "_RESIDUALS", cache)
+        # 362**2 floats fit in the limit, 363**2 do not, and 362**2 + 10**2 do not
+        for n, kept in ((362, [362]), (363, [362]), (10, [10])):
+            model.nuisance_residual(DesignSpec(2, (1, 2) * (n // 2) + (1,) * (n % 2)))
+            assert cache.floats <= model.RESIDUAL_CACHE_FLOATS
+            assert [r.shape[0] for r in cache._entries.values()] == kept
 
 
 class TestEstimationSpace:

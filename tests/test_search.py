@@ -43,7 +43,7 @@ def brute_force_best(problem):
         value = value_from_positive_spectrum(problem.criterion, eig_sym(n).positive())
         if best is None or value > best + 1e-12:
             best, argmax = value, [assignment]
-        elif abs(value - best) <= 1e-9 * max(1.0, abs(best)):
+        elif abs(value - best) <= 1e-9 * max(abs(best), EPS):
             argmax.append(assignment)
     return best, argmax
 
@@ -658,6 +658,23 @@ class TestArgmaxEquivalence:
         best, argmax = brute_force_best(problem)
         assert result.best_value.value == pytest.approx(best, rel=1e-12)
         assert set(result.optimal_assignments) == set(argmax)
+
+
+class TestScaleFreeTies:
+    def test_tie_set_does_not_depend_on_the_scale_of_the_weights(self):
+        # scaling b by c scales N_Q by 1/c, so neither the optimal set nor the
+        # agreement of the two routes may change
+        q = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+        b = np.array([0.5, 1.0, 2.0])
+        results = {}
+        for c in (1e-10, 1.0, 1e10):
+            problem = SearchProblem(v=3, n=6, criterion="A", target=EstimableSystem(q, c * b),
+                                    space=estimation_space("contrasts", 3),
+                                    nuisance_kind="blocks", block_sizes=(3, 3))
+            results[c] = set(enumerate_optimal(problem).optimal_assignments)
+            assert argmax_equivalence_check(problem).passed
+        assert results[1e-10] == results[1.0] == results[1e10]
+        assert len(results[1.0]) < enumeration_size(problem)
 
 
 class TestEquivariance:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import generalized_inverse_sample
 from wdesign import (
     DesignSpec,
     EstimableSystem,
@@ -10,7 +11,6 @@ from wdesign import (
     eig_sym,
     estimation_equivalent,
     estimation_space,
-    generalized_inverse_sample,
     info_matrix_for_system,
     information_matrix,
     make_weight_matrix,
