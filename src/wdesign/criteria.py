@@ -23,6 +23,7 @@ from .estimable import (
 )
 from .linalg import (
     DERIVED_RANK_RTOL,
+    EPS,
     as_sym,
     eig_sym,
     max_abs,
@@ -164,7 +165,8 @@ class CertificationReport:
 
 
 def spectral_deviation(sa, sb) -> float:
-    """Max elementwise gap of two descending spectra, relative to max(1, l1).
+    """Max elementwise gap of two descending spectra, relative to the largest
+    magnitude in either (floored at eps), so it does not depend on their scale.
 
     The shorter spectrum is zero-padded, so the same helper serves both the
     positive-part and the full-spectrum (zero multiplicity) comparisons.
@@ -177,7 +179,7 @@ def spectral_deviation(sa, sb) -> float:
     pa[: sa.size] = sa
     pb[: sb.size] = sb
     top = max(max_abs(pa), max_abs(pb))
-    return max_abs(pa - pb) / max(1.0, top)
+    return max_abs(pa - pb) / max(top, EPS)
 
 
 def certify_theorem1(spec: DesignSpec, system: EstimableSystem,

@@ -15,6 +15,7 @@ and so skips the symmetry test, which could not fail on them.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,8 +182,10 @@ def eigh_desc_stack(a: np.ndarray, tol_rank: float):
     solver call decomposes each matrix of the stack on its own, so a row's
     result does not depend on the stack it came in; chains that symmetrize
     their own products (the search scorer) call it directly.  The cutoffs
-    are taken on Python floats, which is exact and, for the few short rows of
-    a search stack, cheaper than array reductions.
+    are taken on Python floats, which is exact and cheaper than array
+    reductions on rows this short.  The solver returns each row ascending,
+    so its largest magnitude is at one end and its rank is the count of
+    entries after the last one at or below the cutoff.
     """
     try:
         w, s = np.linalg.eigh(a)
@@ -193,10 +196,11 @@ def eigh_desc_stack(a: np.ndarray, tol_rank: float):
         ) from exc
     ranks = []
     cutoffs = []
+    size = w.shape[1]
     for row in w.tolist():
-        cutoff = tol_rank * max(max(map(abs, row)), EPS)
+        cutoff = tol_rank * max(-row[0], row[-1], EPS)
         cutoffs.append(cutoff)
-        ranks.append(sum(x > cutoff for x in row))
+        ranks.append(size - bisect.bisect_right(row, cutoff))
     return w[:, ::-1], s[:, :, ::-1].copy(), ranks, cutoffs
 
 
@@ -275,4 +279,4 @@ def projector(columns) -> SymMatrix:
 def max_abs(a) -> float:
     """Largest absolute entry; 0.0 for empty input."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0

@@ -254,18 +254,23 @@ def _keeps_scores(problem: SearchProblem) -> bool:
 def _remembering(score, limit: int):
     """Stack scorer that remembers the results of up to ``limit`` keys.
 
-    Only the keys it has not seen are scored, in one stack; when they would
-    overflow the memory, it is emptied first.
+    Only the keys it has not seen are scored, each once, in one stack; when
+    they would overflow the memory, it is emptied first, and a stack with
+    more of them than ``limit`` is not remembered at all.
     """
     memo = {}
 
     def remembered(keys):
-        missing = [key for key in keys if key not in memo]
+        found = {key: memo[key] for key in keys if key in memo}
+        missing = [key for key in dict.fromkeys(keys) if key not in found]
         if missing:
-            if len(memo) + len(missing) > limit:
-                memo.clear()
-            memo.update(zip(missing, score(missing)))
-        return [memo[key] for key in keys]
+            fresh = dict(zip(missing, score(missing)))
+            if len(fresh) <= limit:
+                if len(memo) + len(fresh) > limit:
+                    memo.clear()
+                memo.update(fresh)
+            found.update(fresh)
+        return [found[key] for key in keys]
 
     return remembered
 
@@ -365,68 +370,86 @@ def enumerate_optimal(problem: SearchProblem) -> SearchResult:
     )
 
 
+@dataclass(eq=False)
+class _Ascent:
+    """One exchange restart while the restarts sweep in lockstep."""
+
+    current: list[int]
+    value: float
+    spectrum: np.ndarray
+    start_value: float
+    improving: int = 0
+    passes: int = 0
+
+
 def exchange_search(problem: SearchProblem) -> SearchResult:
     """Restarted coordinate-exchange ascent, deterministic for a fixed seed.
 
     Each restart draws a feasible assignment, then sweeps the units; at each
-    unit the ``v - 1`` reassignments are scored in one stacked call and the
-    best strict improvement is accepted (ties broken toward the lowest
-    treatment index).  A sweep with no improvement, or ``max_passes``
-    sweeps, ends the restart.  This is coordinate exchange (Meyer and
-    Nachtsheim, Technometrics 37, 1995) with the units as coordinates.
-    Candidates are scored through their keys, as ``make_evaluator`` scores
-    them, and on problems whose scorer keeps scores the moves remember
-    theirs too, so a revisited block incidence is not scored again.
+    unit it takes the best strict improvement among the ``v - 1``
+    reassignments (ties broken toward the lowest treatment index).  A sweep
+    with no improvement, or ``max_passes`` sweeps, ends the restart.  This
+    is coordinate exchange (Meyer and Nachtsheim, Technometrics 37, 1995)
+    with the units as coordinates.
+
+    The restarts are independent, so they sweep in lockstep: every start is
+    drawn first, and then at each (pass, unit) the moves of every restart
+    still sweeping are scored in one stacked call, each restart reading its
+    own slice.  A row's score does not depend on the stack it is scored in,
+    so the result is the one the restarts would reach one after another;
+    the best is the first restart to reach the best value.  Candidates are
+    scored through their keys, as ``make_evaluator`` scores them, and on
+    problems whose scorer keeps scores the moves remember theirs too, so a
+    revisited block incidence is not scored again.
     """
     evaluate = make_evaluator(problem)
     score = _stack_scorer(problem)
     if _keeps_scores(problem):
         score = _remembering(score, SCORE_CACHE_LIMIT)
     key_of = _key_function(problem)
-    treatments = range(1, problem.v + 1)
-    children = np.random.SeedSequence(problem.seed).spawn(problem.restarts)
-    trace = []
-    restarts = []
-    best = None
-    best_assignment = None
-    best_spectrum = None
-    for child in children:
+    width = problem.v - 1
+    # others[t]: the treatments a unit holding t can move to, in index order
+    others = [[s for s in range(1, problem.v + 1) if s != t] for t in range(problem.v + 1)]
+    ascents = []
+    for child in np.random.SeedSequence(problem.seed).spawn(problem.restarts):
         current, (value, spectrum) = _start(problem, np.random.default_rng(child), evaluate)
-        start_value = value
-        improving = moves = 0
-        for passes in range(1, problem.max_passes + 1):
-            improved = False
-            for unit in range(problem.n):
+        ascents.append(_Ascent(current, value, spectrum, value))
+    live = ascents
+    for passes in range(1, problem.max_passes + 1):
+        before = [ascent.improving for ascent in live]
+        for unit in range(problem.n):
+            keys = []
+            for ascent in live:
+                current = ascent.current
                 original = current[unit]
-                others = [t for t in treatments if t != original]
-                keys = []
-                for treatment in others:
+                for treatment in others[original]:
                     current[unit] = treatment
                     keys.append(key_of(current))
                 current[unit] = original
-                moves += len(others)
+            results = score(keys)
+            for index, ascent in enumerate(live):
                 chosen = None
-                for treatment, scored in zip(others, score(keys)):
-                    if scored is not None and scored[0] > value:
-                        chosen, (value, spectrum) = treatment, scored
+                for treatment, scored in zip(others[ascent.current[unit]],
+                                             results[index * width:(index + 1) * width]):
+                    if scored is not None and scored[0] > ascent.value:
+                        chosen, (ascent.value, ascent.spectrum) = treatment, scored
                 if chosen is not None:
-                    current[unit] = chosen
-                    improving += 1
-                    improved = True
-            if not improved:
-                break
-        trace.append(value)
-        restarts.append(RestartStats(start_value, passes, improving, moves, value))
-        if best is None or value > best:
-            best = value
-            best_assignment = tuple(current)
-            best_spectrum = spectrum
+                    ascent.current[unit] = chosen
+                    ascent.improving += 1
+        for ascent in live:
+            ascent.passes = passes
+        live = [ascent for ascent, count in zip(live, before) if ascent.improving > count]
+        if not live:
+            break
+    best = max(ascents, key=lambda ascent: ascent.value)
     return SearchResult(
-        best_design=problem.template(best_assignment),
-        best_value=_criterion_value(problem, best, best_spectrum),
-        trace=tuple(trace),
+        best_design=problem.template(tuple(best.current)),
+        best_value=_criterion_value(problem, best.value, best.spectrum),
+        trace=tuple(ascent.value for ascent in ascents),
         enumerated=False,
-        restarts=tuple(restarts),
+        restarts=tuple(RestartStats(a.start_value, a.passes, a.improving,
+                                    a.passes * problem.n * width, a.value)
+                       for a in ascents),
     )
 
 

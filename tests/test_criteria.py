@@ -21,12 +21,14 @@ from wdesign import (
     make_weight_matrix,
     phi_for_system,
     phi_weighted,
+    spectral_deviation,
     value_from_positive_spectrum,
     variance_decomposition,
     weight_matrix_from_system,
     weighted_info_matrix,
     weighted_variance,
 )
+from wdesign.criteria import SPECTRAL_TOL
 from wdesign.errors import DomainError, RankError, SingularWeightError
 from wdesign.instances import random_instance
 from wdesign.linalg import DERIVED_RANK_RTOL, SymMatrix
@@ -235,6 +237,20 @@ class TestCriterionLevelEquivalence:
         cv = phi_for_system(balanced_design, system, "E")
         assert cv.value == 0.0 and cv.rank_used == 1 and cv.dim == 2
         assert cv.positive_value > 0.0
+
+
+class TestSpectralDeviation:
+    def test_spectra_apart_by_a_factor_of_two_fail_at_every_scale(self):
+        for scale in (1e-10, 1e-5, 1.0, 1e5, 1e10):
+            assert spectral_deviation([scale], [2.0 * scale]) > SPECTRAL_TOL
+            assert spectral_deviation([2.0 * scale, scale], [2.0 * scale]) > SPECTRAL_TOL
+
+    def test_does_not_depend_on_the_scale_of_the_spectra(self):
+        a, b = np.array([3.0, 1.0, 0.25]), np.array([3.0, 1.0 + 1e-9, 0.25])
+        base = spectral_deviation(a, b)
+        for scale in (1e-10, 1e-3, 1e3, 1e10):
+            assert spectral_deviation(scale * a, scale * b) == pytest.approx(base, rel=1e-6)
+        assert spectral_deviation(np.zeros(2), np.zeros(3)) == 0.0
 
 
 class TestInterpretationChecks:

@@ -147,6 +147,25 @@ class TestEig:
                 assert cutoff == 1e-12 * max(float(np.max(np.abs(w_alone))), np.finfo(float).eps)
                 assert rank == np.count_nonzero(w_alone > cutoff)
 
+    @pytest.mark.parametrize("tol_rank", [1e-12, 0.5, 1.0])
+    def test_ranks_and_cutoffs_match_a_scan_of_every_eigenvalue(self, tol_rank):
+        # all-negative, all-positive, mixed, all-zero and signed-zero rows, at
+        # scales where the eps floor wins; tol_rank 0.5 and 1 put eigenvalues
+        # exactly on the cutoff
+        eps = np.finfo(float).eps
+        rows = [[-3.0, -1.0, -0.5], [0.5, 1.0, 3.0], [-3.0, 0.0, 1.0], [-1.0, 0.5, 3.0],
+                [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, 2.0], [-2.0, -0.0, 1.0],
+                [eps / 4, eps / 2, eps], [-eps, -0.0, eps / 8], [1e-300, 1e-200, 1e-100]]
+        rng = np.random.default_rng(24)
+        stack = np.array([np.diag(rng.permutation(row)) for row in rows]
+                         + [random_psd(rng, 3, rank).entries for rank in (0, 1, 2, 3)])
+        _, _, ranks, cutoffs = eigh_desc_stack(stack, tol_rank)
+        assert any(np.signbit(w).any() and not w.any() for w in np.linalg.eigh(stack)[0])
+        for w, rank, cutoff in zip(np.linalg.eigh(stack)[0].tolist(), ranks, cutoffs):
+            scanned = tol_rank * max(max(map(abs, w)), eps)
+            assert np.float64(cutoff).tobytes() == np.float64(scanned).tobytes()
+            assert rank == sum(x > scanned for x in w)
+
 
 class TestCache:
     def test_spectrum_and_pinv_are_built_once_and_read_only(self):

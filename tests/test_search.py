@@ -155,6 +155,28 @@ def reference_exchange(problem):
     return best_assignment, best_scored, tuple(trace), stats
 
 
+def matching_the_sequential_reference(problems):
+    """Exchange results of the problems ``reference_exchange`` can run,
+    each asserted bit-identical to the reference."""
+    results = []
+    for problem in problems:
+        if (problem.nuisance_kind == "explicit"
+                and problem.n - problem.L.shape[1] < search_module._target_rank(problem)):
+            continue  # rank C <= n - rank L: no design estimates the target
+        expected = reference_exchange(problem)
+        if expected is None:
+            continue
+        result = exchange_search(problem)
+        assignment, scored, trace, stats = expected
+        assert result.best_design.assignment == assignment
+        assert same_bits((result.best_value.value, result.best_value.spectrum_used), scored)
+        assert np.array(result.trace).tobytes() == np.array(trace).tobytes()
+        assert [(r.start_value, r.passes, r.improving_moves, r.moves_scored, r.final_value)
+                for r in result.restarts] == stats
+        results.append(result)
+    return results
+
+
 def trend_problem(restarts):
     """Exchange on v=6, n=24 with an explicit quadratic trend and a weight target.
 
@@ -190,6 +212,22 @@ def scorer_problems(count, seed=5):
         problems.append(SearchProblem(v=spec.v, n=spec.n, criterion="DAE"[i % 3],
                                       target=target, space=space, **nuisance))
     return problems
+
+
+def single_contrast_problems():
+    """v=4, n=6 problems whose one-contrast target is estimable from deficient C.
+
+    The ``L`` without an intercept column gives ``C`` of full rank ``v``.
+    """
+    t = np.linspace(-1.0, 1.0, 6)
+    return [SearchProblem(v=4, n=6, criterion=criterion,
+                          target=EstimableSystem(contrast(4, 1, 2)),
+                          space=estimation_space("contrasts", 4), **nuisance)
+            for criterion, nuisance in (
+                ("A", {}),
+                ("D", {"nuisance_kind": "blocks", "block_sizes": (3, 3)}),
+                ("E", {"nuisance_kind": "explicit", "L": np.column_stack([np.ones(6), t])}),
+                ("A", {"nuisance_kind": "explicit", "L": t[:, None]}))]
 
 
 def random_assignments(rng, problem, count):
@@ -347,41 +385,57 @@ class TestScorer:
         assert compared > 100
 
     def test_stacks_are_bit_identical_to_the_validated_chain(self):
-        # the one-contrast targets estimate from deficient C; the L without an
-        # intercept column gives C of full rank v
-        t = np.linspace(-1.0, 1.0, 6)
-        partial = [SearchProblem(v=4, n=6, criterion=criterion,
-                                 target=EstimableSystem(contrast(4, 1, 2)),
-                                 space=estimation_space("contrasts", 4), **nuisance)
-                   for criterion, nuisance in (
-                       ("A", {}),
-                       ("D", {"nuisance_kind": "blocks", "block_sizes": (3, 3)}),
-                       ("E", {"nuisance_kind": "explicit",
-                              "L": np.column_stack([np.ones(6), t])}),
-                       ("A", {"nuisance_kind": "explicit", "L": t[:, None]}))]
         rng = np.random.default_rng(15)
         seen = set()
-        mixed = 0
-        for problem in scorer_problems(60) + partial:
+        mixed = wide = 0
+        for index, problem in enumerate(scorer_problems(60) + single_contrast_problems()):
             stack = search_module._stack_scorer(problem)
             outcomes = []
             reference = reference_evaluator(problem, outcomes)
-            for size in (1, 2, 6, 6, 6):
+            # 100 rows, on every fifth problem: the moves of 20 lockstep
+            # exchange restarts at v = 6
+            for size in (1, 2, 6, 6, 6) + (100,) * (index % 5 == 0):
                 keys = random_assignments(rng, problem, size)
                 if problem.nuisance_kind != "explicit":
                     keys = [block_sorted(problem, key) for key in keys]
                 start = len(outcomes)
                 for key, scored in zip(keys, stack(keys), strict=True):
                     assert same_bits(scored, reference(key))
-                mixed += len({rank for rank, _ in outcomes[start:]}) > 1
+                ranks = {rank for rank, _ in outcomes[start:]}
+                mixed += len(ranks) > 1
+                wide += size == 100 and len(ranks) > 1 and len(
+                    {why == "scored" for _, why in outcomes[start:]}) > 1
             # rank of C against the v - 1 of a connected design
             seen.update((problem.nuisance_kind, why, np.sign(rank - (problem.v - 1)))
                         for rank, why in outcomes)
         assert mixed > 100
+        # stacks of mixed rank holding both scored and skipped rows
+        assert wide >= 8
         for kind in ("intercept", "blocks", "explicit"):
             # scored from full and deficient C; skipped by the residual check
             assert {(kind, "scored", 0), (kind, "scored", -1), (kind, "residual", -1)} <= seen
         assert ("explicit", "scored", 1) in seen
+
+    def test_remembering_scores_each_missing_key_once_within_its_limit(self):
+        rows = []
+
+        def score(keys):
+            rows.extend(keys)
+            return [None if key == "x" else (len(key), key) for key in keys]
+
+        remembered = search_module._remembering(score, 4)
+        assert remembered(["a", "bb", "a", "x"]) == [(1, "a"), (2, "bb"), (1, "a"), None]
+        assert rows == ["a", "bb", "x"]
+        # a hit survives the emptying that makes room for the new keys
+        assert remembered(["bb", "ccc", "dd"]) == [(2, "bb"), (3, "ccc"), (2, "dd")]
+        assert rows[3:] == ["ccc", "dd"]
+        # more new keys than the limit are scored but not remembered, and
+        # leave what is remembered in place
+        wide = ["e", "f", "g", "h", "i"]
+        assert remembered(wide + ["ccc"]) == [(1, key) for key in wide] + [(3, "ccc")]
+        assert rows[5:] == wide
+        assert remembered(["ccc", "dd", "e"]) == [(3, "ccc"), (2, "dd"), (1, "e")]
+        assert rows[10:] == ["e"]
 
     @pytest.mark.parametrize("limit", [search_module.SCORE_CACHE_LIMIT, 0])
     def test_values_are_invariant_within_blocks(self, monkeypatch, limit):
@@ -499,23 +553,25 @@ class TestExchange:
     def test_matches_the_sequential_reference(self):
         problems = [replace(problem, seed=i, restarts=1)
                     for i, problem in enumerate(scorer_problems(60))]
-        compared = 0
-        for problem in problems + [trend_problem(restarts=2)]:
-            if (problem.nuisance_kind == "explicit"
-                    and problem.n - problem.L.shape[1] < search_module._target_rank(problem)):
-                continue  # rank C <= n - rank L: no design estimates the target
-            expected = reference_exchange(problem)
-            if expected is None:
-                continue
-            result = exchange_search(problem)
-            assignment, scored, trace, stats = expected
-            assert result.best_design.assignment == assignment
-            assert same_bits((result.best_value.value, result.best_value.spectrum_used), scored)
-            assert np.array(result.trace).tobytes() == np.array(trace).tobytes()
-            assert [(r.start_value, r.passes, r.improving_moves, r.moves_scored, r.final_value)
-                    for r in result.restarts] == stats
-            compared += 1
-        assert compared > 50
+        assert len(matching_the_sequential_reference(
+            problems + [trend_problem(restarts=2)])) > 50
+
+    @pytest.mark.parametrize("max_passes, limit", [(1, search_module.SCORE_CACHE_LIMIT),
+                                                   (2, 7),
+                                                   (100, search_module.SCORE_CACHE_LIMIT)])
+    def test_lockstep_restarts_match_the_sequential_reference(self, monkeypatch,
+                                                              max_passes, limit):
+        # restarts retire on different passes, so the stacks narrow as they go;
+        # a small memo limit empties the memo, or skips it, mid-search
+        monkeypatch.setattr(search_module, "SCORE_CACHE_LIMIT", limit)
+        problems = [replace(problem, seed=i, restarts=4 + i % 2, max_passes=max_passes)
+                    for i, problem in enumerate(scorer_problems(60)[1::5])]
+        results = matching_the_sequential_reference(problems)
+        assert len(results) == len(problems)
+        assert {result.best_design.nuisance_kind for result in results} == {
+            "intercept", "blocks", "explicit"}
+        if max_passes > 1:
+            assert sum(len({r.passes for r in result.restarts}) > 1 for result in results) >= 3
 
     def test_restart_statistics(self, contrasts3):
         pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
