@@ -49,12 +49,15 @@ A_INTERPRETATION_TOL = 1e-8
 E_INTERPRETATION_TOL = 1e-9
 
 
+# ``np.mean`` and ``np.sum`` of a float64 vector are ``np.add.reduce`` (then
+# ``/ size``) behind a Python wrapper; the reduction called directly gives the
+# same bits at about half the cost.
 def _geometric_mean(pos: np.ndarray) -> float:
-    return float(np.exp(np.mean(np.log(pos))))
+    return float(np.exp(np.add.reduce(np.log(pos)) / pos.size))
 
 
 def _harmonic_mean(pos: np.ndarray) -> float:
-    return float(len(pos) / np.sum(1.0 / pos))
+    return float(pos.size / np.add.reduce(1.0 / pos))
 
 
 def _smallest(pos: np.ndarray) -> float:
@@ -88,7 +91,11 @@ def value_from_positive_spectrum(name: str, positive) -> float:
     pos = np.asarray(positive, dtype=float)
     if pos.size == 0:
         return 0.0
-    return fn(np.sort(pos)[::-1])
+    pos = pos.copy()
+    pos.sort()
+    # the descending view, not a descending copy: ``np.log`` picks its inner
+    # loop by stride, so a contiguous copy would move the last bit of D
+    return fn(pos[::-1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,10 +108,13 @@ class SearchResult:
 class RestartStats:
     """What one exchange restart did.
 
-    ``passes`` counts sweeps over the units, the last one included;
-    ``moves_scored`` counts the candidate reassignments scored, feasible or
-    not (``passes * n * (v - 1)``); ``improving_moves`` counts those
-    accepted.  ``final_value`` is the restart's entry in the trace.
+    ``passes`` counts sweeps over the units, the last one (which improves
+    nothing) included; ``moves_scored`` counts the candidate reassignments
+    that these sweeps decide, feasible or not (``passes * n * (v - 1)``).
+    Each of them was scored, but a move of the last sweep may have been
+    scored a sweep earlier, under the same assignment, and not again (see
+    ``exchange_search``).  ``improving_moves`` counts those accepted.
+    ``final_value`` is the restart's entry in the trace.
     """
 
     start_value: float
@@ -201,6 +204,8 @@ def _stack_scorer(problem: SearchProblem):
     onehot = np.eye(problem.v + 1)[:, 1:]
 
     def score(keys):
+        if len(keys) == 0:
+            return []
         x = onehot[np.asarray(keys)]
         count = len(x)
         c = x.transpose(0, 2, 1) @ mres @ x
@@ -379,7 +384,9 @@ class _Ascent:
     spectrum: np.ndarray
     start_value: float
     improving: int = 0
-    passes: int = 0
+    passes: int = 1
+    #: units in a row, up to the current one, known to hold no improvement
+    quiet: int = 0
 
 
 def exchange_search(problem: SearchProblem) -> SearchResult:
@@ -391,6 +398,15 @@ def exchange_search(problem: SearchProblem) -> SearchResult:
     with no improvement, or ``max_passes`` sweeps, ends the restart.  This
     is coordinate exchange (Meyer and Nachtsheim, Technometrics 37, 1995)
     with the units as coordinates.
+
+    A restart stops sweeping as soon as a full cycle of ``n`` units is
+    known to hold no improvement: the unit of its last improvement (every
+    move away from the chosen treatment was scored there and none beat it)
+    and the ``n - 1`` unimproved visits after it.  The assignment has not
+    changed since, and a score depends only on its key, so the rest of the
+    sweep that would confirm convergence would score the same keys again
+    and improve nothing.  ``passes`` still counts that sweep, so the result
+    is the one the full sweep would give.
 
     The restarts are independent, so they sweep in lockstep: every start is
     drawn first, and then at each (pass, unit) the moves of every restart
@@ -416,8 +432,10 @@ def exchange_search(problem: SearchProblem) -> SearchResult:
         ascents.append(_Ascent(current, value, spectrum, value))
     live = ascents
     for passes in range(1, problem.max_passes + 1):
-        before = [ascent.improving for ascent in live]
         for unit in range(problem.n):
+            live = [ascent for ascent in live if ascent.quiet < problem.n]
+            if not live:
+                break
             keys = []
             for ascent in live:
                 current = ascent.current
@@ -433,12 +451,13 @@ def exchange_search(problem: SearchProblem) -> SearchResult:
                                              results[index * width:(index + 1) * width]):
                     if scored is not None and scored[0] > ascent.value:
                         chosen, (ascent.value, ascent.spectrum) = treatment, scored
-                if chosen is not None:
+                if chosen is None:
+                    ascent.quiet += 1
+                else:
                     ascent.current[unit] = chosen
                     ascent.improving += 1
-        for ascent in live:
-            ascent.passes = passes
-        live = [ascent for ascent, count in zip(live, before) if ascent.improving > count]
+                    ascent.quiet = 1
+                    ascent.passes = min(passes + 1, problem.max_passes)
         if not live:
             break
     best = max(ascents, key=lambda ascent: ascent.value)

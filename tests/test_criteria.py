@@ -102,6 +102,38 @@ class TestCriterionValue:
         assert value_from_positive_spectrum("D", [4.0, 1.0]) == pytest.approx(2.0)
         assert value_from_positive_spectrum("E", []) == 0.0
 
+    def test_positive_spectrum_values_keep_the_bits_of_the_reduction_wrappers(self):
+        # 10^5 read-only spectra of lengths 1-8 at scales 1e-10 to 1e10:
+        # ascending, descending, constant and unordered
+        rng = np.random.default_rng(41)
+        count = 100_000
+        sizes = rng.integers(1, 9, count).tolist()
+        scales = 10.0 ** rng.uniform(-10.0, 10.0, count)
+        entries = rng.uniform(0.01, 1.0, (count, 8))
+        for index, (size, scale, row) in enumerate(zip(sizes, scales, entries)):
+            spectrum = scale * row[:size]
+            if index % 4 == 0:
+                spectrum.sort()
+            elif index % 4 == 1:
+                spectrum = np.sort(spectrum)[::-1].copy()
+            elif index % 4 == 2:
+                spectrum[:] = spectrum[0]
+            spectrum.flags.writeable = False
+            for name in "DAE":
+                assert (value_from_positive_spectrum(name, spectrum).hex()
+                        == wrapped_criterion(name, spectrum).hex())
+
+
+def wrapped_criterion(name, positive):
+    """``value_from_positive_spectrum`` as written with ``np.sort``, ``np.mean``
+    and ``np.sum``."""
+    pos = np.sort(np.asarray(positive, dtype=float))[::-1]
+    if name == "D":
+        return float(np.exp(np.mean(np.log(pos))))
+    if name == "A":
+        return float(len(pos) / np.sum(1.0 / pos))
+    return float(pos[-1])
+
 
 class TestPhi:
     def test_identity_system_equals_information_criterion(self):

@@ -177,6 +177,63 @@ def matching_the_sequential_reference(problems):
     return results
 
 
+def improving_visits(problem):
+    """Per restart, the 1-based indices, counted across passes, of the unit
+    visits that took an improvement when every sweep runs in full.
+
+    A sequential sweep through the library's starts and evaluator, written
+    apart from ``exchange_search``; its first ``m`` passes are those of a
+    run capped at ``max_passes = m``, and its first ``r`` restarts those of
+    a run with ``r`` restarts.
+    """
+    evaluate = make_evaluator(problem)
+    visits = []
+    for child in np.random.SeedSequence(problem.seed).spawn(problem.restarts):
+        current, (value, _) = search_module._start(problem, np.random.default_rng(child),
+                                                   evaluate)
+        improving, visit = [], 0
+        for _ in range(problem.max_passes):
+            for unit in range(problem.n):
+                visit += 1
+                moves = {t: evaluate(tuple(current[:unit] + [t] + current[unit + 1:]))
+                         for t in range(1, problem.v + 1) if t != current[unit]}
+                for treatment, scored in moves.items():
+                    if scored is not None and scored[0] > value:
+                        value, current[unit] = scored[0], treatment
+                if current[unit] in moves:
+                    improving.append(visit)
+            if not improving or improving[-1] <= visit - problem.n:
+                break
+        visits.append(improving)
+    return visits
+
+
+def move_stacks(monkeypatch, problem):
+    """``exchange_search(problem)`` and the row counts of its move stacks.
+
+    Counts every stack of the scorer ``exchange_search`` builds after the
+    one ``make_evaluator`` builds for the starting draws.
+    """
+    stack_scorer, stacks = search_module._stack_scorer, []
+
+    def counting(problem):
+        score, rows = stack_scorer(problem), []
+        stacks.append(rows)
+
+        def counted(keys):
+            rows.append(len(keys))
+            return score(keys)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search_module, "_stack_scorer", counting)
+        result = exchange_search(problem)
+    draws, moves = stacks
+    assert set(draws) == {1}
+    return result, moves
+
+
 def trend_problem(restarts):
     """Exchange on v=6, n=24 with an explicit quadratic trend and a weight target.
 
@@ -572,6 +629,73 @@ class TestExchange:
             "intercept", "blocks", "explicit"}
         if max_passes > 1:
             assert sum(len({r.passes for r in result.restarts}) > 1 for result in results) >= 3
+
+    def test_converged_restarts_stop_scoring(self, monkeypatch):
+        # a restart whose last improvement is visit k (1-based, across
+        # passes) sweeps until visit k + n - 1 completes a cycle of units
+        # known to hold no improvement; one that never improves sweeps once
+        problems = [problem for problem in scorer_problems(60)[::4]
+                    if not search_module._keeps_scores(problem)]
+        checked = set()
+        for problem in problems:
+            try:
+                visits = improving_visits(replace(problem, restarts=7))
+            except FeasibilityError:
+                continue
+            for restarts, max_passes in itertools.product((1, 4, 7), (1, 2, 3, 100)):
+                sweeps = []
+                for improving in visits[:restarts]:
+                    last = max([k for k in improving if k <= max_passes * problem.n],
+                               default=0)
+                    sweeps.append(min(last + problem.n - 1, max_passes * problem.n)
+                                  if last else problem.n)
+                    checked.add((restarts, max_passes, last > 0))
+                result, stacks = move_stacks(monkeypatch, replace(
+                    problem, restarts=restarts, max_passes=max_passes))
+                assert stacks == [(problem.v - 1) * sum(s >= visit for s in sweeps)
+                                  for visit in range(1, max(sweeps) + 1)]
+                assert [r.improving_moves for r in result.restarts] == [
+                    sum(k <= max_passes * problem.n for k in improving)
+                    for improving in visits[:restarts]]
+        # every setting, with restarts that improve and restarts that never do
+        assert {key[:2] for key in checked} == set(itertools.product((1, 4, 7),
+                                                                     (1, 2, 3, 100)))
+        assert {(7, 100, False), (7, 100, True)} <= checked
+
+    @pytest.mark.parametrize("max_passes", [1, 2, 100])
+    def test_last_improvement_at_the_ends_of_a_sweep_matches_the_reference(self,
+                                                                            max_passes):
+        # restarts whose last improvement falls at unit n - 1, at unit 0, and
+        # (under a cap the search reaches) inside the last pass allowed
+        wanted = {"unit n-1", "unit 0"} | ({"last pass"} if max_passes < 100 else set())
+        found, problems = set(), []
+        for seed, problem in enumerate(scorer_problems(60)):
+            problem = replace(problem, seed=seed, restarts=4, max_passes=max_passes)
+            try:
+                visits = improving_visits(problem)
+            except FeasibilityError:
+                continue
+            lasts = [improving[-1] for improving in visits if improving]
+            cases = ({"unit n-1" for k in lasts if k % problem.n == 0}
+                     | {"unit 0" for k in lasts if k % problem.n == 1}
+                     | {"last pass" for k in lasts
+                        if k > (max_passes - 1) * problem.n})
+            if cases - found:
+                found |= cases
+                problems.append(problem)
+            if wanted <= found:
+                break
+        assert wanted <= found
+        assert len(matching_the_sequential_reference(problems)) == len(problems)
+
+    def test_a_single_treatment_has_no_moves(self):
+        problem = SearchProblem(v=1, n=3, criterion="A", target=EstimableSystem(np.ones(1)),
+                                space=estimation_space("full", 1), nuisance_kind="explicit",
+                                L=[[1], [0], [0]], restarts=3)
+        result = exchange_search(problem)
+        assert result.best_design.assignment == (1, 1, 1)
+        assert [(r.passes, r.improving_moves, r.moves_scored) for r in result.restarts] == [
+            (1, 0, 0)] * 3
 
     def test_restart_statistics(self, contrasts3):
         pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
