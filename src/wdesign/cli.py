@@ -28,7 +28,7 @@ from .estimable import (
     validate_system,
 )
 from .instances import random_instance
-from .linalg import DERIVED_RANK_RTOL, SymMatrix, eig_sym, max_abs
+from .linalg import DERIVED_RANK_RTOL, EPS, SymMatrix, eig_sym, max_abs
 from .model import (
     DesignSpec,
     EstimationSpace,
@@ -458,7 +458,7 @@ def cmd_criterion(problem: Problem, digest: str) -> tuple[Report, int]:
         dual = system_from_weight_matrix_sqrt(target)
         system_value = criteria.criterion_value(info_matrix_for_system(c, dual), name)
     deviation = abs(system_value.positive_value - weighted_value.positive_value)
-    deviation /= max(1.0, abs(system_value.positive_value))
+    deviation /= max(abs(system_value.positive_value), EPS)
     results = {
         "criterion": name,
         "route_system": _criterion_block(system_value),
@@ -547,91 +547,114 @@ def _parse_query(text: str, v: int) -> np.ndarray:
     return vec
 
 
+def _system_target(problem: Problem, which: str, strict: bool):
+    """The file's system, for theorem3."""
+    if problem.system is None and strict:
+        raise ParseError(f"{which} certification needs a 'system' section")
+    return problem.system
+
+
+def _full_rank_target(problem: Problem, which: str, strict: bool):
+    """The file's system when its rank is dim(E), for theorem1."""
+    system = _system_target(problem, which, strict)
+    if system is None or system.r == problem.space.dim:
+        return system
+    if strict:
+        raise ParseError(
+            f"theorem1 needs a system of rank dim(E)={problem.space.dim}; this one has "
+            f"rank {system.r} (certify theorem3 instead)"
+        )
+    return None
+
+
+def _pd_target(problem: Problem, which: str, strict: bool):
+    """The file's weight matrix when it is positive definite, for theorem2."""
+    w = problem.weight_raw
+    if w is None:
+        if strict:
+            raise ParseError("theorem2 certification needs a 'weight_matrix' section")
+        return None
+    if eig_sym(w).numeric_rank == w.dim:
+        return w
+    if strict:
+        raise ParseError(
+            "theorem2 needs a positive definite weight matrix; this one is "
+            "singular (certify theorem4 instead)"
+        )
+    return None
+
+
+def _weight_target(problem: Problem, which: str, strict: bool):
+    """The file's weight matrix inside E; under ``all``, else the one its
+    system induces."""
+    w = problem.weight
+    if w is None and problem.system is not None and which == "all":
+        w = weight_matrix_from_system(problem.system, problem.space)
+    if w is None and strict:
+        raise ParseError(
+            f"{which} certification needs a weight matrix inside the estimation space"
+        )
+    return w
+
+
+#: Certification kind -> (the file instance's target for it, whether a
+#: random trial draws the seed of its rotations after the instance), in the
+#: order the file instance runs them.  ``criteria.STACKED_CERTIFICATIONS``
+#: runs each kind.
+KINDS = {
+    "theorem1": (_full_rank_target, False),
+    "theorem3": (_system_target, False),
+    "theorem2": (_pd_target, False),
+    "theorem4": (_weight_target, False),
+    "aopt": (_weight_target, True),
+    "eopt": (_weight_target, False),
+}
+
+
 def _file_certifications(problem: Problem, which: str, strict: bool):
-    """Certification runners applicable to the file's own instance."""
+    """``(kind, instance)`` of the certifications applicable to the file's
+    own instance; strict selection raises ParseError when one does not apply."""
     runs = []
-    spec, space = problem.spec, problem.space
-
-    if which in ("theorem1", "all") and problem.system is not None:
-        if problem.system.r == space.dim:
-            runs.append(("theorem1", lambda: criteria.certify_theorem1(
-                spec, problem.system, space)))
-        elif strict:
-            raise ParseError(
-                f"theorem1 needs a system of rank dim(E)={space.dim}; this one has "
-                f"rank {problem.system.r} (certify theorem3 instead)"
-            )
-    elif which == "theorem1" and strict:
-        raise ParseError("theorem1 certification needs a 'system' section")
-
-    if which in ("theorem3", "all") and problem.system is not None:
-        runs.append(("theorem3", lambda: criteria.certify_theorem3(
-            spec, problem.system, space)))
-    elif which == "theorem3" and strict:
-        raise ParseError("theorem3 certification needs a 'system' section")
-
-    if which in ("theorem2", "all") and problem.weight_raw is not None:
-        ws = eig_sym(problem.weight_raw)
-        if ws.numeric_rank == problem.weight_raw.dim:
-            runs.append(("theorem2", lambda: criteria.certify_theorem2(
-                spec, problem.weight_raw, space)))
-        elif strict:
-            raise ParseError(
-                "theorem2 needs a positive definite weight matrix; this one is "
-                "singular (certify theorem4 instead)"
-            )
-    elif which == "theorem2" and strict:
-        raise ParseError("theorem2 certification needs a 'weight_matrix' section")
-
-    weight_kinds = [k for k in ("theorem4", "aopt", "eopt") if which in (k, "all")]
-    if weight_kinds:
-        w = problem.weight
-        if w is None and problem.system is not None and which == "all":
-            w = weight_matrix_from_system(problem.system, space)
-        if w is not None:
-            for kind in weight_kinds:
-                if kind == "theorem4":
-                    runs.append(("theorem4", lambda w=w: criteria.certify_theorem4(spec, w)))
-                elif kind == "aopt":
-                    runs.append(("aopt", lambda w=w: criteria.a_opt_interpretation_check(spec, w)))
-                else:
-                    runs.append(("eopt", lambda w=w: criteria.e_opt_interpretation_check(spec, w)))
-        elif strict:
-            raise ParseError(
-                f"{which} certification needs a weight matrix inside the estimation space"
-            )
+    for kind, (file_target, _) in KINDS.items():
+        if which in (kind, "all"):
+            target = file_target(problem, which, strict)
+            if target is not None:
+                runs.append((kind, (problem.spec, problem.space, target, 0)))
     return runs
 
 
-def _random_certification(kind: str, rng):
-    spec, space, target = random_instance(rng, kind)
-    if kind == "theorem1":
-        return criteria.certify_theorem1(spec, target, space)
-    if kind == "theorem2":
-        return criteria.certify_theorem2(spec, target, space)
-    if kind == "theorem3":
-        return criteria.certify_theorem3(spec, target, space)
-    if kind == "theorem4":
-        return criteria.certify_theorem4(spec, target)
-    if kind == "aopt":
-        return criteria.a_opt_interpretation_check(
-            spec, target, seed=int(rng.integers(0, 2**31)))
-    return criteria.e_opt_interpretation_check(spec, target)
+def _random_certifications(kind: str, sequence: np.random.SeedSequence, trials: int):
+    """Reports of ``trials`` random instances of ``kind``, in trial order.
+
+    Trial ``i`` draws its instance (and, for ``aopt``, the seed of its
+    rotations right after it) from child ``i`` of ``sequence``.  Every trial
+    is drawn before any is certified, in stacks (``certify_in_stacks``), so
+    a draw error comes before the certification error of an earlier trial.
+    """
+    seeded = KINDS[kind][1]
+    instances = []
+    for child in sequence.spawn(trials):
+        rng = np.random.default_rng(child)
+        spec, space, target = random_instance(rng, kind)
+        instances.append((spec, space, target, int(rng.integers(0, 2**31)) if seeded else 0))
+    return criteria.certify_in_stacks(kind, instances)
 
 
 def cmd_certify(problem: Problem, digest: str, which: str, trials: int,
                 seed: int) -> tuple[Report, int]:
     if which not in CERT_KINDS + ("all",):
         raise ParseError(f"unknown certification {which!r}")
+    if trials < 0:
+        raise ParseError(f"--trials must be nonnegative, got {trials}")
     kinds = CERT_KINDS if which == "all" else (which,)
     lines = []
     summary = {}
     all_passed = True
 
     file_runs = _file_certifications(problem, which, strict=(which != "all"))
-    for name, run in file_runs:
+    for name, instance in file_runs:
         try:
-            report = run()
+            [report] = criteria.STACKED_CERTIFICATIONS[name](*([part] for part in instance))
         except SingularWeightError as exc:
             raise ParseError(str(exc)) from exc
         all_passed &= report.passed
@@ -650,9 +673,8 @@ def cmd_certify(problem: Problem, digest: str, which: str, trials: int,
     for kind in kinds:
         failures = []
         worst = 0.0
-        for index, child in enumerate(kind_sequences[kind].spawn(trials)):
-            rng = np.random.default_rng(child)
-            report = _random_certification(kind, rng)
+        reports = _random_certifications(kind, kind_sequences[kind], trials)
+        for index, report in enumerate(reports):
             worst = max(worst, report.deviation)
             if not report.passed:
                 failures.append({"trial": index, "seed": [seed, kind, index],

@@ -16,27 +16,29 @@ import numpy as np
 from .errors import DomainError, RankError, SingularWeightError
 from .estimable import (
     EstimableSystem,
+    info_matrices,
     info_matrix_for_system,
+    r_coefficients,
     scale_system,
-    system_from_weight_matrix_R,
-    system_from_weight_matrix_sqrt,
 )
 from .linalg import (
     DERIVED_RANK_RTOL,
     EPS,
+    SymStack,
     as_sym,
+    default_tol_rank,
     eig_sym,
     max_abs,
-    pinv_sqrt,
-    symmetrized,
+    rank_groups,
+    symmetrize,
 )
-from .model import DesignSpec, EstimationSpace, _information, check_estimation_space
+from .model import DesignSpec, EstimationSpace, _information, check_estimation_spaces
 from .weighting import (
     WeightMatrix,
-    _weighted_chain,
     weight_matrix_from_system,
+    weighted_info_matrices,
     weighted_info_matrix,
-    weighted_variance,
+    weighted_variances,
 )
 
 #: Pass threshold for spectral deviations in the theorem certifications.
@@ -131,18 +133,24 @@ def criterion_value(m, name: str) -> CriterionValue:
     _criterion_function(name)
     m = as_sym(m)
     spec = eig_sym(m)
-    smallest = float(spec.eigenvalues[-1])
-    if smallest < -spec.cutoff:
+    return _spectrum_value(name, spec.eigenvalues, spec.numeric_rank, spec.cutoff, m.dim)
+
+
+def _spectrum_value(name: str, eigenvalues: np.ndarray, rank: int, cutoff: float,
+                    dim: int) -> CriterionValue:
+    """``criterion_value`` of the matrix with this descending spectrum."""
+    smallest = float(eigenvalues[-1])
+    if smallest < -cutoff:
         raise DomainError(
             f"criteria are defined on nonnegative definite matrices "
             f"(smallest eigenvalue {smallest:.3e})"
         )
-    pos = spec.positive().copy()
+    pos = eigenvalues[:rank].copy()
     if name == "E":
-        value = max(smallest, 0.0) if spec.numeric_rank == m.dim else 0.0
+        value = max(smallest, 0.0) if rank == dim else 0.0
     else:
         value = value_from_positive_spectrum(name, pos)
-    return CriterionValue(name, value, pos, spec.numeric_rank, m.dim)
+    return CriterionValue(name, value, pos, rank, dim)
 
 
 def phi_for_system(spec_or_C, system: EstimableSystem, name: str) -> CriterionValue:
@@ -189,6 +197,32 @@ def spectral_deviation(sa, sb) -> float:
     return max_abs(pa - pb) / max(top, EPS)
 
 
+def _designs(specs) -> SymStack:
+    return SymStack.of([_information(spec) for spec in specs])
+
+
+def _projectors(spaces) -> np.ndarray:
+    return np.stack([space.projector.entries for space in spaces])
+
+
+def _positive(stack: SymStack) -> list[np.ndarray]:
+    values, _, ranks, _ = stack.spectrum
+    return [row[:rank].copy() for row, rank in zip(values, ranks)]
+
+
+def _full(stack: SymStack) -> list[np.ndarray]:
+    return [row.copy() for row in stack.spectrum[0]]
+
+
+def _spectral_reports(name: str, tol: float, system_spectra,
+                      weighted_spectra) -> list[CertificationReport]:
+    reports = []
+    for sa, sb in zip(system_spectra, weighted_spectra):
+        dev = spectral_deviation(sa, sb)
+        reports.append(CertificationReport(name, dev <= tol, dev, tol, sa, sb))
+    return reports
+
+
 def certify_theorem1(spec: DesignSpec, system: EstimableSystem,
                      space: EstimationSpace, tol: float = SPECTRAL_TOL) -> CertificationReport:
     """Full-rank route: N_Q against the regularized weighted route.
@@ -197,21 +231,25 @@ def certify_theorem1(spec: DesignSpec, system: EstimableSystem,
     ``(Q~' C^+ Q~)^+`` must match that of ``W^{-1/2} C W^{-1/2}`` with
     ``W = I - P + Q~ Q~'``, multiplicities included.
     """
-    if system.r < space.dim:
-        raise RankError(
-            f"system rank {system.r} is below dim(E) = {space.dim}; "
-            "use certify_theorem3 for rank-deficient systems"
-        )
-    c = check_estimation_space(spec, space)
-    n = info_matrix_for_system(c, system)
-    qs = scale_system(system)
-    wp = np.eye(space.v) - space.projector.entries + qs @ qs.T
-    wph = pinv_sqrt(symmetrized(wp)).entries
-    cw = symmetrized(wph @ c.entries @ wph, DERIVED_RANK_RTOL)
-    sys_pos = eig_sym(n).positive().copy()
-    w_pos = eig_sym(cw).positive().copy()
-    dev = spectral_deviation(sys_pos, w_pos)
-    return CertificationReport("theorem1", dev <= tol, dev, tol, sys_pos, w_pos)
+    return _theorem1([spec], [space], [system], tol=tol)[0]
+
+
+def _theorem1(specs, spaces, systems, seeds=None, tol=SPECTRAL_TOL):
+    for system, space in zip(systems, spaces):
+        if system.r < space.dim:
+            raise RankError(
+                f"system rank {system.r} is below dim(E) = {space.dim}; "
+                "use certify_theorem3 for rank-deficient systems"
+            )
+    cs = _designs(specs)
+    check_estimation_spaces(cs, spaces)
+    qs = np.stack([scale_system(system) for system in systems])
+    n = info_matrices(cs, qs)
+    v = qs.shape[1]
+    wp = np.eye(v) - _projectors(spaces) + qs @ qs.transpose(0, 2, 1)
+    wph = SymStack(symmetrize(wp), default_tol_rank(v)).pinv_sqrt().entries
+    cw = SymStack(symmetrize(wph @ cs.entries @ wph), DERIVED_RANK_RTOL)
+    return _spectral_reports("theorem1", tol, _positive(n), _positive(cw))
 
 
 def certify_theorem2(spec: DesignSpec, w_pd, space: EstimationSpace,
@@ -222,21 +260,23 @@ def certify_theorem2(spec: DesignSpec, w_pd, space: EstimationSpace,
     ``R = (P W^{-1} P)^{+1/2}`` are both ``v x v``; their spectra must agree
     including the zero multiplicities.
     """
-    wm = as_sym(w_pd)
-    ws = eig_sym(wm)
-    if ws.numeric_rank < wm.dim or float(ws.eigenvalues[-1]) <= 0.0:
-        raise SingularWeightError(
-            "theorem2 needs a positive definite W; see certify_theorem4 for singular W"
-        )
-    c = check_estimation_space(spec, space)
-    wph = pinv_sqrt(wm).entries
-    cw = symmetrized(wph @ c.entries @ wph, DERIVED_RANK_RTOL)
-    r_system = system_from_weight_matrix_R(wm, space)
-    n = info_matrix_for_system(c, r_system)
-    full_cw = eig_sym(cw).eigenvalues.copy()
-    full_n = eig_sym(n).eigenvalues.copy()
-    dev = spectral_deviation(full_n, full_cw)
-    return CertificationReport("theorem2", dev <= tol, dev, tol, full_n, full_cw)
+    return _theorem2([spec], [space], [w_pd], tol=tol)[0]
+
+
+def _theorem2(specs, spaces, ws, seeds=None, tol=SPECTRAL_TOL):
+    wms = SymStack.of([as_sym(w) for w in ws])
+    values, _, ranks, _ = wms.spectrum
+    for rank, smallest in zip(ranks, values[:, -1].tolist()):
+        if rank < values.shape[1] or smallest <= 0.0:
+            raise SingularWeightError(
+                "theorem2 needs a positive definite W; see certify_theorem4 for singular W"
+            )
+    cs = _designs(specs)
+    check_estimation_spaces(cs, spaces)
+    wph = wms.pinv_sqrt().entries
+    cw = SymStack(symmetrize(wph @ cs.entries @ wph), DERIVED_RANK_RTOL)
+    n = info_matrices(cs, r_coefficients(wms, _projectors(spaces)))
+    return _spectral_reports("theorem2", tol, _full(n), _full(cw))
 
 
 def certify_theorem3(spec: DesignSpec, system: EstimableSystem,
@@ -247,14 +287,20 @@ def certify_theorem3(spec: DesignSpec, system: EstimableSystem,
     Holds for any rank, including rank-deficient systems where ``N_Q``
     carries extra zeros; only the positive parts are compared.
     """
-    c = _information(spec)
-    n = info_matrix_for_system(c, system)
-    w = weight_matrix_from_system(system, space)
-    cw = weighted_info_matrix(c, w)
-    sys_pos = eig_sym(n).positive().copy()
-    w_pos = eig_sym(cw).positive().copy()
-    dev = spectral_deviation(sys_pos, w_pos)
-    return CertificationReport("theorem3", dev <= tol, dev, tol, sys_pos, w_pos)
+    return _theorem3([spec], [space], [system], tol=tol)[0]
+
+
+def _theorem3(specs, spaces, systems, seeds=None, tol=SPECTRAL_TOL):
+    cs = _designs(specs)
+    n = info_matrices(cs, np.stack([scale_system(system) for system in systems]))
+    ws = [weight_matrix_from_system(system, space) for system, space in zip(systems, spaces)]
+    # W = Q~ Q~' has the rank of Q, which the width of Q does not fix
+    weighted = [None] * len(ws)
+    for _, rows in rank_groups([w.d for w in ws]):
+        _, cw = weighted_info_matrices(cs.take(rows), np.stack([ws[i].K for i in rows]))
+        for row, positive in zip(rows, _positive(cw)):
+            weighted[row] = positive
+    return _spectral_reports("theorem3", tol, _positive(n), weighted)
 
 
 def certify_theorem4(spec: DesignSpec, w: WeightMatrix,
@@ -264,15 +310,19 @@ def certify_theorem4(spec: DesignSpec, w: WeightMatrix,
     The ``d x d`` weighted information matrix is zero-padded to ``v`` and
     compared with the full spectrum of ``N`` for ``W^{1/2} tau``.
     """
-    c = _information(spec)
-    cw = weighted_info_matrix(c, w)
-    sqrt_system = system_from_weight_matrix_sqrt(w)
-    n = info_matrix_for_system(c, sqrt_system)
-    padded_cw = np.zeros(w.v)
-    padded_cw[: w.d] = eig_sym(cw).eigenvalues
-    full_n = eig_sym(n).eigenvalues.copy()
-    dev = spectral_deviation(full_n, padded_cw)
-    return CertificationReport("theorem4", dev <= tol, dev, tol, full_n, padded_cw)
+    return _theorem4([spec], [None], [w], tol=tol)[0]
+
+
+def _theorem4(specs, spaces, ws, seeds=None, tol=SPECTRAL_TOL):
+    cs = _designs(specs)
+    _, cw = weighted_info_matrices(cs, np.stack([w.K for w in ws]))
+    n = info_matrices(cs, SymStack.of([w.matrix for w in ws]).sqrt_psd().entries)
+    padded = []
+    for w, values in zip(ws, cw.spectrum[0]):
+        row = np.zeros(w.v)
+        row[: w.d] = values
+        padded.append(row)
+    return _spectral_reports("theorem4", tol, _full(n), padded)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,11 +334,6 @@ class InterpretationReport:
     deviation: float
     tolerance: float
     deviations: dict
-
-
-def _random_orthogonal(rng, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
 
 
 def _w_orthogonal_set(rng, w: WeightMatrix) -> np.ndarray:
@@ -320,25 +365,50 @@ def a_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix, seed: int = 0,
     (a) any ``Q = K Z`` with orthogonal ``Z`` satisfies ``Q Q' = W`` and the
     average weighted variance of its columns equals ``1 / Phi_AW``; (b) the
     same average is attained by ``d`` mutually W-orthogonal functions drawn
-    inside the span of ``W``.
+    inside the span of ``W``.  ``Z`` is the identity, then ``trials``
+    rotations drawn from ``seed``.
     """
-    c = _information(spec)
-    cw = weighted_info_matrix(c, w)
-    target = 1.0 / criterion_value(cw, "A").value
-    rng = np.random.default_rng(seed)
-    scale = max(1.0, abs(target))
-    deviations = {}
-    rotations = [np.eye(w.d)] + [_random_orthogonal(rng, w.d) for _ in range(trials)]
-    for idx, z in enumerate(rotations):
-        q = w.K @ z
-        recon = max_abs(q @ q.T - w.matrix.entries) / max(1.0, max_abs(w.matrix.entries))
-        avg = float(np.mean([weighted_variance(c, w, q[:, i]) for i in range(w.d)]))
-        deviations[f"rotation_{idx}"] = max(abs(avg - target) / scale, recon)
-    q = _w_orthogonal_set(rng, w)
-    avg = float(np.mean([weighted_variance(c, w, q[:, i]) for i in range(w.d)]))
-    deviations["w_orthogonal"] = abs(avg - target) / scale
-    worst = max(deviations.values())
-    return InterpretationReport("aopt", worst <= tol, worst, tol, deviations)
+    return _aopt([spec], [None], [w], [seed], trials=trials, tol=tol)[0]
+
+
+def _aopt(specs, spaces, ws, seeds, trials=3, tol=A_INTERPRETATION_TOL):
+    cs = _designs(specs)
+    ks = np.stack([w.K for w in ws])
+    _, cw = weighted_info_matrices(cs, ks)
+    values, _, ranks, cutoffs = cw.spectrum
+    count, v, d = ks.shape
+    targets = [1.0 / _spectrum_value("A", values[i], ranks[i], cutoffs[i], d).value
+               for i in range(count)]
+    # the draws of each instance, in today's order: the rotations, then the set
+    normals, w_orthogonal = [], []
+    for w, seed in zip(ws, seeds):
+        rng = np.random.default_rng(seed)
+        normals += [rng.standard_normal((d, d)) for _ in range(trials)]
+        w_orthogonal.append(_w_orthogonal_set(rng, w).T)
+    z = np.empty((count, trials + 1, d, d))
+    z[:, 0] = np.eye(d)
+    if trials:
+        q, r = np.linalg.qr(np.array(normals))
+        z[:, 1:] = (q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]).reshape(
+            count, trials, d, d)
+    rotated = np.repeat(ks, trials + 1, axis=0) @ z.reshape(-1, d, d)
+    wm = np.stack([w.matrix.entries for w in ws])
+    recon = np.abs(rotated @ rotated.transpose(0, 2, 1) - np.repeat(wm, trials + 1, axis=0))
+    recon = recon.max(axis=(1, 2)).reshape(count, trials + 1).tolist()
+    vectors = np.concatenate([rotated.transpose(0, 2, 1).reshape(count, -1, v),
+                              np.array(w_orthogonal)], axis=1)
+    variances = weighted_variances(cs, ws, vectors)
+    reports = []
+    for target, w_scale, errors, row in zip(targets, wm, recon, variances):
+        scale = max(1.0, abs(target))
+        w_scale = max(1.0, max_abs(w_scale))
+        averages = [float(np.mean(row[i * d:(i + 1) * d])) for i in range(trials + 2)]
+        deviations = {f"rotation_{idx}": max(abs(avg - target) / scale, error / w_scale)
+                      for idx, (avg, error) in enumerate(zip(averages, errors))}
+        deviations["w_orthogonal"] = abs(averages[-1] - target) / scale
+        worst = max(deviations.values())
+        reports.append(InterpretationReport("aopt", worst <= tol, worst, tol, deviations))
+    return reports
 
 
 def e_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix,
@@ -349,15 +419,74 @@ def e_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix,
     ``W``, which is ``lambda_max(K' C^+ K)``, attained at ``q = K u`` for
     the top eigenvector ``u``.
     """
-    c = _information(spec)
-    m, cw = _weighted_chain(c, w)
-    phi_e = criterion_value(cw, "E").value
-    ms = eig_sym(m)
-    lam_max = float(ms.eigenvalues[0])
-    scale = max(1.0, lam_max)
-    dev_value = abs(1.0 / phi_e - lam_max) / scale
-    q_star = w.K @ ms.eigenvectors[:, 0]
-    dev_argmax = abs(weighted_variance(c, w, q_star) - lam_max) / scale
-    deviations = {"value": dev_value, "maximizer": dev_argmax}
-    worst = max(deviations.values())
-    return InterpretationReport("eopt", worst <= tol, worst, tol, deviations)
+    return _eopt([spec], [None], [w], tol=tol)[0]
+
+
+def _eopt(specs, spaces, ws, seeds=None, tol=E_INTERPRETATION_TOL):
+    cs = _designs(specs)
+    ks = np.stack([w.K for w in ws])
+    m, cw = weighted_info_matrices(cs, ks)
+    values, _, ranks, cutoffs = cw.spectrum
+    m_values, m_vectors, _, _ = m.spectrum
+    checks = []
+    for i, lam_max in enumerate(m_values[:, 0].tolist()):
+        phi_e = _spectrum_value("E", values[i], ranks[i], cutoffs[i], ks.shape[2]).value
+        scale = max(1.0, lam_max)
+        checks.append((lam_max, scale, abs(1.0 / phi_e - lam_max) / scale))
+    maximizers = (ks @ m_vectors[:, :, :1]).transpose(0, 2, 1)
+    reports = []
+    for (lam_max, scale, dev_value), (variance,) in zip(
+            checks, weighted_variances(cs, ws, maximizers).tolist()):
+        deviations = {"value": dev_value, "maximizer": abs(variance - lam_max) / scale}
+        worst = max(deviations.values())
+        reports.append(InterpretationReport("eopt", worst <= tol, worst, tol, deviations))
+    return reports
+
+
+#: Certification kind -> its run over a stack of instances, called as
+#: ``run(specs, spaces, targets, seeds)`` and returning one report per
+#: instance; the functions above are its one-instance case.  ``aopt`` draws
+#: its rotations from the seeds, which the other kinds do not use.
+STACKED_CERTIFICATIONS = {
+    "theorem1": _theorem1,
+    "theorem2": _theorem2,
+    "theorem3": _theorem3,
+    "theorem4": _theorem4,
+    "aopt": _aopt,
+    "eopt": _eopt,
+}
+
+
+def _target_width(target) -> int:
+    """Columns of a target: ``s`` of a system, ``d`` of a weight matrix, else ``v``."""
+    if isinstance(target, EstimableSystem):
+        return target.s
+    if isinstance(target, WeightMatrix):
+        return target.d
+    return as_sym(target).dim
+
+
+def certify_in_stacks(kind: str, instances) -> list:
+    """Reports of one certification kind on ``(spec, space, target, seed)``
+    instances, in their order.
+
+    The instances are certified in stacks of one ``v`` and target width,
+    each row bit-identical to its one-instance certification.  If a stack
+    raises, the instances are certified again one at a time, in order, so
+    the first instance that fails on its own raises its own error.
+    """
+    run = STACKED_CERTIFICATIONS[kind]
+    groups = {}
+    for index, (spec, _, target, _) in enumerate(instances):
+        groups.setdefault((spec.v, _target_width(target)), []).append(index)
+    reports = [None] * len(instances)
+    try:
+        for rows in groups.values():
+            columns = [list(part) for part in zip(*(instances[i] for i in rows))]
+            for row, report in zip(rows, run(*columns)):
+                reports[row] = report
+    except Exception:
+        for instance in instances:
+            run(*([part] for part in instance))
+        raise
+    return reports

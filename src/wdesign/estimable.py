@@ -20,18 +20,17 @@ from .linalg import (
     DERIVED_RANK_RTOL,
     EPS,
     SymMatrix,
+    SymStack,
     default_tol_rank,
     eig_sym,
-    pinv,
-    pinv_sqrt,
     sqrt_psd,
-    symmetrized,
+    symmetrize,
 )
 from .model import (
     FEASIBILITY_RTOL,
     EstimationSpace,
     _information,
-    infeasible_columns,
+    infeasible_rows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -108,18 +107,27 @@ def info_matrix_for_system(spec_or_C, system: EstimableSystem) -> SymMatrix:
 
     Accepts a design or a precomputed information matrix.  Raises
     FeasibilityError naming the offending columns when part of the system is
-    not estimable.
+    not estimable.  It is ``info_matrices`` of a one-row stack.
     """
     c = _information(spec_or_C)
-    qs = scale_system(system)
-    bad = infeasible_columns(c, qs)
-    if bad:
-        raise FeasibilityError(
-            f"system not estimable under the design; offending columns {list(bad)}",
-            columns=bad,
-        )
-    m = qs.T @ pinv(c).entries @ qs
-    return pinv(symmetrized(m, DERIVED_RANK_RTOL))
+    return info_matrices(SymStack.of([c]), scale_system(system)[None]).matrix(0)
+
+
+def info_matrices(cs: SymStack, qs: np.ndarray) -> SymStack:
+    """``(Q~' C^+ Q~)^+`` of each row of a stack: ``C`` from ``cs`` and the
+    scaled coefficients from ``qs`` (``(B, v, s)``).
+
+    The one implementation of the ``N_Q`` route.  FeasibilityError names the
+    offending columns of the first row that has any.
+    """
+    for bad in infeasible_rows(cs, qs):
+        if bad:
+            raise FeasibilityError(
+                f"system not estimable under the design; offending columns {list(bad)}",
+                columns=bad,
+            )
+    m = qs.transpose(0, 2, 1) @ cs.pinv().entries @ qs
+    return SymStack(symmetrize(m), DERIVED_RANK_RTOL).pinv()
 
 
 def _weight_entries(w) -> SymMatrix:
@@ -146,10 +154,14 @@ def system_from_weight_matrix_R(w, space: EstimationSpace) -> EstimableSystem:
         raise SingularWeightError(
             "W is singular; use system_from_weight_matrix_sqrt for the W^{1/2} system"
         )
-    p = space.projector.entries
-    m = symmetrized(p @ pinv(wm).entries @ p, DERIVED_RANK_RTOL)
-    r = pinv_sqrt(m)
-    return EstimableSystem(r.entries)
+    return EstimableSystem(r_coefficients(SymStack.of([wm]), space.projector.entries[None])[0])
+
+
+def r_coefficients(ws: SymStack, projectors: np.ndarray) -> np.ndarray:
+    """``R = (P W^{-1} P)^{+1/2}`` of each row of a stack of nonsingular
+    ``W`` and the projectors ``P`` of their estimation spaces."""
+    m = symmetrize(projectors @ ws.pinv().entries @ projectors)
+    return SymStack(m, DERIVED_RANK_RTOL).pinv_sqrt().entries
 
 
 def system_from_weight_matrix_sqrt(w) -> EstimableSystem:

@@ -8,6 +8,8 @@ a feasibility or rank boundary are not interesting, only fragile.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .estimable import EstimableSystem
@@ -117,6 +119,13 @@ def random_pd_matrix(rng, v: int) -> SymMatrix:
     return symmetrized(a @ a.T + ridge * np.eye(v))
 
 
+@functools.lru_cache(maxsize=6)
+def _contrasts(v: int) -> EstimationSpace:
+    """The contrasts space of ``v`` treatments, built once per ``v`` of the
+    generator's range 3-8; it is immutable and its projector read-only."""
+    return estimation_space("contrasts", v)
+
+
 def random_instance(rng, kind: str):
     """One certification instance: ``(spec, space, target)``.
 
@@ -126,7 +135,7 @@ def random_instance(rng, kind: str):
     ``theorem4``/``aopt``/``eopt`` a weight matrix of any admissible rank.
     """
     spec = random_design(rng)
-    space = estimation_space("contrasts", spec.v)
+    space = _contrasts(spec.v)
     if kind == "theorem1":
         target = random_system(rng, space, s=space.dim, full_rank=True,
                                scaled=bool(rng.integers(0, 2)))

@@ -155,19 +155,25 @@ def eig_sym(A) -> Spectrum:
     """
     A = as_sym(A)
     if A._spectrum is None:
-        spec = eigh_desc(A.entries, A.tol_rank)
-        spec.eigenvalues.flags.writeable = False
-        spec.eigenvectors.flags.writeable = False
-        A._spectrum = spec
+        _decompose([A])
     return A._spectrum
 
 
-def eigh_desc(a: np.ndarray, tol_rank: float) -> Spectrum:
-    """Spectrum of an exactly symmetric array, with no input checks.
+def _decompose(mats: list[SymMatrix]) -> None:
+    """Decompose matrices of one size and tolerance in one solver call and
+    keep each spectrum, read-only, on its matrix."""
+    w, s, ranks, cutoffs = eigh_desc_stack(np.stack([m.entries for m in mats]),
+                                           mats[0].tol_rank)
+    for i, m in enumerate(mats):
+        spec = Spectrum(w[i].copy(), s[i], ranks[i], cutoffs[i])
+        spec.eigenvalues.flags.writeable = False
+        spec.eigenvectors.flags.writeable = False
+        m._spectrum = spec
 
-    ``eig_sym`` calls it after validating its input; it is
-    ``eigh_desc_stack`` of a one-matrix stack.
-    """
+
+def eigh_desc(a: np.ndarray, tol_rank: float) -> Spectrum:
+    """Spectrum of an exactly symmetric array, with no input checks; it is
+    ``eigh_desc_stack`` of a one-matrix stack."""
     w, s, ranks, cutoffs = eigh_desc_stack(a[None], tol_rank)
     return Spectrum(w[0].copy(), s[0], ranks[0], cutoffs[0])
 
@@ -204,18 +210,130 @@ def eigh_desc_stack(a: np.ndarray, tol_rank: float):
     return w[:, ::-1], s[:, :, ::-1].copy(), ranks, cutoffs
 
 
-def _require_psd(spec: Spectrum, op: str) -> None:
-    smallest = float(spec.eigenvalues[-1])
-    if smallest < -spec.cutoff:
-        raise DomainError(
-            f"{op} requires a nonnegative definite matrix "
-            f"(smallest eigenvalue {smallest:.3e}, cutoff {spec.cutoff:.3e})"
-        )
+def rank_groups(ranks: list[int]):
+    """``(rank, rows)`` pairs that cover a stack, one per distinct rank."""
+    if ranks.count(ranks[0]) == len(ranks):
+        return ((ranks[0], list(range(len(ranks)))),)
+    groups = {}
+    for row, rank in enumerate(ranks):
+        groups.setdefault(rank, []).append(row)
+    return groups.items()
 
 
-def _rebuild(spec: Spectrum, values: np.ndarray, tol_rank: float) -> SymMatrix:
-    m = (spec.eigenvectors * values) @ spec.eigenvectors.T
-    return symmetrized(m, tol_rank)
+def take_rows(stack: np.ndarray, rows: list[int], count: int) -> np.ndarray:
+    """The given rows of a ``count``-row stack; all of them without a copy."""
+    return stack if len(rows) == count else stack[rows]
+
+
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """``0.5 * (a + a')`` of each slice of a stack: exactly symmetric."""
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
+class SymStack:
+    """``B`` exactly symmetric ``v x v`` arrays sharing one rank tolerance.
+
+    The stacked counterpart of SymMatrix and the one implementation of the
+    spectral maps: ``pinv``, ``pinv_sqrt`` and ``sqrt_psd`` of a SymMatrix
+    are those of its one-row stack.  The spectrum is decomposed once, in one
+    solver call, and every slice goes through the operations it would go
+    through alone, so a row's result does not depend on the stack it came
+    in.  The entries are products the package formed, so only their
+    finiteness is checked.
+    """
+
+    __slots__ = ("entries", "tol_rank", "_spectrum", "_pinv")
+
+    def __init__(self, entries: np.ndarray, tol_rank: float, spectrum=None):
+        if not np.isfinite(entries).all():
+            raise ValueError("matrix entries must be finite")
+        self.entries = entries
+        self.tol_rank = tol_rank
+        self._spectrum = spectrum
+        self._pinv = None
+
+    @classmethod
+    def of(cls, mats) -> SymStack:
+        """The stack of SymMatrix objects of one size and tolerance.
+
+        Their spectra are shared with the matrices: the missing ones are
+        decomposed in one call and kept on each matrix, as ``eig_sym`` keeps
+        them.
+        """
+        tol = mats[0].tol_rank
+        if any(m.tol_rank != tol or m.dim != mats[0].dim for m in mats):
+            raise ValueError("a stack holds matrices of one size and one rank tolerance")
+        fresh = [m for m in mats if m._spectrum is None]
+        if fresh:
+            _decompose(fresh)
+        spectra = [m._spectrum for m in mats]
+        return cls(np.stack([m.entries for m in mats]), tol,
+                   (np.stack([s.eigenvalues for s in spectra]),
+                    np.stack([s.eigenvectors for s in spectra]),
+                    [s.numeric_rank for s in spectra], [s.cutoff for s in spectra]))
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    @property
+    def spectrum(self):
+        """``(eigenvalues, eigenvectors, ranks, cutoffs)`` as ``eigh_desc_stack`` gives them."""
+        if self._spectrum is None:
+            self._spectrum = eigh_desc_stack(self.entries, self.tol_rank)
+        return self._spectrum
+
+    def matrix(self, row: int) -> SymMatrix:
+        """Row ``row`` as a SymMatrix."""
+        return SymMatrix._trusted(self.entries[row], self.tol_rank)
+
+    def take(self, rows: list[int]) -> SymStack:
+        """The stack of the given rows (repeats allowed), sharing what is computed."""
+        if rows == list(range(len(self))):
+            return self
+        spectrum = None
+        if self._spectrum is not None:
+            w, s, ranks, cutoffs = self._spectrum
+            spectrum = (w[rows], s[rows], [ranks[i] for i in rows], [cutoffs[i] for i in rows])
+        sub = SymStack(self.entries[rows], self.tol_rank, spectrum)
+        if self._pinv is not None:
+            sub._pinv = self._pinv.take(rows)
+        return sub
+
+    def pinv(self) -> SymStack:
+        """Moore-Penrose pseudoinverses: eigenvalues whose magnitude clears
+        the cutoff are inverted, the rest zeroed.  Built once per stack."""
+        if self._pinv is None:
+            w, vectors, _, cutoffs = self.spectrum
+            inv = np.zeros(w.shape)
+            np.divide(1.0, w, out=inv, where=np.abs(w) > np.array(cutoffs)[:, None])
+            self._pinv = SymStack(_rebuild(vectors, inv), self.tol_rank)
+        return self._pinv
+
+    def pinv_sqrt(self) -> SymStack:
+        """``(A^+)^{1/2}`` of nonnegative definite matrices."""
+        return self._psd_map("pinv_sqrt", lambda w: 1.0 / np.sqrt(w))
+
+    def sqrt_psd(self) -> SymStack:
+        """Symmetric square roots ``A^{1/2}`` of nonnegative definite matrices."""
+        return self._psd_map("sqrt_psd", np.sqrt)
+
+    def _psd_map(self, op: str, fn) -> SymStack:
+        w, vectors, _, cutoffs = self.spectrum
+        for smallest, cutoff in zip(w[:, -1].tolist(), cutoffs):
+            if smallest < -cutoff:
+                raise DomainError(
+                    f"{op} requires a nonnegative definite matrix "
+                    f"(smallest eigenvalue {smallest:.3e}, cutoff {cutoff:.3e})"
+                )
+        vals = np.zeros(w.shape)
+        keep = w > np.array(cutoffs)[:, None]
+        vals[keep] = fn(w[keep])
+        return SymStack(_rebuild(vectors, vals), self.tol_rank)
+
+
+def _rebuild(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``V diag(values) V'`` of each slice, exactly symmetrized."""
+    return symmetrize((vectors * values[:, None, :]) @ vectors.transpose(0, 2, 1))
 
 
 def pinv(A) -> SymMatrix:
@@ -228,37 +346,18 @@ def pinv(A) -> SymMatrix:
     """
     A = as_sym(A)
     if A._pinv is None:
-        spec = eig_sym(A)
-        w = spec.eigenvalues
-        keep = np.abs(w) > spec.cutoff
-        inv = np.zeros_like(w)
-        inv[keep] = 1.0 / w[keep]
-        A._pinv = _rebuild(spec, inv, A.tol_rank)
+        A._pinv = SymStack.of([A]).pinv().matrix(0)
     return A._pinv
 
 
 def pinv_sqrt(A) -> SymMatrix:
     """``(A^+)^{1/2}`` for nonnegative definite ``A``."""
-    A = as_sym(A)
-    spec = eig_sym(A)
-    _require_psd(spec, "pinv_sqrt")
-    w = spec.eigenvalues
-    vals = np.zeros_like(w)
-    keep = w > spec.cutoff
-    vals[keep] = 1.0 / np.sqrt(w[keep])
-    return _rebuild(spec, vals, A.tol_rank)
+    return SymStack.of([as_sym(A)]).pinv_sqrt().matrix(0)
 
 
 def sqrt_psd(A) -> SymMatrix:
     """Symmetric square root ``A^{1/2}`` of a nonnegative definite ``A``."""
-    A = as_sym(A)
-    spec = eig_sym(A)
-    _require_psd(spec, "sqrt_psd")
-    w = spec.eigenvalues
-    vals = np.zeros_like(w)
-    keep = w > spec.cutoff
-    vals[keep] = np.sqrt(w[keep])
-    return _rebuild(spec, vals, A.tol_rank)
+    return SymStack.of([as_sym(A)]).sqrt_psd().matrix(0)
 
 
 def projector(columns) -> SymMatrix:

@@ -20,11 +20,13 @@ from .linalg import (
     DERIVED_RANK_RTOL,
     EPS,
     SymMatrix,
+    SymStack,
     as_sym,
-    eig_sym,
     max_abs,
     projector,
+    rank_groups,
     symmetrized,
+    take_rows,
 )
 
 #: Residual cutoff, relative to ``max|Q|``, deciding estimability of a system.
@@ -285,18 +287,36 @@ def infeasible_columns(spec_or_C, Q, rtol: float = FEASIBILITY_RTOL) -> tuple[in
 
     The whole system shares one scale: a column fails when its max-abs
     residual against the column-space projector of ``C`` exceeds
-    ``rtol * max|Q|``.
+    ``rtol * max|Q|``.  It is ``infeasible_rows`` of a one-row stack.
     """
     c = _information(spec_or_C)
     q = np.asarray(Q, dtype=float)
     if q.ndim == 1:
         q = q[:, None]
-    if q.shape[0] != c.dim:
-        raise ValueError(f"Q must have {c.dim} rows, got {q.shape[0]}")
-    f = eig_sym(c).basis()
-    resid = q - f @ (f.T @ q)
-    tol = rtol * max(max_abs(q), EPS)
-    return tuple(j for j in range(q.shape[1]) if max_abs(resid[:, j]) > tol)
+    return infeasible_rows(SymStack.of([c]), q[None], rtol)[0]
+
+
+def infeasible_rows(cs: SymStack, q: np.ndarray,
+                    rtol: float = FEASIBILITY_RTOL) -> list[tuple[int, ...]]:
+    """``infeasible_columns`` of each row: the columns of ``q[b]`` (a
+    ``(B, v, s)`` stack) outside the column space of row ``b`` of ``cs``.
+
+    The bases of the column spaces differ in width with the rank of ``C``,
+    so the rows go through in one stack per rank.
+    """
+    dim = cs.entries.shape[1]
+    if q.shape[1] != dim:
+        raise ValueError(f"Q must have {dim} rows, got {q.shape[1]}")
+    _, vectors, ranks, _ = cs.spectrum
+    bounds = [rtol * max(max_abs(block), EPS) for block in q]
+    out = [()] * len(q)
+    for rank, rows in rank_groups(ranks):
+        f = take_rows(vectors, rows, len(q))[:, :, :rank]
+        sub = take_rows(q, rows, len(q))
+        worst = np.abs(sub - f @ (f.transpose(0, 2, 1) @ sub)).max(axis=1)
+        for row, resid in zip(rows, worst.tolist()):
+            out[row] = tuple(j for j, r in enumerate(resid) if r > bounds[row])
+    return out
 
 
 def check_estimation_space(spec: DesignSpec, space: EstimationSpace,
@@ -307,13 +327,19 @@ def check_estimation_space(spec: DesignSpec, space: EstimationSpace,
     space; operations that rely on it call this check instead of assuming.
     """
     c = _information(spec)
-    s = eig_sym(c)
-    resid = max_abs(c.entries - space.projector.entries @ c.entries)
-    scale = max(max_abs(c.entries), EPS)
-    if s.numeric_rank != space.dim or resid > rtol * scale:
-        raise SpaceError(
-            "information matrix column space does not match the estimation space "
-            f"(rank {s.numeric_rank} vs dim {space.dim}, residual {resid:.3e})",
-            residual=resid,
-        )
+    check_estimation_spaces(SymStack.of([c]), [space], rtol)
     return c
+
+
+def check_estimation_spaces(cs: SymStack, spaces, rtol: float = FEASIBILITY_RTOL) -> None:
+    """``check_estimation_space`` of each row of a stack of ``C`` matrices."""
+    projectors = np.stack([space.projector.entries for space in spaces])
+    resids = np.abs(cs.entries - projectors @ cs.entries).max(axis=(1, 2)).tolist()
+    scales = np.abs(cs.entries).max(axis=(1, 2)).tolist()
+    for rank, space, resid, scale in zip(cs.spectrum[2], spaces, resids, scales):
+        if rank != space.dim or resid > rtol * max(scale, EPS):
+            raise SpaceError(
+                "information matrix column space does not match the estimation space "
+                f"(rank {rank} vs dim {space.dim}, residual {resid:.3e})",
+                residual=resid,
+            )

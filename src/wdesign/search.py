@@ -16,10 +16,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criteria import CriterionValue, POSITIVE_SPECTRUM_CRITERIA, value_from_positive_spectrum
+from .criteria import CriterionValue, POSITIVE_SPECTRUM_CRITERIA
 from .errors import FeasibilityError, SearchSpaceError, SpaceError
 from .estimable import EstimableSystem, scale_system, system_from_weight_matrix_sqrt
-from .linalg import DERIVED_RANK_RTOL, EPS, SYMMETRY_RTOL, eigh_desc_stack, max_abs
+from .linalg import (
+    DERIVED_RANK_RTOL,
+    EPS,
+    SYMMETRY_RTOL,
+    eigh_desc_stack,
+    max_abs,
+    rank_groups,
+    take_rows,
+)
 from .model import DesignSpec, EstimationSpace, FEASIBILITY_RTOL, nuisance_residual
 from .weighting import WeightMatrix, weight_matrix_from_system
 
@@ -199,7 +207,7 @@ def _stack_scorer(problem: SearchProblem):
     qst = qs.T
     rank_needed = _target_rank(problem)
     bound = FEASIBILITY_RTOL * max(max_abs(qs), EPS)
-    name = problem.criterion
+    criterion = POSITIVE_SPECTRUM_CRITERIA[problem.criterion]
     # row t is the indicator of treatment t, so onehot[keys] is the stack of X
     onehot = np.eye(problem.v + 1)[:, 1:]
 
@@ -212,8 +220,8 @@ def _stack_scorer(problem: SearchProblem):
         values, vectors, ranks, _ = eigh_desc_stack(0.5 * (c + c.transpose(0, 2, 1)),
                                                     DERIVED_RANK_RTOL)
         results = [None] * count
-        for rank, rows in _rank_groups(ranks):
-            f = _take(vectors, rows, count)[:, :, :rank]
+        for rank, rows in rank_groups(ranks):
+            f = take_rows(vectors, rows, count)[:, :, :rank]
             residual = np.maximum.reduce(np.abs(qs - f @ (f.transpose(0, 2, 1) @ qs)),
                                          axis=(1, 2)).tolist()
             if max(residual) > bound:
@@ -221,33 +229,21 @@ def _stack_scorer(problem: SearchProblem):
                 if not rows:
                     continue
                 f = vectors[rows][:, :, :rank]
-            positive = _take(values, rows, count)[:, None, :rank]
+            positive = take_rows(values, rows, count)[:, None, :rank]
             m = qst @ ((f / positive) @ f.transpose(0, 2, 1)) @ qs
             inverse, _, ranks_m, _ = eigh_desc_stack(0.5 * (m + m.transpose(0, 2, 1)),
                                                      DERIVED_RANK_RTOL)
             for row, pos, rank_m in zip(rows, inverse, ranks_m):
                 if rank_m == rank_needed:
-                    spectrum = 1.0 / pos[:rank_needed][::-1]
-                    spectrum.flags.writeable = False
-                    results[row] = value_from_positive_spectrum(name, spectrum), spectrum
+                    # ascending, so its reversed view is the descending spectrum
+                    # ``value_from_positive_spectrum`` would sort it into
+                    ascending = 1.0 / pos[:rank_needed]
+                    ascending.flags.writeable = False
+                    spectrum = ascending[::-1]
+                    results[row] = criterion(spectrum) if rank_needed else 0.0, spectrum
         return results
 
     return score
-
-
-def _rank_groups(ranks: list[int]):
-    """``(rank, rows)`` pairs that cover a stack, one per distinct rank."""
-    if ranks.count(ranks[0]) == len(ranks):
-        return ((ranks[0], list(range(len(ranks)))),)
-    groups = {}
-    for row, rank in enumerate(ranks):
-        groups.setdefault(rank, []).append(row)
-    return groups.items()
-
-
-def _take(stack: np.ndarray, rows: list[int], count: int) -> np.ndarray:
-    """The given rows of a ``count``-row stack; all of them without a copy."""
-    return stack if len(rows) == count else stack[rows]
 
 
 def _keeps_scores(problem: SearchProblem) -> bool:
@@ -413,16 +409,20 @@ def exchange_search(problem: SearchProblem) -> SearchResult:
     still sweeping are scored in one stacked call, each restart reading its
     own slice.  A row's score does not depend on the stack it is scored in,
     so the result is the one the restarts would reach one after another;
-    the best is the first restart to reach the best value.  Candidates are
-    scored through their keys, as ``make_evaluator`` scores them, and on
-    problems whose scorer keeps scores the moves remember theirs too, so a
-    revisited block incidence is not scored again.
+    the best is the first restart to reach the best value.  Starting draws
+    and moves are scored through their keys, as ``make_evaluator`` scores
+    them, by one stack scorer, so the nuisance residual is built once; on
+    problems whose scorer keeps scores they are remembered, so a revisited
+    block incidence is not scored again.
     """
-    evaluate = make_evaluator(problem)
     score = _stack_scorer(problem)
     if _keeps_scores(problem):
         score = _remembering(score, SCORE_CACHE_LIMIT)
     key_of = _key_function(problem)
+
+    def evaluate(assignment):
+        return score((key_of(assignment),))[0]
+
     width = problem.v - 1
     # others[t]: the treatments a unit holding t can move to, in index order
     others = [[s for s in range(1, problem.v + 1) if s != t] for t in range(problem.v + 1)]

@@ -26,13 +26,14 @@ from .linalg import (
     DERIVED_RANK_RTOL,
     EPS,
     SymMatrix,
+    SymStack,
     as_sym,
     eig_sym,
     max_abs,
-    pinv,
+    symmetrize,
     symmetrized,
 )
-from .model import EstimationSpace, _information, infeasible_columns
+from .model import EstimationSpace, _information, infeasible_rows
 
 #: 2-norm residual cutoff, relative to ``|q|``, for span membership.
 SPAN_RTOL = 1e-8
@@ -74,8 +75,19 @@ class WeightMatrix:
     def in_span(self, q, rtol: float = SPAN_RTOL) -> bool:
         """Whether ``q`` lies in the column space of ``W`` (2-norm residual)."""
         q = np.asarray(q, dtype=float).ravel()
-        resid = q - self.F @ (self.F.T @ q)
-        return float(np.linalg.norm(resid)) <= rtol * float(np.linalg.norm(q))
+        return _in_spans(self.F[None], q[None], rtol)[0]
+
+
+def _norms(q: np.ndarray) -> list[float]:
+    """2-norms of the rows of ``q``, as ``np.linalg.norm`` gives them."""
+    return np.sqrt(q[:, None, :] @ q[:, :, None]).ravel().tolist()
+
+
+def _in_spans(fs: np.ndarray, q: np.ndarray, rtol: float) -> list[bool]:
+    """Whether each row ``q[i]`` lies in the span of the orthonormal ``fs[i]``."""
+    col = q[:, :, None]
+    resid = (col - fs @ (fs.transpose(0, 2, 1) @ col))[:, :, 0]
+    return [r <= rtol * n for r, n in zip(_norms(resid), _norms(q))]
 
 
 def make_weight_matrix(w_raw, space: EstimationSpace | None = None,
@@ -138,59 +150,104 @@ def weight_of(w: WeightMatrix, q, rtol: float = SPAN_RTOL) -> float | None:
     of ``W``; the zero vector is rejected because its weight is undefined.
     """
     q = _vector(q, w.v)
-    if float(np.linalg.norm(q)) == 0.0:
-        raise DomainError("the weight of the zero function is undefined")
-    if not w.in_span(q, rtol):
-        return None
-    val = float(q @ w.Wplus @ q)
-    if val <= 0.0:
-        raise InternalConsistencyError(
-            f"q' W^+ q = {val:.3e} for an in-span q; weight must be positive"
-        )
-    return 1.0 / val
+    return _raised(_weights([w], q[None], rtol)[0])
+
+
+def _raised(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _weights(ws: list[WeightMatrix], q: np.ndarray, rtol: float) -> list:
+    """``weight_of(ws[i], q[i])`` for the rows of ``q``, with the error a row
+    would raise in its place; the weight matrices share one rank."""
+    wplus = np.stack([w.Wplus for w in ws])
+    quads = (q[:, None, :] @ wplus @ q[:, :, None]).ravel().tolist()
+    spans = _in_spans(np.stack([w.F for w in ws]), q, rtol)
+    out = []
+    for norm, inside, val in zip(_norms(q), spans, quads):
+        if norm == 0.0:
+            out.append(DomainError("the weight of the zero function is undefined"))
+        elif not inside:
+            out.append(None)
+        elif val <= 0.0:
+            out.append(InternalConsistencyError(
+                f"q' W^+ q = {val:.3e} for an in-span q; weight must be positive"))
+        else:
+            out.append(1.0 / val)
+    return out
 
 
 def weighted_variance(spec_or_C, w: WeightMatrix, q, rtol: float = SPAN_RTOL) -> float:
-    """Weighted variance ``(q' W^+ q)^{-1} (q' C^+ q)`` of the estimate of q'tau."""
+    """Weighted variance ``(q' W^+ q)^{-1} (q' C^+ q)`` of the estimate of q'tau.
+
+    It is ``weighted_variances`` of a one-row stack.
+    """
     q = _vector(q, w.v)
-    wt = weight_of(w, q, rtol)
-    if wt is None:
-        raise SpaceError("q lies outside the span of the weight matrix")
-    c = _information(spec_or_C)
-    if infeasible_columns(c, q[:, None]):
-        raise FeasibilityError("q'tau is not estimable under the design", columns=(0,))
-    return wt * float(q @ pinv(c).entries @ q)
+    cs = SymStack.of([_information(spec_or_C)])
+    return float(weighted_variances(cs, [w], q[None, None], rtol)[0, 0])
+
+
+def weighted_variances(cs: SymStack, ws: list[WeightMatrix], q: np.ndarray,
+                       rtol: float = SPAN_RTOL) -> np.ndarray:
+    """``weighted_variance`` of each vector of a stack: entry ``(b, j)`` is
+    that of ``q[b, j]`` (``q`` is ``(B, N, v)``) under row ``b`` of ``cs``
+    and ``ws[b]``, weight matrices of one rank.
+
+    Every vector's two quadratic forms are ``(1, v) @ (v, v) @ (v, 1)``
+    slices, the operations it goes through alone.  The first vector, in
+    row order, that ``weighted_variance`` would reject raises its error.
+    """
+    count = q.shape[1]
+    flat = np.ascontiguousarray(q).reshape(-1, q.shape[2])
+    rows = [b for b in range(len(ws)) for _ in range(count)]
+    weights = _weights([ws[b] for b in rows], flat, rtol)
+    cs = cs.take(rows)
+    for wt, bad in zip(weights, infeasible_rows(cs, flat[:, :, None])):
+        if _raised(wt) is None:
+            raise SpaceError("q lies outside the span of the weight matrix")
+        if bad:
+            raise FeasibilityError("q'tau is not estimable under the design", columns=(0,))
+    quads = (flat[:, None, :] @ cs.pinv().entries @ flat[:, :, None]).ravel().tolist()
+    return np.array([wt * quad for wt, quad in zip(weights, quads)]).reshape(q.shape[:2])
 
 
 def weighted_info_matrix(spec_or_C, w: WeightMatrix) -> SymMatrix:
     """Weighted information matrix ``(K' C^+ K)^{-1}``, ``d x d`` positive definite.
 
     Requires every weighted function to be estimable, i.e. the span of ``W``
-    inside the column space of ``C``.
+    inside the column space of ``C``.  It is ``weighted_info_matrices`` of a
+    one-row stack.
     """
-    return _weighted_chain(spec_or_C, w)[1]
-
-
-def _weighted_chain(spec_or_C, w: WeightMatrix) -> tuple[SymMatrix, SymMatrix]:
-    """``(K' C^+ K, (K' C^+ K)^{-1})``; see ``weighted_info_matrix``."""
-    if w.d == 0:
-        raise DomainError("weight matrix of rank zero weights nothing")
     c = _information(spec_or_C)
-    bad = infeasible_columns(c, w.K)
-    if bad:
-        raise FeasibilityError(
-            "weighted functions are not estimable under this design "
-            f"(K columns {list(bad)})",
-            columns=bad,
-        )
-    m = symmetrized(w.K.T @ pinv(c).entries @ w.K, DERIVED_RANK_RTOL)
-    spec = eig_sym(m)
-    if spec.numeric_rank < w.d:
+    return weighted_info_matrices(SymStack.of([c]), w.K[None])[1].matrix(0)
+
+
+def weighted_info_matrices(cs: SymStack, ks: np.ndarray) -> tuple[SymStack, SymStack]:
+    """``(K' C^+ K, (K' C^+ K)^{-1})`` of each row of a stack: ``C`` from
+    ``cs`` and the factors ``K`` of one rank ``d`` from ``ks`` (``(B, v, d)``).
+
+    The one implementation of the ``C_W`` route; see ``weighted_info_matrix``.
+    """
+    if ks.shape[2] == 0:
+        raise DomainError("weight matrix of rank zero weights nothing")
+    for bad in infeasible_rows(cs, ks):
+        if bad:
+            raise FeasibilityError(
+                "weighted functions are not estimable under this design "
+                f"(K columns {list(bad)})",
+                columns=bad,
+            )
+    m = SymStack(symmetrize(ks.transpose(0, 2, 1) @ cs.pinv().entries @ ks),
+                 DERIVED_RANK_RTOL)
+    values, vectors, ranks, _ = m.spectrum
+    if min(ranks) < ks.shape[2]:
         raise FeasibilityError(
             "K' C^+ K is numerically singular; the design sits on the feasibility boundary"
         )
-    inv = (spec.eigenvectors / spec.eigenvalues) @ spec.eigenvectors.T
-    return m, symmetrized(inv, DERIVED_RANK_RTOL)
+    inv = (vectors / values[:, None, :]) @ vectors.transpose(0, 2, 1)
+    return m, SymStack(symmetrize(inv), DERIVED_RANK_RTOL)
 
 
 def variance_decomposition(spec_or_C, w: WeightMatrix, q,

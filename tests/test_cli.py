@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from wdesign.linalg import SymMatrix
 from wdesign.cli import (
     EXIT_CERT_FAIL,
     EXIT_INPUT,
@@ -99,16 +100,27 @@ class TestExitCodes:
         from wdesign import cli as cli_module
         from wdesign.criteria import CertificationReport
 
-        def failing(kind, rng):
-            return CertificationReport(kind, False, 1.0, 1e-8,
-                                       np.array([1.0]), np.array([2.0]))
+        def failing(kind, sequence, trials):
+            return [CertificationReport(kind, False, 1.0, 1e-8,
+                                        np.array([1.0]), np.array([2.0]))] * trials
 
-        monkeypatch.setattr(cli_module, "_random_certification", failing)
+        monkeypatch.setattr(cli_module, "_random_certifications", failing)
         path = write(tmp_path, BALANCED)
         assert main(["certify", "--file", path, "--which", "theorem3",
                      "--trials", "2"]) == EXIT_CERT_FAIL
         out = capsys.readouterr().out
         assert "FAILURES" in out and "seed" in out
+
+
+    def test_negative_trials_is_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, BALANCED)
+        assert main(["certify", "--file", path, "--trials", "-1"]) == EXIT_INPUT
+        assert "--trials" in capsys.readouterr().err
+        out = tmp_path / "report.json"
+        assert main(["certify", "--file", path, "--trials", "0", "--out", str(out)]) == EXIT_OK
+        results = json.loads(out.read_text())["results"]
+        assert results["theorem3"] == {"trials": 0, "passed": True, "max_deviation": 0.0,
+                                       "failures": []}
 
 
 class TestInfo:
@@ -137,6 +149,24 @@ class TestCriterion:
         results = report["results"]
         assert abs(results["route_system"]["value"] - results["route_weighted"]["value"]) <= 1e-9
         assert results["deviation"] <= 1e-9
+
+    def test_route_deviation_does_not_depend_on_the_scale_of_the_weights(self, tmp_path,
+                                                                         monkeypatch):
+        # the weighted route is made 1e-6 larger than the system route, so
+        # the relative deviation is 1e-6 whatever the scale of the values
+        from wdesign import cli as cli_module
+
+        weighted = cli_module.weighted_info_matrix
+        monkeypatch.setattr(cli_module, "weighted_info_matrix",
+                            lambda c, w: SymMatrix(weighted(c, w).entries * (1.0 + 1e-6)))
+        out = tmp_path / "report.json"
+        for scale in (1e-10, 1e-5, 1.0, 1e5, 1e10):
+            payload = dict(BALANCED, system={"generator": "vs_control", "k": 2,
+                                             "b": [scale, 2.0 * scale]})
+            assert main(["criterion", "--file", write(tmp_path, payload),
+                         "--out", str(out)]) == EXIT_OK
+            results = json.loads(out.read_text())["results"]
+            assert results["deviation"] == pytest.approx(1e-6, rel=1e-4)
 
     def test_weight_matrix_only_fixture(self, tmp_path, capsys):
         payload = {

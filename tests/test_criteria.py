@@ -28,8 +28,8 @@ from wdesign import (
     weighted_info_matrix,
     weighted_variance,
 )
-from wdesign.criteria import SPECTRAL_TOL
-from wdesign.errors import DomainError, RankError, SingularWeightError
+from wdesign.criteria import SPECTRAL_TOL, STACKED_CERTIFICATIONS, certify_in_stacks
+from wdesign.errors import DomainError, RankError, SingularWeightError, SpaceError
 from wdesign.instances import random_instance
 from wdesign.linalg import DERIVED_RANK_RTOL, SymMatrix
 
@@ -368,3 +368,57 @@ class TestCachedAnalyses:
         c = check_estimation_space(spec, contrasts3)
         assert c is not loose and c.tol_rank == DERIVED_RANK_RTOL
         assert information_matrix(spec, tol_rank=1e-6) is not loose
+
+
+def stack_key(instance):
+    """The stack ``certify_in_stacks`` certifies an instance in: ``v`` and target width."""
+    spec, _, target, _ = instance
+    width = getattr(target, "s", getattr(target, "d", getattr(target, "dim", None)))
+    return spec.v, width
+
+
+class TestStackedCertification:
+    def test_stack_rows_equal_their_one_instance_reports(self):
+        rng = np.random.default_rng(40)
+        mixed_ranks = False
+        for kind, run in CERTIFY.items():
+            instances = [(*random_instance(rng, kind), 5) for _ in range(30)]
+            keys = [stack_key(instance) for instance in instances]
+            assert max(keys.count(key) for key in keys) > 1
+            if kind == "theorem3":
+                ranks = {}
+                for key, (_, _, system, _) in zip(keys, instances):
+                    ranks.setdefault(key, set()).add(system.r)
+                mixed_ranks = any(len(r) > 1 for r in ranks.values())
+            reports = certify_in_stacks(kind, instances)
+            for (spec, space, target, _), report in zip(instances, reports):
+                assert_same_report(report, run(*fresh_copies(spec, space, target)))
+            # the whole of one stack, and one row alone, straight through the run
+            rows = [i for i, key in enumerate(keys) if key == keys[0]]
+            columns = [list(part) for part in zip(*(instances[i] for i in rows))]
+            for row, report in zip(rows, STACKED_CERTIFICATIONS[kind](*columns)):
+                assert_same_report(report, reports[row])
+        # a theorem3 stack whose systems span weight matrices of several ranks
+        assert mixed_ranks
+
+    def test_first_failing_instance_in_order_raises(self):
+        space3, space4 = estimation_space("contrasts", 3), estimation_space("contrasts", 4)
+        q3 = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) / np.sqrt(2.0)
+        q4 = np.array([[-1.0, -1.0, -2.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        good3 = (DesignSpec.from_replications(3, [2, 2, 2]), space3, EstimableSystem(q3), 0)
+        good4 = (DesignSpec.from_replications(4, [2, 2, 2, 2]), space4,
+                 EstimableSystem(np.eye(4)[:, 1:] - 0.25), 0)
+        # rank 2 of dim(E) = 3, in the stack of the v = 4 rows
+        low_rank = (good4[0], space4, EstimableSystem(q4), 0)
+        # treatments 1 and 2 never meet treatment 3 within a block
+        disconnected = (DesignSpec(3, (1, 2, 3, 3), "blocks", (2, 2)), space3,
+                        EstimableSystem(q3), 0)
+        for instance, error in ((low_rank, RankError), (disconnected, SpaceError)):
+            with pytest.raises(error):
+                certify_in_stacks("theorem1", [instance])
+        # the v = 3 stack, certified first, holds the later failure
+        with pytest.raises(RankError):
+            certify_in_stacks("theorem1", [good3, good4, low_rank, disconnected])
+        with pytest.raises(SpaceError):
+            certify_in_stacks("theorem1", [good3, disconnected, good4, low_rank])
+        assert all(r.passed for r in certify_in_stacks("theorem1", [good3, good4, good3]))

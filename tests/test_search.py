@@ -211,25 +211,36 @@ def improving_visits(problem):
 def move_stacks(monkeypatch, problem):
     """``exchange_search(problem)`` and the row counts of its move stacks.
 
-    Counts every stack of the scorer ``exchange_search`` builds after the
-    one ``make_evaluator`` builds for the starting draws.
+    ``exchange_search`` builds one scorer; this counts every stack it scores
+    outside ``_start``, which scores the starting draws one row at a time.
     """
-    stack_scorer, stacks = search_module._stack_scorer, []
+    stack_scorer, start = search_module._stack_scorer, search_module._start
+    scorers, draws, moves = [], [], []
 
     def counting(problem):
-        score, rows = stack_scorer(problem), []
-        stacks.append(rows)
+        score = stack_scorer(problem)
+        scorers.append(score)
 
         def counted(keys):
-            rows.append(len(keys))
+            (draws if starting else moves).append(len(keys))
             return score(keys)
 
         return counted
 
+    def starting_draws(*args):
+        nonlocal starting
+        starting = True
+        try:
+            return start(*args)
+        finally:
+            starting = False
+
+    starting = False
     with monkeypatch.context() as patch:
         patch.setattr(search_module, "_stack_scorer", counting)
+        patch.setattr(search_module, "_start", starting_draws)
         result = exchange_search(problem)
-    draws, moves = stacks
+    assert len(scorers) == 1
     assert set(draws) == {1}
     return result, moves
 
@@ -687,6 +698,21 @@ class TestExchange:
                 break
         assert wanted <= found
         assert len(matching_the_sequential_reference(problems)) == len(problems)
+
+    def test_explicit_nuisance_residual_is_built_once_per_search(self, monkeypatch):
+        import wdesign.model as model_module
+
+        built = []
+        residual = model_module._residual
+
+        def counting(spec):
+            built.append(spec.n)
+            return residual(spec)
+
+        monkeypatch.setattr(model_module, "_residual", counting)
+        problem = trend_problem(restarts=3)
+        exchange_search(problem)
+        assert built == [problem.n]
 
     def test_a_single_treatment_has_no_moves(self):
         problem = SearchProblem(v=1, n=3, criterion="A", target=EstimableSystem(np.ones(1)),

@@ -23,7 +23,10 @@ from wdesign import (
     weighted_variance,
 )
 from wdesign.errors import DomainError, FeasibilityError, SpaceError
-from wdesign.linalg import SymMatrix
+from wdesign.instances import random_instance
+from wdesign.linalg import SymMatrix, SymStack
+from wdesign.model import _information
+from wdesign.weighting import weighted_variances
 
 
 class TestMakeWeightMatrix:
@@ -121,6 +124,51 @@ class TestWeightedVariance:
         w23 = weight_matrix_from_system(EstimableSystem(q3), contrasts3)
         with pytest.raises(FeasibilityError):
             weighted_variance(disconnected, w23, q3)
+
+
+class TestWeightedVariances:
+    def test_stacks_give_the_bits_of_single_vectors(self):
+        rng = np.random.default_rng(42)
+        draws = {}
+        for _ in range(60):
+            spec, _, w = random_instance(rng, "aopt")
+            draws.setdefault((spec.v, w.d), []).append((spec, w))
+        stacks = [rows for rows in draws.values() if len(rows) > 1]
+        assert len(stacks) >= 3
+        for rows in stacks:
+            specs, ws = zip(*rows)
+            q = np.array([[w.K @ rng.standard_normal(w.d) for _ in range(4)] for w in ws])
+            got = weighted_variances(SymStack.of([_information(s) for s in specs]), ws, q)
+            assert got.shape == (len(rows), 4)
+            for b, (spec, w) in enumerate(rows):
+                for j in range(4):
+                    assert got[b, j].hex() == weighted_variance(spec, w, q[b, j]).hex()
+
+    def test_first_rejected_vector_raises_its_own_error(self, balanced_design, full3, q1, q2):
+        w = make_weight_matrix(np.eye(3), full3)
+        cs = SymStack.of([_information(balanced_design)] * 2)
+        ones, zero = np.ones(3), np.zeros(3)
+        outside = make_weight_matrix(np.outer(q1, q1), full3)
+        cases = [
+            ([w, w], [[q1, q2], [ones, q1]], FeasibilityError),
+            ([w, w], [[q1, zero], [ones, q1]], DomainError),
+            ([outside, outside], [[q1, q1], [q2, q1]], SpaceError),
+            ([outside, outside], [[q1, zero], [q2, q1]], DomainError),
+        ]
+        for ws, q, error in cases:
+            with pytest.raises(error):
+                weighted_variances(cs, ws, np.array(q))
+            first = [v for row in q for v in row if not _accepted(ws[0], v)][0]
+            with pytest.raises(error):
+                weighted_variance(balanced_design, ws[0], first)
+
+
+def _accepted(w, q):
+    try:
+        weighted_variance(DesignSpec.from_replications(3, [2, 2, 2]), w, q)
+    except (DomainError, SpaceError, FeasibilityError):
+        return False
+    return True
 
 
 class TestVarianceDecomposition:
