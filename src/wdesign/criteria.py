@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RankError, SingularWeightError
+from .errors import DomainError, RankError, SingularWeightError, WdesignError
 from .estimable import (
     EstimableSystem,
     info_matrices,
@@ -379,7 +379,7 @@ def _aopt(specs, spaces, ws, seeds, trials=3, tol=A_INTERPRETATION_TOL):
     count, v, d = ks.shape
     targets = [1.0 / _spectrum_value("A", values[i], ranks[i], cutoffs[i], d).value
                for i in range(count)]
-    # the draws of each instance, in today's order: the rotations, then the set
+    # each instance draws its rotations, then its W-orthogonal set, from its seed
     normals, w_orthogonal = [], []
     for w, seed in zip(ws, seeds):
         rng = np.random.default_rng(seed)
@@ -399,9 +399,9 @@ def _aopt(specs, spaces, ws, seeds, trials=3, tol=A_INTERPRETATION_TOL):
                               np.array(w_orthogonal)], axis=1)
     variances = weighted_variances(cs, ws, vectors)
     reports = []
-    for target, w_scale, errors, row in zip(targets, wm, recon, variances):
+    for target, w_entries, errors, row in zip(targets, wm, recon, variances):
         scale = max(1.0, abs(target))
-        w_scale = max(1.0, max_abs(w_scale))
+        w_scale = max(1.0, max_abs(w_entries))
         averages = [float(np.mean(row[i * d:(i + 1) * d])) for i in range(trials + 2)]
         deviations = {f"rotation_{idx}": max(abs(avg - target) / scale, error / w_scale)
                       for idx, (avg, error) in enumerate(zip(averages, errors))}
@@ -485,7 +485,7 @@ def certify_in_stacks(kind: str, instances) -> list:
             columns = [list(part) for part in zip(*(instances[i] for i in rows))]
             for row, report in zip(rows, run(*columns)):
                 reports[row] = report
-    except Exception:
+    except (WdesignError, ValueError, ArithmeticError):
         for instance in instances:
             run(*([part] for part in instance))
         raise
