@@ -272,9 +272,6 @@ class SymStack:
                     np.stack([s.eigenvectors for s in spectra]),
                     [s.numeric_rank for s in spectra], [s.cutoff for s in spectra]))
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     @property
     def spectrum(self):
         """``(eigenvalues, eigenvectors, ranks, cutoffs)`` as ``eigh_desc_stack`` gives them."""
@@ -288,7 +285,7 @@ class SymStack:
 
     def take(self, rows: list[int]) -> SymStack:
         """The stack of the given rows (repeats allowed), sharing what is computed."""
-        if rows == list(range(len(self))):
+        if rows == list(range(len(self.entries))):
             return self
         spectrum = None
         if self._spectrum is not None:
