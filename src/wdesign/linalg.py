@@ -225,6 +225,11 @@ def take_rows(stack: np.ndarray, rows: list[int], count: int) -> np.ndarray:
     return stack if len(rows) == count else stack[rows]
 
 
+def stack_arrays(arrays) -> np.ndarray:
+    """``np.stack(arrays)``; a view when there is one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """``0.5 * (a + a')`` of each slice of a stack: exactly symmetric."""
     return 0.5 * (a + a.transpose(0, 2, 1))
@@ -239,10 +244,11 @@ class SymStack:
     solver call, and every slice goes through the operations it would go
     through alone, so a row's result does not depend on the stack it came
     in.  The entries are products the package formed, so only their
-    finiteness is checked.
+    finiteness is checked.  The one-row stack of a SymMatrix shares its
+    pseudoinverse, so that is built once per SymMatrix too.
     """
 
-    __slots__ = ("entries", "tol_rank", "_spectrum", "_pinv")
+    __slots__ = ("entries", "tol_rank", "_spectrum", "_pinv", "_source")
 
     def __init__(self, entries: np.ndarray, tol_rank: float, spectrum=None):
         if not np.isfinite(entries).all():
@@ -251,6 +257,7 @@ class SymStack:
         self.tol_rank = tol_rank
         self._spectrum = spectrum
         self._pinv = None
+        self._source = None
 
     @classmethod
     def of(cls, mats) -> SymStack:
@@ -267,10 +274,13 @@ class SymStack:
         if fresh:
             _decompose(fresh)
         spectra = [m._spectrum for m in mats]
-        return cls(np.stack([m.entries for m in mats]), tol,
-                   (np.stack([s.eigenvalues for s in spectra]),
-                    np.stack([s.eigenvectors for s in spectra]),
-                    [s.numeric_rank for s in spectra], [s.cutoff for s in spectra]))
+        stack = cls(stack_arrays([m.entries for m in mats]), tol,
+                    (stack_arrays([s.eigenvalues for s in spectra]),
+                     stack_arrays([s.eigenvectors for s in spectra]),
+                     [s.numeric_rank for s in spectra], [s.cutoff for s in spectra]))
+        if len(mats) == 1:
+            stack._source = mats[0]
+        return stack
 
     @property
     def spectrum(self):
@@ -300,10 +310,16 @@ class SymStack:
         """Moore-Penrose pseudoinverses: eigenvalues whose magnitude clears
         the cutoff are inverted, the rest zeroed.  Built once per stack."""
         if self._pinv is None:
-            w, vectors, _, cutoffs = self.spectrum
-            inv = np.zeros(w.shape)
-            np.divide(1.0, w, out=inv, where=np.abs(w) > np.array(cutoffs)[:, None])
-            self._pinv = SymStack(_rebuild(vectors, inv), self.tol_rank)
+            source = self._source
+            if source is not None and source._pinv is not None:
+                self._pinv = SymStack(source._pinv.entries[None], self.tol_rank)
+            else:
+                w, vectors, _, cutoffs = self.spectrum
+                inv = np.zeros(w.shape)
+                np.divide(1.0, w, out=inv, where=np.abs(w) > np.array(cutoffs)[:, None])
+                self._pinv = SymStack(_rebuild(vectors, inv), self.tol_rank)
+                if source is not None:
+                    source._pinv = self._pinv.matrix(0)
         return self._pinv
 
     def pinv_sqrt(self) -> SymStack:
@@ -343,7 +359,7 @@ def pinv(A) -> SymMatrix:
     """
     A = as_sym(A)
     if A._pinv is None:
-        A._pinv = SymStack.of([A]).pinv().matrix(0)
+        SymStack.of([A]).pinv()  # kept on A
     return A._pinv
 
 

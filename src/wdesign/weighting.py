@@ -30,6 +30,7 @@ from .linalg import (
     as_sym,
     eig_sym,
     max_abs,
+    stack_arrays,
     symmetrize,
     symmetrized,
 )
@@ -162,9 +163,9 @@ def _raised(outcome):
 def _weights(ws: list[WeightMatrix], q: np.ndarray, rtol: float) -> list:
     """``weight_of(ws[i], q[i])`` for the rows of ``q``, with the error a row
     would raise in its place; the weight matrices share one rank."""
-    wplus = np.stack([w.Wplus for w in ws])
+    wplus = stack_arrays([w.Wplus for w in ws])
     quads = (q[:, None, :] @ wplus @ q[:, :, None]).ravel().tolist()
-    spans = _in_spans(np.stack([w.F for w in ws]), q, rtol)
+    spans = _in_spans(stack_arrays([w.F for w in ws]), q, rtol)
     out = []
     for norm, inside, val in zip(_norms(q), spans, quads):
         if norm == 0.0:
