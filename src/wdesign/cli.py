@@ -585,8 +585,8 @@ def _pd_target(problem: Problem, which: str, strict: bool):
 
 
 def _weight_target(problem: Problem, which: str, strict: bool):
-    """The file's weight matrix inside E; under ``all``, else the one its
-    system induces."""
+    """The file's weight matrix inside E or, under ``all`` without one, the
+    weight matrix its system induces."""
     w = problem.weight
     if w is None and problem.system is not None and which == "all":
         w = weight_matrix_from_system(problem.system, problem.space)
