@@ -131,8 +131,34 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _section(data: dict, key: str) -> dict | None:
+    """The object under ``key``, or None when the key is absent or null."""
+    section = data.get(key)
+    if section is not None and not isinstance(section, dict):
+        raise ParseError(f"section '{key}' must be an object")
+    return section
+
+
+def _number(convert, value, where: str):
+    """``convert(value)``, ``convert`` being int or float; a value it rejects
+    is an input error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"'{where}' must be a number, got {value!r}") from exc
+
+
+def _numbers(convert, values, where: str) -> list:
+    if not isinstance(values, list):
+        raise ParseError(f"'{where}' must be a list of numbers")
+    return [_number(convert, value, where) for value in values]
+
+
 def _matrix_from(rows, where: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"'{where}' must be a row-major rectangular array") from exc
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -141,20 +167,20 @@ def _matrix_from(rows, where: str) -> np.ndarray:
 
 
 def _parse_model(data: dict) -> DesignSpec:
-    model = data.get("model")
-    if not isinstance(model, dict):
+    model = _section(data, "model")
+    if model is None:
         raise ParseError("missing required section 'model'")
-    v = int(_require(model, "v", "model"))
+    v = _number(int, _require(model, "v", "model"), "model.v")
     if "assignment" in model:
-        assignment = tuple(int(t) for t in model["assignment"])
+        assignment = tuple(_numbers(int, model["assignment"], "model.assignment"))
     elif "replications" in model:
-        reps = [int(r) for r in model["replications"]]
+        reps = _numbers(int, model["replications"], "model.replications")
         if len(reps) != v:
             raise ParseError("'replications' must list one count per treatment")
         assignment = tuple(t for t, r in enumerate(reps, start=1) for _ in range(r))
     else:
         raise ParseError("section 'model' needs 'assignment' or 'replications'")
-    if "n" in model and int(model["n"]) != len(assignment):
+    if "n" in model and _number(int, model["n"], "model.n") != len(assignment):
         raise ParseError(
             f"model says n={model['n']} but the assignment lists {len(assignment)} units"
         )
@@ -163,7 +189,8 @@ def _parse_model(data: dict) -> DesignSpec:
         kind, sizes, ell = nuisance, None, None
     elif isinstance(nuisance, dict):
         kind = _require(nuisance, "kind", "model.nuisance")
-        sizes = tuple(int(s) for s in nuisance["sizes"]) if "sizes" in nuisance else None
+        sizes = (tuple(_numbers(int, nuisance["sizes"], "model.nuisance.sizes"))
+                 if "sizes" in nuisance else None)
         ell = _matrix_from(nuisance["L"], "model.nuisance.L") if "L" in nuisance else None
     else:
         raise ParseError("'nuisance' must be a string or an object with a 'kind'")
@@ -174,7 +201,7 @@ def _parse_model(data: dict) -> DesignSpec:
 
 
 def _parse_space(data: dict, spec: DesignSpec) -> EstimationSpace:
-    section = data.get("estimation_space")
+    section = _section(data, "estimation_space")
     if section is None:
         kind = "contrasts" if spec.nuisance_kind in ("intercept", "blocks") else "full"
         return estimation_space(kind, spec.v)
@@ -211,7 +238,7 @@ def _vs_control_columns(v: int, k: int) -> np.ndarray:
 
 
 def _parse_system(data: dict, spec: DesignSpec) -> EstimableSystem | None:
-    section = data.get("system")
+    section = _section(data, "system")
     if section is None:
         return None
     if "generator" in section:
@@ -219,7 +246,8 @@ def _parse_system(data: dict, spec: DesignSpec) -> EstimableSystem | None:
         if gen == "pairwise":
             q = _pairwise_columns(spec.v)
         elif gen == "vs_control":
-            q = _vs_control_columns(spec.v, int(section.get("k", spec.v - 1)))
+            q = _vs_control_columns(spec.v, _number(int, section.get("k", spec.v - 1),
+                                                    "system.k"))
         elif gen == "single":
             q = _matrix_from(_require(section, "q", "system"), "system.q")
         else:
@@ -233,7 +261,7 @@ def _parse_system(data: dict, spec: DesignSpec) -> EstimableSystem | None:
         if np.any(norms == 0.0):
             raise ParseError("cannot normalize a zero column")
         q = q / norms
-    b = [float(x) for x in section["b"]] if "b" in section else None
+    b = _numbers(float, section["b"], "system.b") if "b" in section else None
     try:
         return EstimableSystem(q, b)
     except ValueError as exc:
@@ -241,7 +269,7 @@ def _parse_system(data: dict, spec: DesignSpec) -> EstimableSystem | None:
 
 
 def _parse_weight(data: dict, spec: DesignSpec, space: EstimationSpace):
-    section = data.get("weight_matrix")
+    section = _section(data, "weight_matrix")
     if section is None:
         return None, None
     w = _matrix_from(_require(section, "W", "weight_matrix"), "weight_matrix.W")
@@ -268,17 +296,16 @@ def parse_problem(data: dict) -> Problem:
     system = _parse_system(data, spec)
     weight_raw, weight = _parse_weight(data, spec, space)
     criterion = None
-    if "criterion" in data:
-        criterion = str(_require(data["criterion"], "name", "criterion")).upper()
+    section = _section(data, "criterion")
+    if section is not None:
+        criterion = str(_require(section, "name", "criterion")).upper()
         if criterion not in criteria.POSITIVE_SPECTRUM_CRITERIA:
             raise ParseError(f"unknown criterion {criterion!r}")
-    search_section = None
-    if "search" in data:
-        raw = data["search"]
+    search_section = _section(data, "search")
+    if search_section is not None:
         search_section = {
-            "seed": int(raw.get("seed", 0)),
-            "restarts": int(raw.get("restarts", 20)),
-            "max_passes": int(raw.get("max_passes", 100)),
+            key: _number(int, search_section.get(key, default), f"search.{key}")
+            for key, default in (("seed", 0), ("restarts", 20), ("max_passes", 100))
         }
     return Problem(spec, space, system, weight_raw, weight, criterion, search_section)
 
@@ -721,6 +748,8 @@ def cmd_search(problem: Problem, digest: str, both_routes: bool) -> tuple[Report
         max_passes=problem.search["max_passes"],
     )
     enumerable = search.enumeration_size(sp) <= search.ENUMERATION_LIMIT
+    if both_routes and not enumerable:
+        raise ParseError("--both-routes needs an enumerable instance")
     result = search.enumerate_optimal(sp) if enumerable else search.exchange_search(sp)
     best = result.best_design
     results = {
@@ -747,8 +776,6 @@ def cmd_search(problem: Problem, digest: str, both_routes: bool) -> tuple[Report
         results["restarts"] = [asdict(stats) for stats in result.restarts]
     passed = None
     if both_routes:
-        if not enumerable:
-            raise ParseError("--both-routes needs an enumerable instance")
         check = search.argmax_equivalence_check(sp)
         passed = check.passed
         results["argmax_equivalence"] = {

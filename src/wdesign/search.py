@@ -10,9 +10,9 @@ are skipped, never scored.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,12 +34,19 @@ from .weighting import WeightMatrix, weight_matrix_from_system
 #: Largest assignment count enumerate_optimal will walk.
 ENUMERATION_LIMIT = 10**6
 
-#: Most block incidences one scorer remembers, least recently used evicted
-#: first.  Only problems with ``v**(n-1) <= ENUMERATION_LIMIT`` get a cache,
-#: so n <= 20.  An entry holds an n-long key and the score, so its size
-#: grows with n: tracemalloc measured ~370 B an entry at n=9 and ~560 B at
-#: n=20, so a full cache holds at most ~4.5 MiB.
+#: Most block incidences one scorer remembers; a memo that a stack of new
+#: ones would overflow is emptied first (see ``_remembering``).  Only
+#: problems with ``v**(n-1) <= ENUMERATION_LIMIT`` get a memo, so n <= 20.
+#: An entry holds an n-long key and the score, so its size grows with n:
+#: tracemalloc measured ~370 B an entry at n=9 and ~560 B at n=20, so a full
+#: memo holds at most ~4.5 MiB.
 SCORE_CACHE_LIMIT = 2**13
+
+#: Rows per stack when enumerate_optimal scores a walk's incidences before
+#: the walk.  One stack of all 4,000 incidences of a v=4 problem in blocks
+#: (3,3,3) raised the peak RSS of a search by ~4 MiB; 512-row stacks left it
+#: unchanged and took no longer.
+INCIDENCE_STACK_ROWS = 512
 
 #: Relative slack for collecting ties into the optimal set: a value ties
 #: the best when it is within ``TIE_RTOL * max(|best|, eps)``, so the set
@@ -67,6 +74,9 @@ class SearchProblem:
     seed: int = 0
     restarts: int = 20
     max_passes: int = 100
+    #: ``_stack_scorer`` and the ``_remembering`` memo around it, built on
+    #: first use; ``dataclasses.replace`` starts afresh.
+    _scorers: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.criterion not in POSITIVE_SPECTRUM_CRITERIA:
@@ -92,6 +102,18 @@ class SearchProblem:
         """DesignSpec for this problem with the given assignment."""
         return DesignSpec(self.v, assignment, self.nuisance_kind,
                           self.block_sizes, self.L)
+
+    def scorer(self):
+        """The problem's stack scorer, built on first use and kept, as a
+        ``DesignSpec`` keeps ``C``: ``_stack_scorer``, seen through its
+        ``_remembering`` memo while ``_keeps_scores`` holds (asked on every
+        call)."""
+        if self._scorers is None:
+            score = _stack_scorer(self)
+            object.__setattr__(self, "_scorers",
+                               (score, _remembering(score, SCORE_CACHE_LIMIT)))
+        score, remembered = self._scorers
+        return remembered if _keeps_scores(self) else score
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +279,8 @@ def _remembering(score, limit: int):
 
     Only the keys it has not seen are scored, each once, in one stack; when
     they would overflow the memory, it is emptied first, and a stack with
-    more of them than ``limit`` is not remembered at all.
+    more of them than ``limit`` is not remembered at all.  The memory is the
+    dict ``remembered.memo``, key to result.
     """
     memo = {}
 
@@ -273,14 +296,16 @@ def _remembering(score, limit: int):
             found.update(fresh)
         return [found[key] for key in keys]
 
+    remembered.memo = memo
     return remembered
 
 
 def make_evaluator(problem: SearchProblem):
     """Assignment scorer: returns ``(value, positive spectrum)`` or None.
 
-    ``None`` means the target is not estimable under that assignment.  Each
-    call scores a one-row stack through the chain of ``_stack_scorer``.
+    ``None`` means the target is not estimable under that assignment.  The
+    score comes from the problem's scorer (``SearchProblem.scorer``), as a
+    one-row stack, unless its memo holds it.
 
     Under an intercept or block nuisance, ``C`` depends on the assignment
     only through the multiset of treatments in each block (the whole run is
@@ -288,28 +313,76 @@ def make_evaluator(problem: SearchProblem):
     assignment with each block's labels sorted.  When the problem is small
     enough to enumerate (``v**(n-1) <= ENUMERATION_LIMIT``), the scorer also
     remembers the scores of up to ``SCORE_CACHE_LIMIT`` such block
-    incidences, evicting the least recently used; larger problems are scored
-    afresh on every call.  Values are thus exactly invariant under permuting
-    units within a block and never depend on what the cache holds.  An
-    explicit ``L`` admits no such reduction, so every assignment is scored
-    as given.  The returned spectra are read-only, because a cached result
-    is shared.
+    incidences, and empties its memo when a new one would overflow it;
+    larger problems are scored afresh on every call.  Values are thus
+    exactly invariant under permuting units within a block and never depend
+    on what the memo holds.  An explicit ``L`` admits no such reduction, so
+    every assignment is scored as given.  The returned spectra are
+    read-only, because a remembered result is shared.
     """
-    stack = _stack_scorer(problem)
-
-    def score(key):
-        return stack((key,))[0]
-
-    if problem.nuisance_kind == "explicit":
-        return score
-    if _keeps_scores(problem):
-        score = functools.lru_cache(maxsize=SCORE_CACHE_LIMIT)(score)
+    score = problem.scorer()
     key_of = _key_function(problem)
-
-    def evaluate(assignment):
-        return score(key_of(assignment))
+    memo = getattr(score, "memo", None)
+    if memo is None:
+        def evaluate(assignment):
+            return score((key_of(assignment),))[0]
+    else:
+        def evaluate(assignment):
+            key = key_of(assignment)
+            try:
+                return memo[key]
+            except KeyError:
+                return score((key,))[0]
 
     return evaluate
+
+
+def _incidences(problem: SearchProblem, symmetric: bool):
+    """Count and iterator of the keys of the labellings enumerate_optimal
+    walks, each key once.
+
+    A key joins, block by block, the sorted labels of the block, so each
+    block holds one multiset of labels, drawn by
+    ``combinations_with_replacement`` as a sorted tuple.  When
+    ``symmetric``, the walk fixes the first unit to 1, the least label, so
+    the first block holds ``(1,)`` followed by a multiset one smaller.
+    """
+    labels = range(1, problem.v + 1)
+    sizes = [end - start for start, end in _blocks(problem)]
+    sizes[0] -= symmetric
+    count = math.prod(math.comb(problem.v + size - 1, size) for size in sizes)
+
+    def keys():
+        parts = [list(itertools.combinations_with_replacement(labels, size))
+                 for size in sizes]
+        if symmetric:
+            parts[0] = [(1, *part) for part in parts[0]]
+        for blocks in itertools.product(*parts):
+            yield tuple(itertools.chain.from_iterable(blocks))
+
+    return count, keys()
+
+
+def _score_incidences(problem: SearchProblem, symmetric: bool) -> None:
+    """Fill the scorer's memo with the keys of enumerate_optimal's walk.
+
+    Does nothing unless the problem keeps scores and the keys fit in
+    ``SCORE_CACHE_LIMIT``; otherwise it scores the keys the memo lacks in
+    stacks of ``INCIDENCE_STACK_ROWS``, first emptying a memo they could
+    overflow, so that every key of the walk is then in the memo.
+    """
+    score = problem.scorer()
+    memo = getattr(score, "memo", None)
+    if memo is None:
+        return
+    count, keys = _incidences(problem, symmetric)
+    if count > SCORE_CACHE_LIMIT:
+        return
+    if len(memo) + count > SCORE_CACHE_LIMIT:
+        memo.clear()
+    missing = [key for key in keys if key not in memo]
+    for start in range(0, len(missing), INCIDENCE_STACK_ROWS):
+        score(missing[start:start + INCIDENCE_STACK_ROWS])
 
 
 def enumeration_size(problem: SearchProblem) -> int:
@@ -328,7 +401,16 @@ def enumerate_optimal(problem: SearchProblem) -> SearchResult:
 
     Fixes the first unit's treatment when the objective is label-symmetric
     (every equivalence class keeps a representative).  Ties within
-    ``TIE_RTOL`` are all collected into ``optimal_assignments``.
+    ``TIE_RTOL`` are all collected into ``optimal_assignments``, in walk
+    order.
+
+    Under an intercept or block nuisance the walk asks only for the scores
+    of block incidences.  When they fit in ``SCORE_CACHE_LIMIT``, they are
+    generated and scored into the scorer's memo in stacks first (see
+    ``_score_incidences``), so the walk only looks them up; when they do
+    not, nothing is filled, and the walk scores each incidence it misses
+    alone.  A row's score does not depend on its stack, so the result is
+    the same either way.
     """
     size = enumeration_size(problem)
     if size > ENUMERATION_LIMIT:
@@ -336,8 +418,9 @@ def enumerate_optimal(problem: SearchProblem) -> SearchResult:
             f"{size} assignments exceed the enumeration envelope "
             f"({ENUMERATION_LIMIT}); use exchange_search"
         )
-    evaluate = make_evaluator(problem)
     symmetric = size < problem.v**problem.n
+    _score_incidences(problem, symmetric)
+    evaluate = make_evaluator(problem)
     heads = [1] if symmetric else range(1, problem.v + 1)
     best = None
     best_assignment = None
@@ -354,14 +437,13 @@ def enumerate_optimal(problem: SearchProblem) -> SearchResult:
                 best = value
                 best_assignment = assignment
                 best_spectrum = spectrum
-                slack = TIE_RTOL * max(abs(best), EPS)
-                optima = [(a, val) for a, val in optima if val >= best - slack]
-            if value >= best - TIE_RTOL * max(abs(best), EPS):
+                floor = best - TIE_RTOL * max(abs(best), EPS)
+                optima = [(a, val) for a, val in optima if val >= floor]
+            if value >= floor:
                 optima.append((assignment, value))
     if best is None:
         raise FeasibilityError("no feasible assignment can estimate the target")
-    slack = TIE_RTOL * max(abs(best), EPS)
-    tied = tuple(a for a, val in optima if val >= best - slack)
+    tied = tuple(a for a, val in optima if val >= floor)
     return SearchResult(
         best_design=problem.template(best_assignment),
         best_value=_criterion_value(problem, best, best_spectrum),
@@ -411,13 +493,11 @@ def exchange_search(problem: SearchProblem) -> SearchResult:
     so the result is the one the restarts would reach one after another;
     the best is the first restart to reach the best value.  Starting draws
     and moves are scored through their keys, as ``make_evaluator`` scores
-    them, by one stack scorer, so the nuisance residual is built once; on
-    problems whose scorer keeps scores they are remembered, so a revisited
-    block incidence is not scored again.
+    them, by the problem's scorer, so the nuisance residual is built once
+    per problem; on problems whose scorer keeps scores they are remembered,
+    so a revisited block incidence is not scored again.
     """
-    score = _stack_scorer(problem)
-    if _keeps_scores(problem):
-        score = _remembering(score, SCORE_CACHE_LIMIT)
+    score = problem.scorer()
     key_of = _key_function(problem)
 
     def evaluate(assignment):

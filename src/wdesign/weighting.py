@@ -57,9 +57,10 @@ class WeightMatrix:
 
     ``K`` satisfies ``K K' = W`` and ``K' W^+ K = I_d``; ``F`` is the
     orthonormal basis of the span of ``W`` and ``Wplus`` its pseudoinverse,
-    kept because nearly every weighting formula needs them.  ``space_check``
-    records whether the inclusion of the span in an estimation space was
-    verified at construction.
+    kept because nearly every weighting formula needs them.  All three are
+    read-only, because what is built from them, such as a search problem's
+    scorer, keeps them.  ``space_check`` records whether the inclusion of
+    the span in an estimation space was verified at construction.
     """
 
     matrix: SymMatrix
@@ -125,6 +126,8 @@ def make_weight_matrix(w_raw, space: EstimationSpace | None = None,
         wplus = symmetrized((f / spec.eigenvalues[:d]) @ f.T).entries
     else:
         wplus = np.zeros((wm.dim, wm.dim))
+    for factor in (k, f, wplus):
+        factor.flags.writeable = False
     return WeightMatrix(wm, d, k, f, wplus, checked)
 
 

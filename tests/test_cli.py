@@ -123,6 +123,31 @@ class TestExitCodes:
                                        "failures": []}
 
 
+    @pytest.mark.parametrize("section, value", [
+        ("search", 5),
+        ("search", {"restarts": None}),
+        ("search", {"seed": [1]}),
+        ("search", {"max_passes": float("inf")}),
+        ("criterion", 5),
+        ("system", 5),
+        ("system", {"generator": "vs_control", "k": None}),
+        ("system", {"generator": "pairwise", "b": None}),
+        ("weight_matrix", 5),
+        ("weight_matrix", {"W": {"a": 1}}),
+        ("estimation_space", 5),
+        ("model", {"v": 3, "replications": None}),
+        ("model", {"v": None, "replications": [2, 2, 2]}),
+        ("model", {"v": 3, "assignment": [1, 2, 3], "nuisance": {"kind": "blocks",
+                                                                 "sizes": None}}),
+    ])
+    @pytest.mark.parametrize("command", ["info", "search"])
+    def test_malformed_sections_are_input_errors(self, tmp_path, capsys, command, section,
+                                                 value):
+        path = write(tmp_path, dict(BALANCED, **{section: value}))
+        assert main([command, "--file", path]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestInfo:
     def test_balanced_fixture(self, tmp_path, capsys):
         path = write(tmp_path, BALANCED)
@@ -251,6 +276,27 @@ class TestSearch:
         out = capsys.readouterr().out
         assert "best replications: [2, 2, 2]" in out
         assert "argmax equivalence of the two routes: pass" in out
+
+    def test_both_routes_rejects_a_large_space_before_searching(self, tmp_path, monkeypatch,
+                                                                capsys):
+        from wdesign import search
+
+        def refused(problem):
+            raise AssertionError("exchange search ran")
+
+        monkeypatch.setattr(search, "exchange_search", refused)
+        payload = {
+            "model": {"v": 4, "n": 12, "assignment": [1] * 12,
+                      "nuisance": {"kind": "blocks", "sizes": [4, 4, 4]}},
+            "system": {"generator": "pairwise"},
+            "criterion": {"name": "A"},
+            "search": {"seed": 11, "restarts": 4, "max_passes": 40},
+        }
+        path = write(tmp_path, payload)
+        assert main(["search", "--file", path, "--both-routes"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: --both-routes needs an enumerable instance\n"
+        assert captured.out == ""
 
     def test_needs_search_section(self, tmp_path):
         payload = {k: v for k, v in BALANCED.items() if k != "search"}

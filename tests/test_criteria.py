@@ -351,7 +351,8 @@ class TestCachedAnalyses:
             spec, _, target = instance
             if isinstance(target, (SymMatrix, EstimableSystem)):
                 continue
-            assert target.F.flags.writeable and target.K.flags.writeable
+            # the factors are read-only; the report's arrays are its own
+            assert not target.F.flags.writeable and not target.K.flags.writeable
             _, eigenvalues = variance_decomposition(spec, target, target.K[:, 0])
             assert eigenvalues.flags.writeable
 

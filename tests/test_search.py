@@ -548,6 +548,125 @@ class TestScorer:
             assert capped.optimal_assignments == base.optimal_assignments
             assert len(base.optimal_assignments) > 1
 
+    @pytest.mark.parametrize("limit", [0, 7])
+    def test_fresh_problems_under_a_cache_cap_enumerate_alike(self, monkeypatch, contrasts3,
+                                                              control_system, limit):
+        # each problem is built after the cap is set, so its scorer has the
+        # capped memo, which cannot hold the walk's incidences
+        pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+
+        def problems():
+            return [
+                SearchProblem(v=3, n=8, criterion="A", target=EstimableSystem(pairs),
+                              space=contrasts3, nuisance_kind="blocks", block_sizes=(3, 3, 2)),
+                SearchProblem(v=3, n=6, criterion="E", target=control_system, space=contrasts3),
+            ]
+
+        default = [enumerate_optimal(problem) for problem in problems()]
+        monkeypatch.setattr(search_module, "SCORE_CACHE_LIMIT", limit)
+        for problem, base in zip(problems(), default):
+            capped = enumerate_optimal(problem)
+            assert len(problem.scorer().memo) <= limit
+            assert capped.best_design.assignment == base.best_design.assignment
+            assert same_bits((capped.best_value.value, capped.best_value.spectrum_used),
+                             (base.best_value.value, base.best_value.spectrum_used))
+            assert capped.optimal_assignments == base.optimal_assignments
+            assert len(base.optimal_assignments) > 1
+
+    def test_incidences_are_the_keys_of_the_walk(self, contrasts3, control_system):
+        pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+        problems = [
+            SearchProblem(v=3, n=5, criterion="A", target=EstimableSystem(pairs),
+                          space=contrasts3),
+            SearchProblem(v=3, n=5, criterion="A", target=control_system, space=contrasts3),
+            SearchProblem(v=3, n=8, criterion="A", target=EstimableSystem(pairs),
+                          space=contrasts3, nuisance_kind="blocks", block_sizes=(3, 3, 2)),
+            SearchProblem(v=3, n=7, criterion="D", target=control_system, space=contrasts3,
+                          nuisance_kind="blocks", block_sizes=(1, 4, 2)),
+        ]
+        seen = set()
+        for problem in problems:
+            symmetric = label_symmetric(problem)
+            seen.add((problem.nuisance_kind, symmetric))
+            heads = [1] if symmetric else range(1, problem.v + 1)
+            key_of = search_module._key_function(problem)
+            walked = {key_of((head, *tail)) for head in heads
+                      for tail in itertools.product(range(1, problem.v + 1),
+                                                    repeat=problem.n - 1)}
+            count, keys = search_module._incidences(problem, symmetric)
+            keys = list(keys)
+            assert len(keys) == len(set(keys)) == count
+            assert set(keys) == walked
+        assert seen == set(itertools.product(("intercept", "blocks"), (False, True)))
+        # v = 4 in blocks (3, 3, 3), label-symmetric: 10 * 20 * 20 incidences
+        problem = SearchProblem(v=4, n=9, criterion="A",
+                                target=EstimableSystem(np.column_stack(
+                                    [contrast(4, i, j) for i, j in
+                                     itertools.combinations(range(1, 5), 2)])),
+                                space=estimation_space("contrasts", 4),
+                                nuisance_kind="blocks", block_sizes=(3, 3, 3))
+        count, keys = search_module._incidences(problem, label_symmetric(problem))
+        assert count == len(set(keys)) == 4000
+
+    def test_enumeration_scores_each_incidence_once_in_stacks(self, monkeypatch, contrasts3,
+                                                              control_system):
+        pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+        blocks = SearchProblem(v=3, n=8, criterion="A", target=EstimableSystem(pairs),
+                               space=contrasts3, nuisance_kind="blocks",
+                               block_sizes=(3, 3, 2))
+        explicit = SearchProblem(v=3, n=5, criterion="A", target=control_system,
+                                 space=contrasts3, nuisance_kind="explicit",
+                                 L=np.ones((5, 1)))
+        default = [enumerate_optimal(replace(problem)) for problem in (blocks, explicit)]
+        stack_scorer = search_module._stack_scorer
+        stacks = []
+
+        def counting(problem):
+            score = stack_scorer(problem)
+
+            def counted(keys):
+                stacks.append([tuple(key) for key in keys])
+                return score(keys)
+
+            return counted
+
+        monkeypatch.setattr(search_module, "_stack_scorer", counting)
+        monkeypatch.setattr(search_module, "INCIDENCE_STACK_ROWS", 64)
+        result = enumerate_optimal(blocks)
+        count, keys = search_module._incidences(blocks, True)
+        assert count == 6 * 10 * 6
+        assert [len(stack) for stack in stacks] == [64] * 5 + [40]
+        rows = [key for stack in stacks for key in stack]
+        assert len(rows) == len(set(rows)) and set(rows) == set(keys)
+        # an explicit L has no incidences: each labelling is scored alone
+        stacks.clear()
+        explicit_result = enumerate_optimal(explicit)
+        assert [len(stack) for stack in stacks] == [1] * 3**5
+        for got, base in zip((result, explicit_result), default):
+            assert same_bits((got.best_value.value, got.best_value.spectrum_used),
+                             (base.best_value.value, base.best_value.spectrum_used))
+            assert got.optimal_assignments == base.optimal_assignments
+
+    def test_a_replaced_target_is_scored_afresh(self, contrasts3, control_system):
+        pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+        problem = SearchProblem(v=3, n=6, criterion="A", target=EstimableSystem(pairs),
+                                space=contrasts3, nuisance_kind="blocks", block_sizes=(3, 3))
+        assert problem.scorer() is problem.scorer()
+        assignment = (1, 1, 2, 2, 3, 1)
+        before = make_evaluator(problem)(assignment)
+        enumerate_optimal(problem)
+        replaced = replace(problem, target=control_system)
+        fresh = SearchProblem(v=3, n=6, criterion="A", target=control_system,
+                              space=contrasts3, nuisance_kind="blocks", block_sizes=(3, 3))
+        assert replaced.scorer() is not problem.scorer()
+        scored = make_evaluator(replaced)(assignment)
+        assert same_bits(scored, make_evaluator(fresh)(assignment))
+        assert not same_bits(scored, before)
+        again, base = enumerate_optimal(replaced), enumerate_optimal(fresh)
+        assert again.optimal_assignments == base.optimal_assignments
+        assert same_bits((again.best_value.value, again.best_value.spectrum_used),
+                         (base.best_value.value, base.best_value.spectrum_used))
+
 
     def test_values_are_invariant_within_blocks_without_a_cache(self, contrasts3):
         # n = 40 is too large to enumerate, so no cache; scoring the caller's

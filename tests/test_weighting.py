@@ -58,6 +58,15 @@ class TestMakeWeightMatrix:
             assert np.max(np.abs(w.K @ w.K.T - w.matrix.entries)) <= 1e-9 * scale
             np.testing.assert_allclose(w.K.T @ w.Wplus @ w.K, np.eye(w.d), atol=1e-9)
 
+    @pytest.mark.parametrize("w_raw", [np.eye(3) - np.ones((3, 3)) / 3, np.zeros((3, 3))])
+    def test_factors_are_read_only(self, contrasts3, w_raw):
+        # a search problem's scorer keeps K: a write into it would leave
+        # stale scores behind
+        w = make_weight_matrix(w_raw, contrasts3)
+        for factor in (w.K, w.F, w.Wplus, w.matrix.entries):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[...] = 1.0
+
 
 class TestWeightOf:
     def test_unit_weight_pair_fixture(self, unit_weight_pair, full3, q3):
