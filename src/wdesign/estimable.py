@@ -24,7 +24,6 @@ from .linalg import (
     default_tol_rank,
     eig_sym,
     sqrt_psd,
-    symmetrize,
 )
 from .model import (
     FEASIBILITY_RTOL,
@@ -126,8 +125,7 @@ def info_matrices(cs: SymStack, qs: np.ndarray) -> SymStack:
                 f"system not estimable under the design; offending columns {list(bad)}",
                 columns=bad,
             )
-    m = qs.transpose(0, 2, 1) @ cs.pinv().entries @ qs
-    return SymStack(symmetrize(m), DERIVED_RANK_RTOL).pinv()
+    return SymStack(cs.pinv_form(qs), DERIVED_RANK_RTOL).pinv()
 
 
 def _weight_entries(w) -> SymMatrix:
@@ -160,8 +158,7 @@ def system_from_weight_matrix_R(w, space: EstimationSpace) -> EstimableSystem:
 def r_coefficients(ws: SymStack, projectors: np.ndarray) -> np.ndarray:
     """``R = (P W^{-1} P)^{+1/2}`` of each row of a stack of nonsingular
     ``W`` and the projectors ``P`` of their estimation spaces."""
-    m = symmetrize(projectors @ ws.pinv().entries @ projectors)
-    return SymStack(m, DERIVED_RANK_RTOL).pinv_sqrt().entries
+    return SymStack(ws.pinv_form(projectors), DERIVED_RANK_RTOL).pinv_sqrt().entries
 
 
 def system_from_weight_matrix_sqrt(w) -> EstimableSystem:

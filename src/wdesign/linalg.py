@@ -5,7 +5,9 @@ projectors) is symmetric, so this module fixes a single spectral convention
 for all of them: eigenvalues are sorted in descending order, and an
 eigenvalue counts as nonzero when it exceeds ``tol_rank * max(|lambda|_max,
 eps)``.  Pseudoinverses, square roots and projectors all derive from that
-one cutoff, which keeps rank decisions consistent everywhere.
+one cutoff, which keeps rank decisions consistent everywhere.  The one
+product with a pseudoinverse, ``Q' A^+ Q``, is written once, in
+``SymStack.pinv_form``, and every route forms it there; none forms ``C^+``.
 
 Input is validated once, at the boundary: ``SymMatrix(...)`` and ``as_sym``
 on an array check shape, finiteness and symmetry.  Products the package
@@ -171,27 +173,20 @@ def _decompose(mats: list[SymMatrix]) -> None:
         m._spectrum = spec
 
 
-def eigh_desc(a: np.ndarray, tol_rank: float) -> Spectrum:
-    """Spectrum of an exactly symmetric array, with no input checks; it is
-    ``eigh_desc_stack`` of a one-matrix stack."""
-    w, s, ranks, cutoffs = eigh_desc_stack(a[None], tol_rank)
-    return Spectrum(w[0].copy(), s[0], ranks[0], cutoffs[0])
-
-
 def eigh_desc_stack(a: np.ndarray, tol_rank: float):
     """Descending spectra of a ``(B, v, v)`` stack of exactly symmetric arrays.
 
     The one place the spectral convention is written: descending
     eigenvalues and the cutoff ``tol_rank * max(|lambda|_max, eps)``.
-    Returns the eigenvalues ``(B, v)``, the matching eigenvectors
-    ``(B, v, v)``, and lists of the numeric ranks and the cutoffs.  One
-    solver call decomposes each matrix of the stack on its own, so a row's
-    result does not depend on the stack it came in; chains that symmetrize
-    their own products (the search scorer) call it directly.  The cutoffs
-    are taken on Python floats, which is exact and cheaper than array
-    reductions on rows this short.  The solver returns each row ascending,
-    so its largest magnitude is at one end and its rank is the count of
-    entries after the last one at or below the cutoff.
+    Returns the eigenvalues ``(B, v)`` (a descending view of the solver's
+    array), the matching eigenvectors ``(B, v, v)`` (a copy), and lists of
+    the numeric ranks and the cutoffs.  One solver call decomposes each
+    matrix of the stack on its own, so a row's result does not depend on the
+    stack it came in.  No input is checked.  The cutoffs are taken on Python
+    floats, which is exact and cheaper than array reductions on rows this
+    short.  The solver returns each row ascending, so its largest magnitude
+    is at one end and its rank is the count of entries after the last one at
+    or below the cutoff.
     """
     try:
         w, s = np.linalg.eigh(a)
@@ -232,7 +227,7 @@ def stack_arrays(arrays) -> np.ndarray:
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """``0.5 * (a + a')`` of each slice of a stack: exactly symmetric."""
-    return 0.5 * (a + a.transpose(0, 2, 1))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 class SymStack:
@@ -240,15 +235,16 @@ class SymStack:
 
     The stacked counterpart of SymMatrix and the one implementation of the
     spectral maps: ``pinv``, ``pinv_sqrt`` and ``sqrt_psd`` of a SymMatrix
-    are those of its one-row stack.  The spectrum is decomposed once, in one
-    solver call, and every slice goes through the operations it would go
-    through alone, so a row's result does not depend on the stack it came
-    in.  The entries are products the package formed, so only their
-    finiteness is checked.  The one-row stack of a SymMatrix shares its
-    pseudoinverse, so that is built once per SymMatrix too.
+    are those of its one-row stack.  ``pinv_form`` is the one product with a
+    pseudoinverse, ``Q' A^+ Q``: the ``N_Q`` and ``C_W`` routes, weighted
+    variances and the search scorer all form it there, and none forms
+    ``C^+`` itself.  The spectrum is decomposed once, in one solver call,
+    and every slice goes through the operations it would go through alone,
+    so a row's result does not depend on the stack it came in.  The entries
+    are products the package formed, so only their finiteness is checked.
     """
 
-    __slots__ = ("entries", "tol_rank", "_spectrum", "_pinv", "_source")
+    __slots__ = ("entries", "tol_rank", "_spectrum")
 
     def __init__(self, entries: np.ndarray, tol_rank: float, spectrum=None):
         if not np.isfinite(entries).all():
@@ -256,8 +252,6 @@ class SymStack:
         self.entries = entries
         self.tol_rank = tol_rank
         self._spectrum = spectrum
-        self._pinv = None
-        self._source = None
 
     @classmethod
     def of(cls, mats) -> SymStack:
@@ -274,13 +268,10 @@ class SymStack:
         if fresh:
             _decompose(fresh)
         spectra = [m._spectrum for m in mats]
-        stack = cls(stack_arrays([m.entries for m in mats]), tol,
-                    (stack_arrays([s.eigenvalues for s in spectra]),
-                     stack_arrays([s.eigenvectors for s in spectra]),
-                     [s.numeric_rank for s in spectra], [s.cutoff for s in spectra]))
-        if len(mats) == 1:
-            stack._source = mats[0]
-        return stack
+        return cls(stack_arrays([m.entries for m in mats]), tol,
+                   (stack_arrays([s.eigenvalues for s in spectra]),
+                    stack_arrays([s.eigenvectors for s in spectra]),
+                    [s.numeric_rank for s in spectra], [s.cutoff for s in spectra]))
 
     @property
     def spectrum(self):
@@ -294,33 +285,46 @@ class SymStack:
         return SymMatrix._trusted(self.entries[row], self.tol_rank)
 
     def take(self, rows: list[int]) -> SymStack:
-        """The stack of the given rows (repeats allowed), sharing what is computed."""
+        """The stack of the given rows (repeats allowed), sharing the spectrum."""
         if rows == list(range(len(self.entries))):
             return self
-        spectrum = None
-        if self._spectrum is not None:
-            w, s, ranks, cutoffs = self._spectrum
-            spectrum = (w[rows], s[rows], [ranks[i] for i in rows], [cutoffs[i] for i in rows])
-        sub = SymStack(self.entries[rows], self.tol_rank, spectrum)
-        if self._pinv is not None:
-            sub._pinv = self._pinv.take(rows)
-        return sub
+        w, s, ranks, cutoffs = self.spectrum
+        return SymStack(self.entries[rows], self.tol_rank,
+                        (w[rows], s[rows], [ranks[i] for i in rows], [cutoffs[i] for i in rows]))
+
+    def pinv_form(self, q: np.ndarray) -> np.ndarray:
+        """``q' A^+ q`` of each row, exactly symmetrized; ``q`` is a
+        ``(B, ..., v, s)`` stack, or one ``(v, s)`` matrix for every row.
+
+        ``A^+`` is ``F diag(1/lambda) F'`` over the eigenvalues above the
+        cutoff, built once per row and applied as ``(q' @ A^+) @ q``.  The
+        columns of ``q`` must lie in the span of those eigenvalues, as
+        ``model.infeasible_rows`` tests, and there this is the whole
+        ``q' A^+ q``.  The rows of one rank go through in one stack.
+        """
+        w, vectors, ranks, _ = self.spectrum
+        count = len(w)
+        out = None
+        for rank, rows in rank_groups(ranks):
+            f = take_rows(vectors, rows, count)[:, :, :rank]
+            g = (f / take_rows(w, rows, count)[:, None, :rank]) @ f.transpose(0, 2, 1)
+            sub = q if q.ndim == 2 else take_rows(q, rows, count)
+            g = g.reshape(g.shape[:1] + (1,) * (sub.ndim - 3) + g.shape[1:])
+            m = symmetrize(sub.swapaxes(-1, -2) @ g @ sub)
+            if len(rows) == count:
+                return m
+            if out is None:
+                out = np.empty((count,) + m.shape[1:])
+            out[rows] = m
+        return out
 
     def pinv(self) -> SymStack:
         """Moore-Penrose pseudoinverses: eigenvalues whose magnitude clears
-        the cutoff are inverted, the rest zeroed.  Built once per stack."""
-        if self._pinv is None:
-            source = self._source
-            if source is not None and source._pinv is not None:
-                self._pinv = SymStack(source._pinv.entries[None], self.tol_rank)
-            else:
-                w, vectors, _, cutoffs = self.spectrum
-                inv = np.zeros(w.shape)
-                np.divide(1.0, w, out=inv, where=np.abs(w) > np.array(cutoffs)[:, None])
-                self._pinv = SymStack(_rebuild(vectors, inv), self.tol_rank)
-                if source is not None:
-                    source._pinv = self._pinv.matrix(0)
-        return self._pinv
+        the cutoff are inverted, the rest zeroed."""
+        w, vectors, _, cutoffs = self.spectrum
+        inv = np.zeros(w.shape)
+        np.divide(1.0, w, out=inv, where=np.abs(w) > np.array(cutoffs)[:, None])
+        return SymStack(_rebuild(vectors, inv), self.tol_rank)
 
     def pinv_sqrt(self) -> SymStack:
         """``(A^+)^{1/2}`` of nonnegative definite matrices."""
@@ -359,7 +363,7 @@ def pinv(A) -> SymMatrix:
     """
     A = as_sym(A)
     if A._pinv is None:
-        SymStack.of([A]).pinv()  # kept on A
+        A._pinv = SymStack.of([A]).pinv().matrix(0)
     return A._pinv
 
 

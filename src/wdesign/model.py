@@ -308,7 +308,7 @@ def infeasible_rows(cs: SymStack, q: np.ndarray,
     if q.shape[1] != dim:
         raise ValueError(f"Q must have {dim} rows, got {q.shape[1]}")
     _, vectors, ranks, _ = cs.spectrum
-    bounds = [rtol * max(max_abs(block), EPS) for block in q]
+    bounds = (rtol * np.maximum(np.abs(q).max(axis=(1, 2), initial=0.0), EPS)).tolist()
     out = [()] * len(q)
     for rank, rows in rank_groups(ranks):
         f = take_rows(vectors, rows, len(q))[:, :, :rank]

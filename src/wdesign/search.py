@@ -23,12 +23,12 @@ from .linalg import (
     DERIVED_RANK_RTOL,
     EPS,
     SYMMETRY_RTOL,
+    SymStack,
     eigh_desc_stack,
     max_abs,
-    rank_groups,
-    take_rows,
+    symmetrize,
 )
-from .model import DesignSpec, EstimationSpace, FEASIBILITY_RTOL, nuisance_residual
+from .model import DesignSpec, EstimationSpace, infeasible_rows, nuisance_residual
 from .weighting import WeightMatrix, weight_matrix_from_system
 
 #: Largest assignment count enumerate_optimal will walk.
@@ -211,24 +211,21 @@ def _stack_scorer(problem: SearchProblem):
     """Scorer of a stack of labellings: ``score(keys)`` gives one result per row.
 
     ``keys`` holds ``B`` keys (see ``_key_function``), as tuples or as a
-    ``(B, n)`` array of treatment labels; each result is ``(value, positive spectrum)``, or
-    ``None`` when the target is not estimable under that labelling.  The
-    nuisance projector is fixed per problem, and the chain runs on raw
-    ``(B, v, v)`` arrays: ``C``, one batched eigendecomposition of it, the
-    residual of the target against each ``C``'s column space, and, for the
-    estimable rows of each rank of ``C``, one batched eigendecomposition of
-    ``Q~' C^+ Q~``.  Each matrix goes through the operations it would go
-    through alone, so a row's result does not depend on the stack it came
-    in.  Nothing in the chain is re-validated, because the scorer built every
-    matrix itself.  The returned spectra are read-only, because a cached
-    result is shared.
+    ``(B, n)`` array of treatment labels; each result is ``(value, positive
+    spectrum)``, or ``None`` when the target is not estimable under that
+    labelling.  The nuisance projector is fixed per problem.  The scorer
+    builds the stack of ``C``, drops the rows under which the target is not
+    estimable (``infeasible_rows``), forms ``Q~' C^+ Q~`` of the rest with
+    ``SymStack.pinv_form``, the product every route shares, and takes one
+    batched eigendecomposition of it.  Each matrix goes through the
+    operations it would go through alone, so a row's result does not depend
+    on the stack it came in.  The returned spectra are read-only, because a
+    cached result is shared.
     """
     mres = nuisance_residual(problem.template(tuple([1] * problem.n)))
     # K plays the role of Q~ for weight targets: the same chain scores both.
     qs = _target_matrix(problem)
-    qst = qs.T
     rank_needed = _target_rank(problem)
-    bound = FEASIBILITY_RTOL * max(max_abs(qs), EPS)
     criterion = POSITIVE_SPECTRUM_CRITERIA[problem.criterion]
     # row t is the indicator of treatment t, so onehot[keys] is the stack of X
     onehot = np.eye(problem.v + 1)[:, 1:]
@@ -237,32 +234,22 @@ def _stack_scorer(problem: SearchProblem):
         if len(keys) == 0:
             return []
         x = onehot[np.asarray(keys)]
-        count = len(x)
-        c = x.transpose(0, 2, 1) @ mres @ x
-        values, vectors, ranks, _ = eigh_desc_stack(0.5 * (c + c.transpose(0, 2, 1)),
-                                                    DERIVED_RANK_RTOL)
-        results = [None] * count
-        for rank, rows in rank_groups(ranks):
-            f = take_rows(vectors, rows, count)[:, :, :rank]
-            residual = np.maximum.reduce(np.abs(qs - f @ (f.transpose(0, 2, 1) @ qs)),
-                                         axis=(1, 2)).tolist()
-            if max(residual) > bound:
-                rows = [row for row, r in zip(rows, residual) if not r > bound]
-                if not rows:
-                    continue
-                f = vectors[rows][:, :, :rank]
-            positive = take_rows(values, rows, count)[:, None, :rank]
-            m = qst @ ((f / positive) @ f.transpose(0, 2, 1)) @ qs
-            inverse, _, ranks_m, _ = eigh_desc_stack(0.5 * (m + m.transpose(0, 2, 1)),
-                                                     DERIVED_RANK_RTOL)
-            for row, pos, rank_m in zip(rows, inverse, ranks_m):
-                if rank_m == rank_needed:
-                    # ascending, so its reversed view is the descending spectrum
-                    # ``value_from_positive_spectrum`` would sort it into
-                    ascending = 1.0 / pos[:rank_needed]
-                    ascending.flags.writeable = False
-                    spectrum = ascending[::-1]
-                    results[row] = criterion(spectrum) if rank_needed else 0.0, spectrum
+        cs = SymStack(symmetrize(x.transpose(0, 2, 1) @ mres @ x), DERIVED_RANK_RTOL)
+        bad = infeasible_rows(cs, np.broadcast_to(qs, (len(x),) + qs.shape))
+        rows = [row for row, columns in enumerate(bad) if not columns]
+        results = [None] * len(x)
+        if not rows:
+            return results
+        inverse, _, ranks_m, _ = eigh_desc_stack(cs.take(rows).pinv_form(qs),
+                                                 DERIVED_RANK_RTOL)
+        for row, pos, rank_m in zip(rows, inverse, ranks_m):
+            if rank_m == rank_needed:
+                # ascending, so its reversed view is the descending spectrum
+                # ``value_from_positive_spectrum`` would sort it into
+                ascending = 1.0 / pos[:rank_needed]
+                ascending.flags.writeable = False
+                spectrum = ascending[::-1]
+                results[row] = criterion(spectrum) if rank_needed else 0.0, spectrum
         return results
 
     return score

@@ -31,7 +31,6 @@ from .linalg import (
     eig_sym,
     max_abs,
     stack_arrays,
-    symmetrize,
     symmetrized,
 )
 from .model import EstimationSpace, _information, infeasible_rows
@@ -200,20 +199,20 @@ def weighted_variances(cs: SymStack, ws: list[WeightMatrix], q: np.ndarray,
     and ``ws[b]``, weight matrices of one rank.
 
     Every vector's two quadratic forms are ``(1, v) @ (v, v) @ (v, 1)``
-    slices, the operations it goes through alone.  The first vector, in
-    row order, that ``weighted_variance`` would reject raises its error.
+    slices, the operations it goes through alone, and ``C^+`` of a row is
+    built once for all its vectors.  The first vector, in row order, that
+    ``weighted_variance`` would reject raises its error.
     """
     count = q.shape[1]
     flat = np.ascontiguousarray(q).reshape(-1, q.shape[2])
     rows = [b for b in range(len(ws)) for _ in range(count)]
     weights = _weights([ws[b] for b in rows], flat, rtol)
-    cs = cs.take(rows)
-    for wt, bad in zip(weights, infeasible_rows(cs, flat[:, :, None])):
+    for wt, bad in zip(weights, infeasible_rows(cs.take(rows), flat[:, :, None])):
         if _raised(wt) is None:
             raise SpaceError("q lies outside the span of the weight matrix")
         if bad:
             raise FeasibilityError("q'tau is not estimable under the design", columns=(0,))
-    quads = (flat[:, None, :] @ cs.pinv().entries @ flat[:, :, None]).ravel().tolist()
+    quads = cs.pinv_form(q[:, :, :, None]).ravel().tolist()
     return np.array([wt * quad for wt, quad in zip(weights, quads)]).reshape(q.shape[:2])
 
 
@@ -243,15 +242,12 @@ def weighted_info_matrices(cs: SymStack, ks: np.ndarray) -> tuple[SymStack, SymS
                 f"(K columns {list(bad)})",
                 columns=bad,
             )
-    m = SymStack(symmetrize(ks.transpose(0, 2, 1) @ cs.pinv().entries @ ks),
-                 DERIVED_RANK_RTOL)
-    values, vectors, ranks, _ = m.spectrum
-    if min(ranks) < ks.shape[2]:
+    m = SymStack(cs.pinv_form(ks), DERIVED_RANK_RTOL)
+    if min(m.spectrum[2]) < ks.shape[2]:
         raise FeasibilityError(
             "K' C^+ K is numerically singular; the design sits on the feasibility boundary"
         )
-    inv = (vectors / values[:, None, :]) @ vectors.transpose(0, 2, 1)
-    return m, SymStack(symmetrize(inv), DERIVED_RANK_RTOL)
+    return m, m.pinv()
 
 
 def variance_decomposition(spec_or_C, w: WeightMatrix, q,

@@ -15,7 +15,7 @@ from wdesign import (
     sqrt_psd,
 )
 from wdesign.errors import DomainError, NumericalError
-from wdesign.linalg import DERIVED_RANK_RTOL, as_sym, eigh_desc, eigh_desc_stack, symmetrized
+from wdesign.linalg import DERIVED_RANK_RTOL, as_sym, eigh_desc_stack, symmetrized
 
 
 def random_psd(rng, dim, rank=None):
@@ -125,8 +125,6 @@ class TestEig:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericalError, match="did not converge"):
             eig_sym(SymMatrix(np.eye(2)))
-        with pytest.raises(NumericalError, match="did not converge"):
-            eigh_desc(np.eye(2), 1e-12)
         with pytest.raises(NumericalError, match="did not converge"):
             eigh_desc_stack(np.eye(2)[None], 1e-12)
 
