@@ -400,8 +400,8 @@ def _aopt(specs, spaces, ws, seeds, trials=3, tol=A_INTERPRETATION_TOL):
     variances = weighted_variances(cs, ws, vectors)
     reports = []
     for target, w_entries, errors, row in zip(targets, wm, recon, variances):
-        scale = max(1.0, abs(target))
-        w_scale = max(1.0, max_abs(w_entries))
+        scale = max(abs(target), EPS)
+        w_scale = max(max_abs(w_entries), EPS)
         averages = [float(np.mean(row[i * d:(i + 1) * d])) for i in range(trials + 2)]
         deviations = {f"rotation_{idx}": max(abs(avg - target) / scale, error / w_scale)
                       for idx, (avg, error) in enumerate(zip(averages, errors))}
@@ -431,7 +431,7 @@ def _eopt(specs, spaces, ws, seeds=None, tol=E_INTERPRETATION_TOL):
     checks = []
     for i, lam_max in enumerate(m_values[:, 0].tolist()):
         phi_e = _spectrum_value("E", values[i], ranks[i], cutoffs[i], ks.shape[2]).value
-        scale = max(1.0, lam_max)
+        scale = max(lam_max, EPS)
         checks.append((lam_max, scale, abs(1.0 / phi_e - lam_max) / scale))
     maximizers = (ks @ m_vectors[:, :, :1]).transpose(0, 2, 1)
     reports = []

@@ -309,6 +309,26 @@ class TestInterpretationChecks:
             assert a_opt_interpretation_check(spec, w, seed=i).passed
             assert e_opt_interpretation_check(spec, w).passed
 
+    @pytest.mark.parametrize("kind", ["aopt", "eopt"])
+    def test_verdicts_do_not_depend_on_the_scale_of_the_weights(self, kind, monkeypatch):
+        from wdesign import criteria
+
+        spec, space, w = random_instance(np.random.default_rng(3), "aopt")
+        scales = (1e-10, 1e-5, 1.0, 1e5, 1e10)
+        weights = [make_weight_matrix(scale * w.matrix.entries, space) for scale in scales]
+        for scaled in weights:
+            report = CERTIFY[kind](spec, space, scaled)
+            assert report.passed and report.deviation <= 1e-12
+        # weighted variances made 1e-6 larger: the relative deviation is
+        # 1e-6, and the check fails, whatever the scale of W
+        variances = criteria.weighted_variances
+        monkeypatch.setattr(criteria, "weighted_variances",
+                            lambda *args: variances(*args) * (1.0 + 1e-6))
+        for scaled in weights:
+            report = CERTIFY[kind](spec, space, scaled)
+            assert not report.passed
+            assert report.deviation == pytest.approx(1e-6, rel=1e-3)
+
     def test_eopt_bounds_sampled_weighted_variances(self, contrasts3, control_system):
         rng = np.random.default_rng(37)
         spec = DesignSpec.from_replications(3, [3, 2, 1])
