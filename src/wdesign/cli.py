@@ -140,12 +140,17 @@ def _section(data: dict, key: str) -> dict | None:
 
 
 def _number(convert, value, where: str):
-    """``convert(value)``, ``convert`` being int or float; a value it rejects
-    is an input error."""
+    """``convert(value)``, ``convert`` being int or float.  A value it
+    rejects, a boolean, and a count with a fractional part are input errors;
+    an integral float such as ``3.0`` is a count."""
     try:
+        if isinstance(value, bool) or (
+                convert is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"'{where}' must be a number, got {value!r}") from exc
+        kind = "an integer" if convert is int else "a number"
+        raise ParseError(f"'{where}' must be {kind}, got {value!r}") from exc
 
 
 def _numbers(convert, values, where: str) -> list:

@@ -147,6 +147,36 @@ class TestExitCodes:
         assert main([command, "--file", path]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("section, value", [
+        ("model", {"v": 3.9, "replications": [2, 2, 2]}),
+        ("model", {"v": 3, "replications": [2, True, 2]}),
+        ("model", {"v": 3, "n": 6.5, "replications": [2, 2, 2]}),
+        ("model", {"v": 3, "replications": [2, 2.5, 2]}),
+        ("model", {"v": 3, "assignment": [1, 2, 3, 1, 2, 3.5]}),
+        ("model", {"v": 3, "assignment": [1, 2, 3, 1, 2, 3],
+                   "nuisance": {"kind": "blocks", "sizes": [3, 3.0001]}}),
+        ("system", {"generator": "vs_control", "k": 1.5}),
+        ("system", {"generator": "vs_control", "k": 2, "b": [1.0, True]}),
+        ("search", {"restarts": 1.5}),
+        ("search", {"seed": 0.5}),
+        ("search", {"max_passes": True}),
+    ])
+    def test_fractional_and_boolean_counts_are_input_errors(self, tmp_path, capsys, section,
+                                                            value):
+        path = write(tmp_path, dict(BALANCED, **{section: value}))
+        assert main(["search", "--file", path]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_integral_float_counts_are_counts(self, tmp_path, capsys):
+        assert main(["search", "--file", write(tmp_path, BALANCED)]) == EXIT_OK
+        expected = capsys.readouterr().out
+        payload = dict(BALANCED,
+                       model={"v": 3.0, "n": 6.0, "replications": [2.0, 2, 2]},
+                       system={"generator": "vs_control", "k": 2.0},
+                       search={"seed": 7.0, "restarts": 10.0, "max_passes": 50.0})
+        assert main(["search", "--file", write(tmp_path, payload)]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
 
 class TestInfo:
     def test_balanced_fixture(self, tmp_path, capsys):
