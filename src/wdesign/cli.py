@@ -100,30 +100,6 @@ class Problem:
     criterion: str | None = None
     search: dict | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, Problem):
-            return NotImplemented
-        if self.spec != other.spec or self.criterion != other.criterion:
-            return False
-        if (self.space.kind, self.space.v) != (other.space.kind, other.space.v):
-            return False
-        if not np.array_equal(self.space.projector.entries, other.space.projector.entries):
-            return False
-        if (self.system is None) != (other.system is None):
-            return False
-        if self.system is not None and not (
-            np.array_equal(self.system.Q, other.system.Q)
-            and np.array_equal(self.system.b, other.system.b)
-        ):
-            return False
-        if (self.weight_raw is None) != (other.weight_raw is None):
-            return False
-        if self.weight_raw is not None and not np.array_equal(
-            self.weight_raw.entries, other.weight_raw.entries
-        ):
-            return False
-        return self.search == other.search
-
 
 def _require(section: dict, key: str, where: str):
     if key not in section:
@@ -330,36 +306,6 @@ def load_problem(path: str) -> tuple[Problem, str]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return parse_problem(data), digest
-
-
-def serialize_problem(problem: Problem) -> dict:
-    """Canonical JSON form; parsing it back yields an identical problem."""
-    model = {
-        "v": problem.spec.v,
-        "n": problem.spec.n,
-        "assignment": list(problem.spec.assignment),
-    }
-    if problem.spec.nuisance_kind == "intercept":
-        model["nuisance"] = {"kind": "intercept"}
-    elif problem.spec.nuisance_kind == "blocks":
-        model["nuisance"] = {"kind": "blocks", "sizes": list(problem.spec.block_sizes)}
-    else:
-        model["nuisance"] = {"kind": "explicit", "L": problem.spec.L.tolist()}
-    out = {"model": model, "estimation_space": {"kind": problem.space.kind}}
-    if problem.space.kind == "explicit":
-        out["estimation_space"]["basis"] = problem.space.projector.entries.tolist()
-    if problem.system is not None:
-        out["system"] = {
-            "Q": problem.system.Q.tolist(),
-            "b": problem.system.b.tolist(),
-        }
-    if problem.weight_raw is not None:
-        out["weight_matrix"] = {"W": problem.weight_raw.entries.tolist()}
-    if problem.criterion is not None:
-        out["criterion"] = {"name": problem.criterion}
-    if problem.search is not None:
-        out["search"] = dict(problem.search)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from wdesign.cli import (
     EXIT_OK,
     load_problem,
     main,
-    parse_problem,
-    serialize_problem,
 )
 
 BALANCED = {
@@ -32,23 +30,6 @@ def write(tmp_path, payload, name="problem.json"):
 
 
 class TestParsing:
-    def test_round_trip_identity(self, tmp_path):
-        path = write(tmp_path, BALANCED)
-        problem, _ = load_problem(path)
-        again = parse_problem(serialize_problem(problem))
-        assert again == problem
-        assert serialize_problem(again) == serialize_problem(problem)
-
-    def test_round_trip_blocks_and_explicit_weight(self, tmp_path):
-        payload = {
-            "model": {"v": 3, "assignment": [1, 2, 3, 1, 2, 3],
-                      "nuisance": {"kind": "blocks", "sizes": [3, 3]}},
-            "weight_matrix": {"W": (np.eye(3) - np.ones((3, 3)) / 3).tolist()},
-            "criterion": {"name": "E"},
-        }
-        problem, _ = load_problem(write(tmp_path, payload))
-        assert parse_problem(serialize_problem(problem)) == problem
-
     def test_generators(self, tmp_path):
         payload = dict(BALANCED, system={"generator": "pairwise"})
         problem, _ = load_problem(write(tmp_path, payload))
