@@ -309,6 +309,7 @@ class SymStack:
             f = take_rows(vectors, rows, count)[:, :, :rank]
             g = (f / take_rows(w, rows, count)[:, None, :rank]) @ f.transpose(0, 2, 1)
             sub = q if q.ndim == 2 else take_rows(q, rows, count)
+            # a row's A^+ serves every (v, s) block of that row
             g = g.reshape(g.shape[:1] + (1,) * (sub.ndim - 3) + g.shape[1:])
             m = symmetrize(sub.swapaxes(-1, -2) @ g @ sub)
             if len(rows) == count:

@@ -308,14 +308,15 @@ def infeasible_rows(cs: SymStack, q: np.ndarray,
     if q.shape[1] != dim:
         raise ValueError(f"Q must have {dim} rows, got {q.shape[1]}")
     _, vectors, ranks, _ = cs.spectrum
-    bounds = (rtol * np.maximum(np.abs(q).max(axis=(1, 2), initial=0.0), EPS)).tolist()
+    bounds = rtol * np.maximum(np.abs(q).max(axis=(1, 2), initial=0.0), EPS)
     out = [()] * len(q)
     for rank, rows in rank_groups(ranks):
         f = take_rows(vectors, rows, len(q))[:, :, :rank]
         sub = take_rows(q, rows, len(q))
         worst = np.abs(sub - f @ (f.transpose(0, 2, 1) @ sub)).max(axis=1)
-        for row, resid in zip(rows, worst.tolist()):
-            out[row] = tuple(j for j, r in enumerate(resid) if r > bounds[row])
+        over = worst > take_rows(bounds, rows, len(q))[:, None]
+        for i in np.flatnonzero(over.any(axis=1)).tolist():
+            out[rows[i]] = tuple(np.flatnonzero(over[i]).tolist())
     return out
 
 
