@@ -299,22 +299,25 @@ def infeasible_columns(spec_or_C, Q, rtol: float = FEASIBILITY_RTOL) -> tuple[in
 def infeasible_rows(cs: SymStack, q: np.ndarray,
                     rtol: float = FEASIBILITY_RTOL) -> list[tuple[int, ...]]:
     """``infeasible_columns`` of each row: the columns of ``q[b]`` (a
-    ``(B, v, s)`` stack) outside the column space of row ``b`` of ``cs``.
+    ``(B, v, s)`` stack, or one ``(v, s)`` matrix for every row) outside the
+    column space of row ``b`` of ``cs``.
 
     The bases of the column spaces differ in width with the rank of ``C``,
     so the rows go through in one stack per rank.
     """
     dim = cs.entries.shape[1]
-    if q.shape[1] != dim:
-        raise ValueError(f"Q must have {dim} rows, got {q.shape[1]}")
+    if q.shape[-2] != dim:
+        raise ValueError(f"Q must have {dim} rows, got {q.shape[-2]}")
     _, vectors, ranks, _ = cs.spectrum
-    bounds = rtol * np.maximum(np.abs(q).max(axis=(1, 2), initial=0.0), EPS)
-    out = [()] * len(q)
+    count = len(ranks)
+    scales = np.abs(q).max(axis=(-2, -1), initial=0.0)
+    bounds = np.broadcast_to(rtol * np.maximum(scales, EPS), (count,))
+    out = [()] * count
     for rank, rows in rank_groups(ranks):
-        f = take_rows(vectors, rows, len(q))[:, :, :rank]
-        sub = take_rows(q, rows, len(q))
+        f = take_rows(vectors, rows, count)[:, :, :rank]
+        sub = q if q.ndim == 2 else take_rows(q, rows, count)
         worst = np.abs(sub - f @ (f.transpose(0, 2, 1) @ sub)).max(axis=1)
-        over = worst > take_rows(bounds, rows, len(q))[:, None]
+        over = worst > take_rows(bounds, rows, count)[:, None]
         for i in np.flatnonzero(over.any(axis=1)).tolist():
             out[rows[i]] = tuple(np.flatnonzero(over[i]).tolist())
     return out

@@ -235,7 +235,7 @@ def _stack_scorer(problem: SearchProblem):
             return []
         x = onehot[np.asarray(keys)]
         cs = SymStack(symmetrize(x.transpose(0, 2, 1) @ mres @ x), DERIVED_RANK_RTOL)
-        bad = infeasible_rows(cs, np.broadcast_to(qs, (len(x),) + qs.shape))
+        bad = infeasible_rows(cs, qs)
         rows = [row for row, columns in enumerate(bad) if not columns]
         results = [None] * len(x)
         if not rows:

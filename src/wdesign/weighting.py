@@ -199,9 +199,10 @@ def weighted_variances(cs: SymStack, ws: list[WeightMatrix], q: np.ndarray,
     and ``ws[b]``, weight matrices of one rank.
 
     Every vector's two quadratic forms are ``(1, v) @ (v, v) @ (v, 1)``
-    slices, the operations it goes through alone, and ``C^+`` of a row is
-    built once for all its vectors.  The first vector, in row order, that
-    ``weighted_variance`` would reject raises its error.
+    slices, the operations it goes through alone; ``SymStack.pinv_form``
+    builds the ``F diag(1/lambda) F'`` of a row once for all its vectors.
+    The first vector, in row order, that ``weighted_variance`` would reject
+    raises its error.
     """
     count = q.shape[1]
     flat = np.ascontiguousarray(q).reshape(-1, q.shape[2])
