@@ -237,7 +237,10 @@ def _parse_system(data: dict, spec: DesignSpec) -> EstimableSystem | None:
         q = _matrix_from(_require(section, "Q", "system"), "system.Q")
     if q.shape[0] != spec.v:
         raise ParseError(f"system matrix must have v={spec.v} rows, got {q.shape[0]}")
-    if section.get("normalize", False):
+    normalize = section.get("normalize", False)
+    if not isinstance(normalize, bool):
+        raise ParseError(f"system.normalize must be true or false, got {normalize!r}")
+    if normalize:
         norms = np.linalg.norm(q, axis=0)
         if np.any(norms == 0.0):
             raise ParseError("cannot normalize a zero column")

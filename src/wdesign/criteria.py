@@ -214,27 +214,26 @@ def _full(stack: SymStack) -> list[np.ndarray]:
     return [row.copy() for row in stack.spectrum[0]]
 
 
-def _spectral_reports(name: str, tol: float, system_spectra,
-                      weighted_spectra) -> list[CertificationReport]:
+def _spectral_reports(name: str, system_spectra, weighted_spectra) -> list[CertificationReport]:
     reports = []
     for sa, sb in zip(system_spectra, weighted_spectra):
         dev = spectral_deviation(sa, sb)
-        reports.append(CertificationReport(name, dev <= tol, dev, tol, sa, sb))
+        reports.append(CertificationReport(name, dev <= SPECTRAL_TOL, dev, SPECTRAL_TOL, sa, sb))
     return reports
 
 
 def certify_theorem1(spec: DesignSpec, system: EstimableSystem,
-                     space: EstimationSpace, tol: float = SPECTRAL_TOL) -> CertificationReport:
+                     space: EstimationSpace) -> CertificationReport:
     """Full-rank route: N_Q against the regularized weighted route.
 
     For a system whose rank equals dim(E), the positive spectrum of
     ``(Q~' C^+ Q~)^+`` must match that of ``W^{-1/2} C W^{-1/2}`` with
     ``W = I - P + Q~ Q~'``, multiplicities included.
     """
-    return _theorem1([spec], [space], [system], tol=tol)[0]
+    return _theorem1([spec], [space], [system])[0]
 
 
-def _theorem1(specs, spaces, systems, seeds=None, tol=SPECTRAL_TOL):
+def _theorem1(specs, spaces, systems, seeds=None):
     for system, space in zip(systems, spaces):
         if system.r < space.dim:
             raise RankError(
@@ -249,21 +248,20 @@ def _theorem1(specs, spaces, systems, seeds=None, tol=SPECTRAL_TOL):
     wp = np.eye(v) - _projectors(spaces) + qs @ qs.transpose(0, 2, 1)
     wph = SymStack(symmetrize(wp), default_tol_rank(v)).pinv_sqrt().entries
     cw = SymStack(symmetrize(wph @ cs.entries @ wph), DERIVED_RANK_RTOL)
-    return _spectral_reports("theorem1", tol, _positive(n), _positive(cw))
+    return _spectral_reports("theorem1", _positive(n), _positive(cw))
 
 
-def certify_theorem2(spec: DesignSpec, w_pd, space: EstimationSpace,
-                     tol: float = SPECTRAL_TOL) -> CertificationReport:
+def certify_theorem2(spec: DesignSpec, w_pd, space: EstimationSpace) -> CertificationReport:
     """Inverse problem, nonsingular W: C_W against N_R, full spectra.
 
     ``W^{-1/2} C W^{-1/2}`` and the information matrix for ``R tau`` with
     ``R = (P W^{-1} P)^{+1/2}`` are both ``v x v``; their spectra must agree
     including the zero multiplicities.
     """
-    return _theorem2([spec], [space], [w_pd], tol=tol)[0]
+    return _theorem2([spec], [space], [w_pd])[0]
 
 
-def _theorem2(specs, spaces, ws, seeds=None, tol=SPECTRAL_TOL):
+def _theorem2(specs, spaces, ws, seeds=None):
     wms = SymStack.of([as_sym(w) for w in ws])
     values, _, ranks, _ = wms.spectrum
     for rank, smallest in zip(ranks, values[:, -1].tolist()):
@@ -276,21 +274,20 @@ def _theorem2(specs, spaces, ws, seeds=None, tol=SPECTRAL_TOL):
     wph = wms.pinv_sqrt().entries
     cw = SymStack(symmetrize(wph @ cs.entries @ wph), DERIVED_RANK_RTOL)
     n = info_matrices(cs, r_coefficients(wms, _projectors(spaces)))
-    return _spectral_reports("theorem2", tol, _full(n), _full(cw))
+    return _spectral_reports("theorem2", _full(n), _full(cw))
 
 
 def certify_theorem3(spec: DesignSpec, system: EstimableSystem,
-                     space: EstimationSpace | None = None,
-                     tol: float = SPECTRAL_TOL) -> CertificationReport:
+                     space: EstimationSpace | None = None) -> CertificationReport:
     """General route: N_Q against the weighted route of W = Q~ Q~'.
 
     Holds for any rank, including rank-deficient systems where ``N_Q``
     carries extra zeros; only the positive parts are compared.
     """
-    return _theorem3([spec], [space], [system], tol=tol)[0]
+    return _theorem3([spec], [space], [system])[0]
 
 
-def _theorem3(specs, spaces, systems, seeds=None, tol=SPECTRAL_TOL):
+def _theorem3(specs, spaces, systems, seeds=None):
     cs = _designs(specs)
     n = info_matrices(cs, np.stack([scale_system(system) for system in systems]))
     ws = [weight_matrix_from_system(system, space) for system, space in zip(systems, spaces)]
@@ -300,20 +297,19 @@ def _theorem3(specs, spaces, systems, seeds=None, tol=SPECTRAL_TOL):
         _, cw = weighted_info_matrices(cs.take(rows), np.stack([ws[i].K for i in rows]))
         for row, positive in zip(rows, _positive(cw)):
             weighted[row] = positive
-    return _spectral_reports("theorem3", tol, _positive(n), weighted)
+    return _spectral_reports("theorem3", _positive(n), weighted)
 
 
-def certify_theorem4(spec: DesignSpec, w: WeightMatrix,
-                     tol: float = SPECTRAL_TOL) -> CertificationReport:
+def certify_theorem4(spec: DesignSpec, w: WeightMatrix) -> CertificationReport:
     """Inverse problem, any rank: C_W against the system ``W^{1/2} tau``.
 
     The ``d x d`` weighted information matrix is zero-padded to ``v`` and
     compared with the full spectrum of ``N`` for ``W^{1/2} tau``.
     """
-    return _theorem4([spec], [None], [w], tol=tol)[0]
+    return _theorem4([spec], [None], [w])[0]
 
 
-def _theorem4(specs, spaces, ws, seeds=None, tol=SPECTRAL_TOL):
+def _theorem4(specs, spaces, ws, seeds=None):
     cs = _designs(specs)
     _, cw = weighted_info_matrices(cs, np.stack([w.K for w in ws]))
     n = info_matrices(cs, SymStack.of([w.matrix for w in ws]).sqrt_psd().entries)
@@ -322,7 +318,7 @@ def _theorem4(specs, spaces, ws, seeds=None, tol=SPECTRAL_TOL):
         row = np.zeros(w.v)
         row[: w.d] = values
         padded.append(row)
-    return _spectral_reports("theorem4", tol, _full(n), padded)
+    return _spectral_reports("theorem4", _full(n), padded)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,7 +336,8 @@ def _w_orthogonal_set(rng, w: WeightMatrix) -> np.ndarray:
     """d mutually W-orthogonal vectors inside the span of W.
 
     Gram-Schmidt in the inner product ``<a, b> = a' W^+ b``; draws are
-    retried if a direction collapses.
+    retried if a direction collapses, that is if its W-norm falls below
+    ``1e-6`` of the candidate's, which does not depend on the scale of W.
     """
     d = w.d
     for _ in range(50):
@@ -350,28 +347,28 @@ def _w_orthogonal_set(rng, w: WeightMatrix) -> np.ndarray:
             u = cand.copy()
             for prev in cols:
                 u -= (u @ w.Wplus @ prev) / (prev @ w.Wplus @ prev) * prev
-            if float(np.sqrt(u @ w.Wplus @ u)) > 1e-6 * float(np.linalg.norm(u) + 1.0):
+            if float(np.sqrt(u @ w.Wplus @ u)) > 1e-6 * float(np.sqrt(cand @ w.Wplus @ cand)):
                 cols.append(u)
             if len(cols) == d:
                 return np.column_stack(cols)
     raise ValueError("could not build a W-orthogonal set; W is too ill-conditioned")
 
 
-def a_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix, seed: int = 0,
-                               trials: int = 3,
-                               tol: float = A_INTERPRETATION_TOL) -> InterpretationReport:
+def a_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix,
+                               seed: int = 0) -> InterpretationReport:
     """Averaged-variance reading of weighted A-optimality.
 
     (a) any ``Q = K Z`` with orthogonal ``Z`` satisfies ``Q Q' = W`` and the
     average weighted variance of its columns equals ``1 / Phi_AW``; (b) the
     same average is attained by ``d`` mutually W-orthogonal functions drawn
-    inside the span of ``W``.  ``Z`` is the identity, then ``trials``
-    rotations drawn from ``seed``.
+    inside the span of ``W``.  ``Z`` is the identity, then three rotations
+    drawn from ``seed``.
     """
-    return _aopt([spec], [None], [w], [seed], trials=trials, tol=tol)[0]
+    return _aopt([spec], [None], [w], [seed])[0]
 
 
-def _aopt(specs, spaces, ws, seeds, trials=3, tol=A_INTERPRETATION_TOL):
+def _aopt(specs, spaces, ws, seeds):
+    trials = 3  # rotations drawn from each seed, after the identity
     cs = _designs(specs)
     ks = np.stack([w.K for w in ws])
     _, cw = weighted_info_matrices(cs, ks)
@@ -387,10 +384,9 @@ def _aopt(specs, spaces, ws, seeds, trials=3, tol=A_INTERPRETATION_TOL):
         w_orthogonal.append(_w_orthogonal_set(rng, w).T)
     z = np.empty((count, trials + 1, d, d))
     z[:, 0] = np.eye(d)
-    if trials:
-        q, r = np.linalg.qr(np.array(normals))
-        z[:, 1:] = (q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]).reshape(
-            count, trials, d, d)
+    q, r = np.linalg.qr(np.array(normals))
+    z[:, 1:] = (q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]).reshape(
+        count, trials, d, d)
     rotated = np.repeat(ks, trials + 1, axis=0) @ z.reshape(-1, d, d)
     wm = np.stack([w.matrix.entries for w in ws])
     recon = np.abs(rotated @ rotated.transpose(0, 2, 1) - np.repeat(wm, trials + 1, axis=0))
@@ -407,22 +403,22 @@ def _aopt(specs, spaces, ws, seeds, trials=3, tol=A_INTERPRETATION_TOL):
                       for idx, (avg, error) in enumerate(zip(averages, errors))}
         deviations["w_orthogonal"] = abs(averages[-1] - target) / scale
         worst = max(deviations.values())
-        reports.append(InterpretationReport("aopt", worst <= tol, worst, tol, deviations))
+        reports.append(InterpretationReport("aopt", worst <= A_INTERPRETATION_TOL, worst,
+                                            A_INTERPRETATION_TOL, deviations))
     return reports
 
 
-def e_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix,
-                               tol: float = E_INTERPRETATION_TOL) -> InterpretationReport:
+def e_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix) -> InterpretationReport:
     """Worst-case-variance reading of weighted E-optimality.
 
     ``1 / Phi_EW`` must equal the largest weighted variance over the span of
     ``W``, which is ``lambda_max(K' C^+ K)``, attained at ``q = K u`` for
     the top eigenvector ``u``.
     """
-    return _eopt([spec], [None], [w], tol=tol)[0]
+    return _eopt([spec], [None], [w])[0]
 
 
-def _eopt(specs, spaces, ws, seeds=None, tol=E_INTERPRETATION_TOL):
+def _eopt(specs, spaces, ws, seeds=None):
     cs = _designs(specs)
     ks = np.stack([w.K for w in ws])
     m, cw = weighted_info_matrices(cs, ks)
@@ -439,7 +435,8 @@ def _eopt(specs, spaces, ws, seeds=None, tol=E_INTERPRETATION_TOL):
             checks, weighted_variances(cs, ws, maximizers).tolist()):
         deviations = {"value": dev_value, "maximizer": abs(variance - lam_max) / scale}
         worst = max(deviations.values())
-        reports.append(InterpretationReport("eopt", worst <= tol, worst, tol, deviations))
+        reports.append(InterpretationReport("eopt", worst <= E_INTERPRETATION_TOL, worst,
+                                            E_INTERPRETATION_TOL, deviations))
     return reports
 
 

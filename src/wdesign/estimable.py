@@ -25,12 +25,7 @@ from .linalg import (
     eig_sym,
     sqrt_psd,
 )
-from .model import (
-    FEASIBILITY_RTOL,
-    EstimationSpace,
-    _information,
-    infeasible_rows,
-)
+from .model import EstimationSpace, _information, infeasible_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .weighting import WeightMatrix
@@ -88,12 +83,11 @@ class EstimableSystem:
         return self.Q.shape[1]
 
 
-def validate_system(system: EstimableSystem, space: EstimationSpace,
-                    rtol: float = FEASIBILITY_RTOL) -> bool:
+def validate_system(system: EstimableSystem, space: EstimationSpace) -> bool:
     """Whether every column of ``Q`` lies in the estimation space."""
     if system.v != space.v:
         raise ValueError(f"system has {system.v} rows, space expects {space.v}")
-    return space.contains(system.Q, rtol)
+    return space.contains(system.Q)
 
 
 def scale_system(system: EstimableSystem) -> np.ndarray:

@@ -22,14 +22,13 @@ from .linalg import (
     SymMatrix,
     SymStack,
     as_sym,
-    max_abs,
     projector,
     rank_groups,
     symmetrized,
     take_rows,
 )
 
-#: Residual cutoff, relative to ``max|Q|``, deciding estimability of a system.
+#: Residual cutoff, relative to ``max|Q|``, of the one span-membership test.
 FEASIBILITY_RTOL = 1e-8
 
 NUISANCE_KINDS = ("intercept", "blocks", "explicit")
@@ -136,7 +135,8 @@ class DesignSpec:
 
 
 def design_matrix(spec: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(X, L)``: 0/1 treatment indicators and the nuisance matrix."""
+    """Return ``(X, L)``: 0/1 treatment indicators and the nuisance matrix,
+    an explicit ``L`` with its columns scaled to unit length (same span)."""
     return _indicators(spec), _nuisance_matrix(spec)
 
 
@@ -158,7 +158,10 @@ def _nuisance_matrix(spec: DesignSpec) -> np.ndarray:
             ell[start:start + size, j] = 1.0
             start += size
     else:
-        ell = np.array(spec.L, dtype=float)
+        # only the span of L enters C; unit columns keep the Gram matrix of
+        # its projector well conditioned whatever the scale of each column
+        norms = np.linalg.norm(spec.L, axis=0)
+        ell = spec.L / np.where(norms > 0.0, norms, 1.0)
     return ell
 
 
@@ -211,16 +214,29 @@ def nuisance_residual(spec: DesignSpec) -> np.ndarray:
     return _RESIDUALS.residual(spec)
 
 
-def information_matrix(spec: DesignSpec, tol_rank: float = DERIVED_RANK_RTOL) -> SymMatrix:
+def information_matrix(spec: DesignSpec) -> SymMatrix:
     """Information matrix ``X'(I - P_L)X`` for the treatment effects.
 
     Nonnegative definite by construction; when the nuisance contains the
     intercept its rows sum to zero, so the all-ones vector is in its null
     space.  Each call builds a new matrix; the certification routes build
-    it once per spec, at the default cutoff, and keep it on the spec.
+    it once per spec and keep it on the spec.
     """
     x = _indicators(spec)
-    return symmetrized(x.T @ nuisance_residual(spec) @ x, tol_rank)
+    return symmetrized(x.T @ nuisance_residual(spec) @ x, DERIVED_RANK_RTOL)
+
+
+def span_residuals(q: np.ndarray, projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one span-membership test: ``q`` is a ``(..., v, s)`` stack of
+    systems and ``projected`` their projections onto the span tested.
+
+    Returns the max-abs residual of each column, ``(..., s)``, and whether
+    it exceeds ``FEASIBILITY_RTOL * max(max|q|, eps)``, ``max|q|`` taken
+    over the whole system: whether the column lies outside the span.
+    """
+    worst = np.abs(q - projected).max(axis=-2)
+    scales = np.abs(q).max(axis=(-2, -1), initial=0.0)
+    return worst, worst > FEASIBILITY_RTOL * np.maximum(scales, EPS)[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,13 +248,12 @@ class EstimationSpace:
     projector: SymMatrix
     dim: int
 
-    def contains(self, vectors, rtol: float = FEASIBILITY_RTOL) -> bool:
-        """Whether every column lies in the space (max-abs residual test)."""
+    def contains(self, vectors) -> bool:
+        """Whether every column lies in the space (``span_residuals``)."""
         q = np.asarray(vectors, dtype=float)
         if q.ndim == 1:
             q = q[:, None]
-        resid = q - self.projector.entries @ q
-        return max_abs(resid) <= rtol * max(max_abs(q), EPS)
+        return not span_residuals(q, self.projector.entries @ q)[1].any()
 
 
 def estimation_space(kind: str, v: int, basis=None) -> EstimationSpace:
@@ -263,9 +278,10 @@ def estimation_space(kind: str, v: int, basis=None) -> EstimationSpace:
             b = b[:, None]
         if b.shape[0] != v:
             raise ValueError(f"basis must have {v} rows, got {b.shape[0]}")
-        if np.any(np.linalg.norm(b, axis=0) == 0.0):
+        norms = np.linalg.norm(b, axis=0)
+        if np.any(norms == 0.0):
             raise ValueError("basis columns must be nonzero")
-        p = projector(b)
+        p = projector(b / norms)  # unit columns, as for an explicit L
         dim = int(round(float(np.trace(p.entries))))
         return EstimationSpace(v, kind, p, dim)
     raise ValueError(f"unknown estimation space kind {kind!r}")
@@ -282,22 +298,20 @@ def _information(spec_or_matrix) -> SymMatrix:
     return as_sym(spec_or_matrix)
 
 
-def infeasible_columns(spec_or_C, Q, rtol: float = FEASIBILITY_RTOL) -> tuple[int, ...]:
+def infeasible_columns(spec_or_C, Q) -> tuple[int, ...]:
     """Indices of columns of ``Q`` outside the column space of ``C``.
 
-    The whole system shares one scale: a column fails when its max-abs
-    residual against the column-space projector of ``C`` exceeds
-    ``rtol * max|Q|``.  It is ``infeasible_rows`` of a one-row stack.
+    The test is ``span_residuals`` against the column-space projector of
+    ``C``.  It is ``infeasible_rows`` of a one-row stack.
     """
     c = _information(spec_or_C)
     q = np.asarray(Q, dtype=float)
     if q.ndim == 1:
         q = q[:, None]
-    return infeasible_rows(SymStack.of([c]), q[None], rtol)[0]
+    return infeasible_rows(SymStack.of([c]), q[None])[0]
 
 
-def infeasible_rows(cs: SymStack, q: np.ndarray,
-                    rtol: float = FEASIBILITY_RTOL) -> list[tuple[int, ...]]:
+def infeasible_rows(cs: SymStack, q: np.ndarray) -> list[tuple[int, ...]]:
     """``infeasible_columns`` of each row: the columns of ``q[b]`` (a
     ``(B, v, s)`` stack, or one ``(v, s)`` matrix for every row) outside the
     column space of row ``b`` of ``cs``.
@@ -310,38 +324,34 @@ def infeasible_rows(cs: SymStack, q: np.ndarray,
         raise ValueError(f"Q must have {dim} rows, got {q.shape[-2]}")
     _, vectors, ranks, _ = cs.spectrum
     count = len(ranks)
-    scales = np.abs(q).max(axis=(-2, -1), initial=0.0)
-    bounds = np.broadcast_to(rtol * np.maximum(scales, EPS), (count,))
     out = [()] * count
     for rank, rows in rank_groups(ranks):
         f = take_rows(vectors, rows, count)[:, :, :rank]
         sub = q if q.ndim == 2 else take_rows(q, rows, count)
-        worst = np.abs(sub - f @ (f.transpose(0, 2, 1) @ sub)).max(axis=1)
-        over = worst > take_rows(bounds, rows, count)[:, None]
+        over = span_residuals(sub, f @ (f.transpose(0, 2, 1) @ sub))[1]
         for i in np.flatnonzero(over.any(axis=1)).tolist():
             out[rows[i]] = tuple(np.flatnonzero(over[i]).tolist())
     return out
 
 
-def check_estimation_space(spec: DesignSpec, space: EstimationSpace,
-                           rtol: float = FEASIBILITY_RTOL) -> SymMatrix:
+def check_estimation_space(spec: DesignSpec, space: EstimationSpace) -> SymMatrix:
     """Verify ``C(C(xi))`` equals the declared estimation space; return C.
 
     Cross-design comparisons assume all competing designs share this column
     space; operations that rely on it call this check instead of assuming.
     """
     c = _information(spec)
-    check_estimation_spaces(SymStack.of([c]), [space], rtol)
+    check_estimation_spaces(SymStack.of([c]), [space])
     return c
 
 
-def check_estimation_spaces(cs: SymStack, spaces, rtol: float = FEASIBILITY_RTOL) -> None:
+def check_estimation_spaces(cs: SymStack, spaces) -> None:
     """``check_estimation_space`` of each row of a stack of ``C`` matrices."""
     projectors = np.stack([space.projector.entries for space in spaces])
-    resids = np.abs(cs.entries - projectors @ cs.entries).max(axis=(1, 2)).tolist()
-    scales = np.abs(cs.entries).max(axis=(1, 2)).tolist()
-    for rank, space, resid, scale in zip(cs.spectrum[2], spaces, resids, scales):
-        if rank != space.dim or resid > rtol * max(scale, EPS):
+    resids, outside = span_residuals(cs.entries, projectors @ cs.entries)
+    for rank, space, resid, out in zip(cs.spectrum[2], spaces, resids.max(axis=1).tolist(),
+                                       outside.any(axis=1).tolist()):
+        if rank != space.dim or out:
             raise SpaceError(
                 "information matrix column space does not match the estimation space "
                 f"(rank {rank} vs dim {space.dim}, residual {resid:.3e})",

@@ -580,8 +580,7 @@ class ArgmaxEquivalenceReport:
     optima_weighted_route: tuple[tuple[int, ...], ...]
 
 
-def argmax_equivalence_check(problem: SearchProblem,
-                             tol: float = TIE_RTOL) -> ArgmaxEquivalenceReport:
+def argmax_equivalence_check(problem: SearchProblem) -> ArgmaxEquivalenceReport:
     """Enumerate the objective through both formulations and compare argmaxes.
 
     The system route scores ``(Q~' C^+ Q~)^+``, the weighted route the
@@ -602,7 +601,7 @@ def argmax_equivalence_check(problem: SearchProblem,
     rs = enumerate_optimal(system_problem)
     rw = enumerate_optimal(weighted_problem)
     va, vb = rs.best_value.value, rw.best_value.value
-    values_close = abs(va - vb) <= tol * max(abs(va), abs(vb), EPS)
+    values_close = abs(va - vb) <= TIE_RTOL * max(abs(va), abs(vb), EPS)
     sets_equal = set(rs.optimal_assignments) == set(rw.optimal_assignments)
     return ArgmaxEquivalenceReport(
         passed=bool(values_close and sets_equal),

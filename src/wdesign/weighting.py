@@ -33,13 +33,7 @@ from .linalg import (
     stack_arrays,
     symmetrized,
 )
-from .model import EstimationSpace, _information, infeasible_rows
-
-#: 2-norm residual cutoff, relative to ``|q|``, for span membership.
-SPAN_RTOL = 1e-8
-
-#: Residual cutoff for the column-space inclusion C(W) within E.
-SPACE_RTOL = 1e-8
+from .model import EstimationSpace, _information, infeasible_rows, span_residuals
 
 #: Relative tolerance of the proportionality test in estimation equivalence.
 EQUIVALENCE_RTOL = 1e-8
@@ -73,10 +67,10 @@ class WeightMatrix:
     def v(self) -> int:
         return self.matrix.dim
 
-    def in_span(self, q, rtol: float = SPAN_RTOL) -> bool:
-        """Whether ``q`` lies in the column space of ``W`` (2-norm residual)."""
+    def in_span(self, q) -> bool:
+        """Whether ``q`` lies in the column space of ``W`` (``span_residuals``)."""
         q = np.asarray(q, dtype=float).ravel()
-        return _in_spans(self.F[None], q[None], rtol)[0]
+        return _in_spans(self.F[None], q[None])[0]
 
 
 def _norms(q: np.ndarray) -> list[float]:
@@ -84,20 +78,17 @@ def _norms(q: np.ndarray) -> list[float]:
     return np.sqrt(q[:, None, :] @ q[:, :, None]).ravel().tolist()
 
 
-def _in_spans(fs: np.ndarray, q: np.ndarray, rtol: float) -> list[bool]:
+def _in_spans(fs: np.ndarray, q: np.ndarray) -> list[bool]:
     """Whether each row ``q[i]`` lies in the span of the orthonormal ``fs[i]``."""
     col = q[:, :, None]
-    resid = (col - fs @ (fs.transpose(0, 2, 1) @ col))[:, :, 0]
-    return [r <= rtol * n for r, n in zip(_norms(resid), _norms(q))]
+    return (~span_residuals(col, fs @ (fs.transpose(0, 2, 1) @ col))[1][:, 0]).tolist()
 
 
-def make_weight_matrix(w_raw, space: EstimationSpace | None = None,
-                       rtol: float = SPACE_RTOL) -> WeightMatrix:
+def make_weight_matrix(w_raw, space: EstimationSpace | None = None) -> WeightMatrix:
     """Validate a symmetric matrix as a weight matrix and factor it.
 
     Checks nonnegative definiteness, and, when an estimation space is given,
-    that the column space of ``W`` stays inside it (max-abs residual of
-    ``(I - P)W`` against ``rtol * max|W|``).
+    that the columns of ``W`` lie inside it (``span_residuals``).
     """
     wm = as_sym(w_raw, DERIVED_RANK_RTOL) if not isinstance(w_raw, SymMatrix) else w_raw
     spec = eig_sym(wm)
@@ -110,9 +101,9 @@ def make_weight_matrix(w_raw, space: EstimationSpace | None = None,
     if space is not None:
         if space.v != wm.dim:
             raise ValueError(f"W is {wm.dim} x {wm.dim}, space expects v={space.v}")
-        resid = max_abs(wm.entries - space.projector.entries @ wm.entries)
-        scale = max(max_abs(wm.entries), EPS)
-        if resid > rtol * scale:
+        resids, outside = span_residuals(wm.entries, space.projector.entries @ wm.entries)
+        if outside.any():
+            resid = float(resids.max())
             raise SpaceError(
                 f"column space of W escapes the estimation space (residual {resid:.3e})",
                 residual=resid,
@@ -146,14 +137,14 @@ def _vector(q, v: int) -> np.ndarray:
     return q
 
 
-def weight_of(w: WeightMatrix, q, rtol: float = SPAN_RTOL) -> float | None:
+def weight_of(w: WeightMatrix, q) -> float | None:
     """Weight ``(q' W^+ q)^{-1}`` of an estimable function, or None.
 
     ``None`` is the explicit zero-weight marker for vectors outside the span
     of ``W``; the zero vector is rejected because its weight is undefined.
     """
     q = _vector(q, w.v)
-    return _raised(_weights([w], q[None], rtol)[0])
+    return _raised(_weights([w], q[None])[0])
 
 
 def _raised(outcome):
@@ -162,12 +153,12 @@ def _raised(outcome):
     return outcome
 
 
-def _weights(ws: list[WeightMatrix], q: np.ndarray, rtol: float) -> list:
+def _weights(ws: list[WeightMatrix], q: np.ndarray) -> list:
     """``weight_of(ws[i], q[i])`` for the rows of ``q``, with the error a row
     would raise in its place; the weight matrices share one rank."""
     wplus = stack_arrays([w.Wplus for w in ws])
     quads = (q[:, None, :] @ wplus @ q[:, :, None]).ravel().tolist()
-    spans = _in_spans(stack_arrays([w.F for w in ws]), q, rtol)
+    spans = _in_spans(stack_arrays([w.F for w in ws]), q)
     out = []
     for norm, inside, val in zip(_norms(q), spans, quads):
         if norm == 0.0:
@@ -182,18 +173,17 @@ def _weights(ws: list[WeightMatrix], q: np.ndarray, rtol: float) -> list:
     return out
 
 
-def weighted_variance(spec_or_C, w: WeightMatrix, q, rtol: float = SPAN_RTOL) -> float:
+def weighted_variance(spec_or_C, w: WeightMatrix, q) -> float:
     """Weighted variance ``(q' W^+ q)^{-1} (q' C^+ q)`` of the estimate of q'tau.
 
     It is ``weighted_variances`` of a one-row stack.
     """
     q = _vector(q, w.v)
     cs = SymStack.of([_information(spec_or_C)])
-    return float(weighted_variances(cs, [w], q[None, None], rtol)[0, 0])
+    return float(weighted_variances(cs, [w], q[None, None])[0, 0])
 
 
-def weighted_variances(cs: SymStack, ws: list[WeightMatrix], q: np.ndarray,
-                       rtol: float = SPAN_RTOL) -> np.ndarray:
+def weighted_variances(cs: SymStack, ws: list[WeightMatrix], q: np.ndarray) -> np.ndarray:
     """``weighted_variance`` of each vector of a stack: entry ``(b, j)`` is
     that of ``q[b, j]`` (``q`` is ``(B, N, v)``) under row ``b`` of ``cs``
     and ``ws[b]``, weight matrices of one rank.
@@ -207,7 +197,7 @@ def weighted_variances(cs: SymStack, ws: list[WeightMatrix], q: np.ndarray,
     count = q.shape[1]
     flat = np.ascontiguousarray(q).reshape(-1, q.shape[2])
     rows = [b for b in range(len(ws)) for _ in range(count)]
-    weights = _weights([ws[b] for b in rows], flat, rtol)
+    weights = _weights([ws[b] for b in rows], flat)
     for wt, bad in zip(weights, infeasible_rows(cs.take(rows), flat[:, :, None])):
         if _raised(wt) is None:
             raise SpaceError("q lies outside the span of the weight matrix")
@@ -251,8 +241,7 @@ def weighted_info_matrices(cs: SymStack, ks: np.ndarray) -> tuple[SymStack, SymS
     return m, m.pinv()
 
 
-def variance_decomposition(spec_or_C, w: WeightMatrix, q,
-                           rtol: float = SPAN_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def variance_decomposition(spec_or_C, w: WeightMatrix, q) -> tuple[np.ndarray, np.ndarray]:
     """Convex-combination view of the weighted variance.
 
     Returns ``(coefficients, eigenvalues)`` for the weighted information
@@ -260,7 +249,7 @@ def variance_decomposition(spec_or_C, w: WeightMatrix, q,
     variance equals ``sum(coefficients / eigenvalues)``.
     """
     q = _vector(q, w.v)
-    if not w.in_span(q, rtol):
+    if not w.in_span(q):
         raise SpaceError("q lies outside the span of the weight matrix")
     cw = weighted_info_matrix(spec_or_C, w)
     h = np.linalg.lstsq(w.K, q, rcond=None)[0]
@@ -273,14 +262,14 @@ def variance_decomposition(spec_or_C, w: WeightMatrix, q,
 
 
 def estimation_equivalent(w1: WeightMatrix, w2: WeightMatrix,
-                          on: EstimationSpace | None = None,
-                          rtol: float = EQUIVALENCE_RTOL) -> tuple[bool, float]:
+                          on: EstimationSpace | None = None) -> tuple[bool, float]:
     """Do two weight matrices assign proportional weights on a common span?
 
-    By default the column spaces must agree (mutual projector residuals) and
-    the comparison space is that common span.  Passing ``on`` compares on an
-    estimation space contained in both spans instead, which covers pairs
-    like a rank-deficient ``W`` against its full-rank regularization.
+    By default the column spaces must agree (each basis inside the other's
+    span, by ``span_residuals``) and the comparison space is that common
+    span.  Passing ``on`` compares on an estimation space contained in both
+    spans instead, which covers pairs like a rank-deficient ``W`` against
+    its full-rank regularization.
     Returns ``(equivalent, c)`` with ``q'W1^- q = c q'W2^- q`` on the span.
     """
     if w1.v != w2.v:
@@ -288,16 +277,18 @@ def estimation_equivalent(w1: WeightMatrix, w2: WeightMatrix,
     if on is not None:
         p = on.projector.entries
         for name, w in (("W1", w1), ("W2", w2)):
-            resid = max_abs(p - w.F @ (w.F.T @ p))
-            if resid > rtol:
+            resids, outside = span_residuals(p, w.F @ (w.F.T @ p))
+            if outside.any():
+                resid = float(resids.max())
                 raise SpaceError(
                     f"comparison space is not weighted by {name} (residual {resid:.3e})",
                     residual=resid,
                 )
     else:
-        r12 = max_abs(w2.F - w1.F @ (w1.F.T @ w2.F))
-        r21 = max_abs(w1.F - w2.F @ (w2.F.T @ w1.F))
-        if max(r12, r21) > rtol:
+        r12, out12 = span_residuals(w2.F, w1.F @ (w1.F.T @ w2.F))
+        r21, out21 = span_residuals(w1.F, w2.F @ (w2.F.T @ w1.F))
+        if out12.any() or out21.any():
+            r12, r21 = max_abs(r12), max_abs(r21)
             raise SpaceError(
                 "weight matrices span different sets of functions "
                 f"(residuals {r12:.3e}, {r21:.3e})",
@@ -310,7 +301,7 @@ def estimation_equivalent(w1: WeightMatrix, w2: WeightMatrix,
     if denom <= 0.0:
         raise InternalConsistencyError("projected W2^+ vanished on the comparison span")
     c = float(np.sum(m1 * m2)) / denom
-    equivalent = max_abs(m1 - c * m2) <= rtol * max(max_abs(m1), EPS)
+    equivalent = max_abs(m1 - c * m2) <= EQUIVALENCE_RTOL * max(max_abs(m1), EPS)
     return bool(equivalent), c
 
 

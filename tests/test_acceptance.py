@@ -151,8 +151,9 @@ def test_acceptance_5_interpretation_oracles():
     worst_a = 0.0
     for i in range(100):
         spec, space, w = random_instance(rng, "eopt")
-        r_e = e_opt_interpretation_check(spec, w, tol=1e-9)
-        r_a = a_opt_interpretation_check(spec, w, seed=i, tol=1e-8)
+        r_e = e_opt_interpretation_check(spec, w)
+        r_a = a_opt_interpretation_check(spec, w, seed=i)
+        assert r_e.tolerance == 1e-9 and r_a.tolerance == 1e-8
         worst_e = max(worst_e, r_e.deviation)
         worst_a = max(worst_a, r_a.deviation)
         assert r_e.passed and r_a.passed, (i, r_e.deviation, r_a.deviation)

@@ -120,6 +120,7 @@ class TestExitCodes:
         ("model", {"v": None, "replications": [2, 2, 2]}),
         ("model", {"v": 3, "assignment": [1, 2, 3], "nuisance": {"kind": "blocks",
                                                                  "sizes": None}}),
+        ("system", {"generator": "pairwise", "normalize": "false"}),
     ])
     @pytest.mark.parametrize("command", ["info", "search"])
     def test_malformed_sections_are_input_errors(self, tmp_path, capsys, command, section,

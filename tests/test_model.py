@@ -191,6 +191,18 @@ class TestEstimationSpace:
         )
         assert space.dim == 2
 
+    def test_explicit_does_not_depend_on_the_scale_of_the_basis_columns(self):
+        # a spread of 1e8 squares past the rank cutoff of B'B unless the
+        # columns are scaled first
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            basis = rng.standard_normal((5, 2))
+            base = estimation_space("explicit", 5, basis)
+            scaled = estimation_space("explicit", 5, basis * [1e-4, 1e4])
+            np.testing.assert_allclose(scaled.projector.entries, base.projector.entries,
+                                       rtol=0, atol=1e-12)
+            assert scaled.dim == 2 and scaled.contains(basis)
+
     def test_zero_basis_column_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             estimation_space("explicit", 3, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]))

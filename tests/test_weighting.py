@@ -7,10 +7,12 @@ from conftest import generalized_inverse_sample
 from wdesign import (
     DesignSpec,
     EstimableSystem,
+    check_estimation_space,
     check_weight_dominance,
     eig_sym,
     estimation_equivalent,
     estimation_space,
+    infeasible_columns,
     info_matrix_for_system,
     information_matrix,
     make_weight_matrix,
@@ -387,3 +389,46 @@ def test_sqrt_system_spectrum_matches_weighted(balanced_design, contrasts3, cont
     np.testing.assert_allclose(
         np.sort(eig_sym(n).positive()), np.sort(eig_sym(cw).eigenvalues), atol=1e-8
     )
+
+
+def span_verdicts(q: np.ndarray, c: float) -> dict:
+    """Whether each span-membership site finds ``c q`` inside a span that
+    ``q`` sits just off: the first axis, or the span of ``q`` itself, with
+    every weight matrix scaled by ``c``."""
+    e1 = np.eye(len(q))[0]
+    axis = estimation_space("explicit", len(q), e1)
+    on_axis = make_weight_matrix(c * np.outer(e1, e1))
+    along_q = c * np.outer(q, q)
+
+    def raises_space_error(fn, *args):
+        try:
+            fn(*args)
+        except SpaceError:
+            return True
+        return False
+
+    return {
+        "contains": axis.contains(c * q),
+        "infeasible_columns": infeasible_columns(c * np.outer(e1, e1), c * q) == (),
+        "check_estimation_space": not raises_space_error(check_estimation_space,
+                                                         along_q, axis),
+        "make_weight_matrix": not raises_space_error(make_weight_matrix, along_q, axis),
+        "in_span": on_axis.in_span(c * q),
+        "weight_of": weight_of(on_axis, c * q) is not None,
+        "estimation_equivalent": not raises_space_error(
+            estimation_equivalent, on_axis, make_weight_matrix(along_q)),
+        "estimation_equivalent_on": not raises_space_error(
+            estimation_equivalent, on_axis, on_axis,
+            estimation_space("explicit", len(q), q)),
+    }
+
+
+@pytest.mark.parametrize("offset, inside", [(0.7e-8, True), (2e-8, False)])
+def test_every_span_site_gives_one_scale_free_verdict(offset, inside):
+    # q = e1 + offset (0, 1, 1, 1): its max-abs residual off the first axis is
+    # offset, relative to max|q| = 1, against the one cutoff 1e-8; a 2-norm
+    # residual would read sqrt(3) offset and put 0.7e-8 outside
+    q = np.array([1.0, offset, offset, offset])
+    for c in (1e-10, 1e-5, 1.0, 1e5, 1e10):
+        verdicts = span_verdicts(q, c)
+        assert verdicts == dict.fromkeys(verdicts, inside), c
