@@ -152,19 +152,6 @@ def _parse_model(data: dict) -> DesignSpec:
     if model is None:
         raise ParseError("missing required section 'model'")
     v = _number(int, _require(model, "v", "model"), "model.v")
-    if "assignment" in model:
-        assignment = tuple(_numbers(int, model["assignment"], "model.assignment"))
-    elif "replications" in model:
-        reps = _numbers(int, model["replications"], "model.replications")
-        if len(reps) != v:
-            raise ParseError("'replications' must list one count per treatment")
-        assignment = tuple(t for t, r in enumerate(reps, start=1) for _ in range(r))
-    else:
-        raise ParseError("section 'model' needs 'assignment' or 'replications'")
-    if "n" in model and _number(int, model["n"], "model.n") != len(assignment):
-        raise ParseError(
-            f"model says n={model['n']} but the assignment lists {len(assignment)} units"
-        )
     nuisance = model.get("nuisance", "intercept")
     if isinstance(nuisance, str):
         kind, sizes, ell = nuisance, None, None
@@ -176,9 +163,19 @@ def _parse_model(data: dict) -> DesignSpec:
     else:
         raise ParseError("'nuisance' must be a string or an object with a 'kind'")
     try:
-        return DesignSpec(v, assignment, kind, sizes, ell)
+        if "assignment" in model:
+            assignment = _numbers(int, model["assignment"], "model.assignment")
+            spec = DesignSpec(v, tuple(assignment), kind, sizes, ell)
+        elif "replications" in model:
+            replications = _numbers(int, model["replications"], "model.replications")
+            spec = DesignSpec.from_replications(v, replications, kind, sizes, ell)
+        else:
+            raise ParseError("section 'model' needs 'assignment' or 'replications'")
     except ValueError as exc:
         raise ParseError(f"invalid model: {exc}") from exc
+    if "n" in model and _number(int, model["n"], "model.n") != spec.n:
+        raise ParseError(f"model says n={model['n']} but the assignment lists {spec.n} units")
+    return spec
 
 
 def _parse_space(data: dict, spec: DesignSpec) -> EstimationSpace:

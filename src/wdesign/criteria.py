@@ -22,11 +22,9 @@ from .estimable import (
     scale_system,
 )
 from .linalg import (
-    DERIVED_RANK_RTOL,
     EPS,
     SymStack,
     as_sym,
-    default_tol_rank,
     eig_sym,
     max_abs,
     rank_groups,
@@ -246,8 +244,8 @@ def _theorem1(specs, spaces, systems, seeds=None):
     n = info_matrices(cs, qs)
     v = qs.shape[1]
     wp = np.eye(v) - _projectors(spaces) + qs @ qs.transpose(0, 2, 1)
-    wph = SymStack(symmetrize(wp), default_tol_rank(v)).pinv_sqrt().entries
-    cw = SymStack(symmetrize(wph @ cs.entries @ wph), DERIVED_RANK_RTOL)
+    wph = SymStack(symmetrize(wp)).pinv_sqrt().entries
+    cw = SymStack(symmetrize(wph @ cs.entries @ wph))
     return _spectral_reports("theorem1", _positive(n), _positive(cw))
 
 
@@ -272,7 +270,7 @@ def _theorem2(specs, spaces, ws, seeds=None):
     cs = _designs(specs)
     check_estimation_spaces(cs, spaces)
     wph = wms.pinv_sqrt().entries
-    cw = SymStack(symmetrize(wph @ cs.entries @ wph), DERIVED_RANK_RTOL)
+    cw = SymStack(symmetrize(wph @ cs.entries @ wph))
     n = info_matrices(cs, r_coefficients(wms, _projectors(spaces)))
     return _spectral_reports("theorem2", _full(n), _full(cw))
 

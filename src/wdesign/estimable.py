@@ -11,24 +11,12 @@ Weight matrices can be turned back into systems through ``(P W^{-1} P)^{+1/2}``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FeasibilityError, SingularWeightError
-from .linalg import (
-    DERIVED_RANK_RTOL,
-    EPS,
-    SymMatrix,
-    SymStack,
-    default_tol_rank,
-    eig_sym,
-    sqrt_psd,
-)
+from .linalg import SymMatrix, SymStack, as_sym, eig_sym, eigh_desc_stack, sqrt_psd, symmetrize
 from .model import EstimationSpace, _information, infeasible_rows
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .weighting import WeightMatrix
 
 #: Unit-norm slack below which a system counts as normalized.
 NORMALIZED_ATOL = 1e-9
@@ -38,9 +26,13 @@ NORMALIZED_ATOL = 1e-9
 class EstimableSystem:
     """Coefficient matrix ``Q`` (columns are functions) with primary weights.
 
-    ``r`` is the numeric rank of ``Q`` and ``normalized`` records whether
-    every column has unit length.  Neither is enforced: scaled systems are
-    legitimate, and both values are reported rather than policed.
+    ``r`` is the numeric rank of the system's weight matrix
+    ``W = Q~ Q~'`` at ``DERIVED_RANK_RTOL``, decided on the same bits by the
+    same spectral kernel as ``weighting.weight_matrix_from_system``, so
+    ``r`` is always the rank ``d`` of that weight matrix.  ``normalized``
+    records whether every column has unit length.  Neither is enforced:
+    scaled systems are legitimate, and both values are reported rather than
+    policed.
     """
 
     Q: np.ndarray
@@ -66,9 +58,8 @@ class EstimableSystem:
         b.flags.writeable = False
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "b", b)
-        sv = np.linalg.svd(q, compute_uv=False)
-        cutoff = default_tol_rank(max(q.shape)) * max(float(sv[0]), EPS)
-        object.__setattr__(self, "r", int(np.count_nonzero(sv > cutoff)))
+        qs = scale_system(self)
+        object.__setattr__(self, "r", eigh_desc_stack(symmetrize(qs @ qs.T)[None])[2][0])
         norms = np.linalg.norm(q, axis=0)
         object.__setattr__(
             self, "normalized", bool(np.max(np.abs(norms - 1.0)) <= NORMALIZED_ATOL)
@@ -119,15 +110,7 @@ def info_matrices(cs: SymStack, qs: np.ndarray) -> SymStack:
                 f"system not estimable under the design; offending columns {list(bad)}",
                 columns=bad,
             )
-    return SymStack(cs.pinv_form(qs), DERIVED_RANK_RTOL).pinv()
-
-
-def _weight_entries(w) -> SymMatrix:
-    """Accept a WeightMatrix, SymMatrix or plain array; return the SymMatrix."""
-    matrix = getattr(w, "matrix", w)
-    if isinstance(matrix, SymMatrix):
-        return matrix
-    return SymMatrix(matrix)
+    return SymStack(cs.pinv_form(qs)).pinv()
 
 
 def system_from_weight_matrix_R(w, space: EstimationSpace) -> EstimableSystem:
@@ -136,9 +119,10 @@ def system_from_weight_matrix_R(w, space: EstimationSpace) -> EstimableSystem:
     ``R`` is symmetric with column space equal to the estimation space; the
     full ``v x v`` coefficient matrix is kept and its rank reported.  A
     singular ``W`` corresponds to the system ``W^{1/2} tau`` instead; see
-    ``system_from_weight_matrix_sqrt``.
+    ``system_from_weight_matrix_sqrt``.  ``w`` is a WeightMatrix, a
+    SymMatrix or an array.
     """
-    wm = _weight_entries(w)
+    wm = as_sym(getattr(w, "matrix", w))
     if wm.dim != space.v:
         raise ValueError(f"W is {wm.dim} x {wm.dim}, space expects v={space.v}")
     spec = eig_sym(wm)
@@ -152,10 +136,10 @@ def system_from_weight_matrix_R(w, space: EstimationSpace) -> EstimableSystem:
 def r_coefficients(ws: SymStack, projectors: np.ndarray) -> np.ndarray:
     """``R = (P W^{-1} P)^{+1/2}`` of each row of a stack of nonsingular
     ``W`` and the projectors ``P`` of their estimation spaces."""
-    return SymStack(ws.pinv_form(projectors), DERIVED_RANK_RTOL).pinv_sqrt().entries
+    return SymStack(ws.pinv_form(projectors)).pinv_sqrt().entries
 
 
 def system_from_weight_matrix_sqrt(w) -> EstimableSystem:
-    """System ``W^{1/2} tau`` matching the weight matrix ``W`` (any rank)."""
-    wm = _weight_entries(w)
-    return EstimableSystem(sqrt_psd(wm).entries)
+    """System ``W^{1/2} tau`` matching the weight matrix ``W`` (any rank);
+    ``w`` is a WeightMatrix, a SymMatrix or an array."""
+    return EstimableSystem(sqrt_psd(getattr(w, "matrix", w)).entries)

@@ -27,28 +27,21 @@ def _partition(rng, n: int, parts: int) -> tuple[int, ...]:
     return tuple(int(b - a) for a, b in zip(edges[:-1], edges[1:]))
 
 
-def random_design(rng, v: int | None = None, n: int | None = None,
-                  nuisance: str | None = None) -> DesignSpec:
+def random_design(rng) -> DesignSpec:
     """Connected design: every treatment used, information matrix of rank v-1."""
-    v = int(rng.integers(3, 9)) if v is None else int(v)
-    n = int(rng.integers(v, 15)) if n is None else int(n)
-    if n < v:
-        raise ValueError("need at least one unit per treatment")
+    v = int(rng.integers(3, 9))
+    n = int(rng.integers(v, 15))
     for _ in range(500):
-        kind = nuisance
-        if kind is None:
-            # a connected block design needs n >= v + (#blocks - 1)
-            kind = "blocks" if n > v and rng.integers(0, 2) else "intercept"
+        # a connected block design needs n >= v + (#blocks - 1)
+        kind = "blocks" if n > v and rng.integers(0, 2) else "intercept"
         assignment = np.concatenate(
             [rng.permutation(v) + 1, rng.integers(1, v + 1, size=n - v)]
         )
         rng.shuffle(assignment)
         sizes = None
         if kind == "blocks":
-            parts = min(int(rng.integers(2, 4)), n - v + 1, n - 1)
-            if parts < 2:
-                raise ValueError(f"no connected block design with v={v}, n={n}")
-            sizes = _partition(rng, n, parts)
+            # n > v >= 3, so there are at least two parts
+            sizes = _partition(rng, n, min(int(rng.integers(2, 4)), n - v + 1, n - 1))
         spec = DesignSpec(v, tuple(int(t) for t in assignment), kind, sizes)
         s = eig_sym(_information(spec))
         if s.numeric_rank != v - 1:
@@ -93,13 +86,12 @@ def random_system(rng, space: EstimationSpace, s: int | None = None,
     raise ValueError("failed to draw a well-conditioned system")
 
 
-def random_weight_matrix(rng, space: EstimationSpace,
-                         d: int | None = None) -> WeightMatrix:
-    """Weight matrix of rank ``d`` with column space inside the estimation space."""
+def random_weight_matrix(rng, space: EstimationSpace) -> WeightMatrix:
+    """Weight matrix of random rank ``d`` with column space inside the estimation space."""
     e = space.dim
     if e < 1:
         raise ValueError("estimation space is trivial")
-    d = int(rng.integers(1, e + 1)) if d is None else int(d)
+    d = int(rng.integers(1, e + 1))
     for _ in range(500):
         k = space.projector.entries @ rng.standard_normal((space.v, d))
         w = symmetrized(k @ k.T / d)

@@ -4,8 +4,10 @@ Every matrix that matters downstream (information matrices, weight matrices,
 projectors) is symmetric, so this module fixes a single spectral convention
 for all of them: eigenvalues are sorted in descending order, and an
 eigenvalue counts as nonzero when it exceeds ``tol_rank * max(|lambda|_max,
-eps)``.  Pseudoinverses, square roots and projectors all derive from that
-one cutoff, which keeps rank decisions consistent everywhere.  The one
+eps)``.  ``tol_rank`` is ``DERIVED_RANK_RTOL`` for every matrix unless its
+constructor is given another; the CLI gives matrices typed into problem files
+a looser one.  Pseudoinverses, square roots and projectors all derive from
+that one cutoff, which keeps rank decisions consistent everywhere.  The one
 product with a pseudoinverse, ``Q' A^+ Q``, is written once, in
 ``SymStack.pinv_form``, and every route forms it there; none forms ``C^+``.
 
@@ -29,16 +31,11 @@ EPS = float(np.finfo(float).eps)
 #: Relative asymmetry allowed on construction of a SymMatrix.
 SYMMETRY_RTOL = 1e-12
 
-#: Relative rank cutoff for matrices assembled from chains of products
-#: (information matrices, Gram matrices of systems).  Looser than the bare
-#: ``dim * eps`` default so that formation roundoff in structurally singular
+#: Relative rank cutoff of every matrix not typed into a problem file:
+#: information matrices, weight matrices, Gram matrices of systems and their
+#: products.  Loose enough that formation roundoff in structurally singular
 #: matrices is never mistaken for signal.
 DERIVED_RANK_RTOL = 1e-12
-
-
-def default_tol_rank(dim: int) -> float:
-    """Relative eigenvalue cutoff used when none is supplied."""
-    return dim * EPS
 
 
 def _square_finite(a: np.ndarray) -> np.ndarray:
@@ -58,7 +55,7 @@ class SymMatrix:
         Square array, symmetric to ``1e-12`` relative to its largest entry.
         The stored copy is exactly symmetrized and marked read-only.
     tol_rank : float, optional
-        Relative eigenvalue cutoff; defaults to ``dim * eps``.
+        Relative eigenvalue cutoff; defaults to ``DERIVED_RANK_RTOL``.
 
     The matrix never changes, so ``eig_sym`` and ``pinv`` decompose and
     invert it once and keep the results on the object.
@@ -74,7 +71,7 @@ class SymMatrix:
         self._fill(0.5 * (a + a.T), tol_rank)
 
     @classmethod
-    def _trusted(cls, a: np.ndarray, tol_rank: float | None) -> SymMatrix:
+    def _trusted(cls, a: np.ndarray, tol_rank: float | None = None) -> SymMatrix:
         """SymMatrix taking ``a``, an exactly symmetric array, as its entries.
 
         No symmetry test and no copy: ``a`` is marked read-only and kept.
@@ -88,7 +85,7 @@ class SymMatrix:
         a.flags.writeable = False
         self.entries = a
         self.dim = int(a.shape[0])
-        tol = default_tol_rank(self.dim) if tol_rank is None else float(tol_rank)
+        tol = DERIVED_RANK_RTOL if tol_rank is None else float(tol_rank)
         if tol < 0:
             raise ValueError("tol_rank must be nonnegative")
         self.tol_rank = tol
@@ -99,29 +96,21 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim}, tol_rank={self.tol_rank:.3g})"
 
 
-def as_sym(a, tol_rank: float | None = None) -> SymMatrix:
-    """Coerce an array (or pass a SymMatrix through) to SymMatrix.
-
-    A SymMatrix with another ``tol_rank`` becomes a new object, whose
-    spectrum and pseudoinverse are cached apart from the original's.
-    """
-    if isinstance(a, SymMatrix):
-        if tol_rank is None or tol_rank == a.tol_rank:
-            return a
-        return SymMatrix._trusted(a.entries, tol_rank)
-    return SymMatrix(a, tol_rank)
+def as_sym(a) -> SymMatrix:
+    """Coerce an array (or pass a SymMatrix through) to SymMatrix."""
+    return a if isinstance(a, SymMatrix) else SymMatrix(a)
 
 
-def symmetrized(a: np.ndarray, tol_rank: float | None = None) -> SymMatrix:
+def symmetrized(a: np.ndarray) -> SymMatrix:
     """SymMatrix from a product the package formed, symmetric up to roundoff.
 
     ``0.5 * (a + a')`` is exactly symmetric, because floating-point addition
     commutes, so it is taken as the entries without the symmetry test that
     ``SymMatrix(...)`` applies to outside input.  Its shape and finiteness
     are still checked.  The entries equal those of
-    ``SymMatrix(0.5 * (a + a'), tol_rank)`` bit for bit.
+    ``SymMatrix(0.5 * (a + a'))`` bit for bit.
     """
-    return SymMatrix._trusted(np.asarray(0.5 * (a + a.T), dtype=float), tol_rank)
+    return SymMatrix._trusted(np.asarray(0.5 * (a + a.T), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -173,7 +162,7 @@ def _decompose(mats: list[SymMatrix]) -> None:
         m._spectrum = spec
 
 
-def eigh_desc_stack(a: np.ndarray, tol_rank: float):
+def eigh_desc_stack(a: np.ndarray, tol_rank: float = DERIVED_RANK_RTOL):
     """Descending spectra of a ``(B, v, v)`` stack of exactly symmetric arrays.
 
     The one place the spectral convention is written: descending
@@ -246,7 +235,8 @@ class SymStack:
 
     __slots__ = ("entries", "tol_rank", "_spectrum")
 
-    def __init__(self, entries: np.ndarray, tol_rank: float, spectrum=None):
+    def __init__(self, entries: np.ndarray, tol_rank: float = DERIVED_RANK_RTOL,
+                 spectrum=None):
         if not np.isfinite(entries).all():
             raise ValueError("matrix entries must be finite")
         self.entries = entries
@@ -390,7 +380,7 @@ def projector(columns) -> SymMatrix:
     if b.ndim != 2 or b.shape[1] < 1 or b.shape[0] < 1:
         raise ValueError(f"projector needs a nonempty set of columns, got shape {b.shape}")
     g = pinv(symmetrized(b.T @ b))
-    return symmetrized(b @ g.entries @ b.T, default_tol_rank(b.shape[0]))
+    return symmetrized(b @ g.entries @ b.T)
 
 
 def max_abs(a) -> float:

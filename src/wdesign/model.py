@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import SpaceError
 from .linalg import (
-    DERIVED_RANK_RTOL,
     EPS,
     SymMatrix,
     SymStack,
@@ -223,7 +222,7 @@ def information_matrix(spec: DesignSpec) -> SymMatrix:
     it once per spec and keep it on the spec.
     """
     x = _indicators(spec)
-    return symmetrized(x.T @ nuisance_residual(spec) @ x, DERIVED_RANK_RTOL)
+    return symmetrized(x.T @ nuisance_residual(spec) @ x)
 
 
 def span_residuals(q: np.ndarray, projected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

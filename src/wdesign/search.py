@@ -20,7 +20,6 @@ from .criteria import CriterionValue, POSITIVE_SPECTRUM_CRITERIA
 from .errors import FeasibilityError, SearchSpaceError, SpaceError
 from .estimable import EstimableSystem, scale_system, system_from_weight_matrix_sqrt
 from .linalg import (
-    DERIVED_RANK_RTOL,
     EPS,
     SYMMETRY_RTOL,
     SymStack,
@@ -234,14 +233,13 @@ def _stack_scorer(problem: SearchProblem):
         if len(keys) == 0:
             return []
         x = onehot[np.asarray(keys)]
-        cs = SymStack(symmetrize(x.transpose(0, 2, 1) @ mres @ x), DERIVED_RANK_RTOL)
+        cs = SymStack(symmetrize(x.transpose(0, 2, 1) @ mres @ x))
         bad = infeasible_rows(cs, qs)
         rows = [row for row, columns in enumerate(bad) if not columns]
         results = [None] * len(x)
         if not rows:
             return results
-        inverse, _, ranks_m, _ = eigh_desc_stack(cs.take(rows).pinv_form(qs),
-                                                 DERIVED_RANK_RTOL)
+        inverse, _, ranks_m, _ = eigh_desc_stack(cs.take(rows).pinv_form(qs))
         for row, pos, rank_m in zip(rows, inverse, ranks_m):
             if rank_m == rank_needed:
                 # ascending, so its reversed view is the descending spectrum

@@ -11,6 +11,7 @@ is the ``d x d`` positive definite ``(K' C^+ K)^{-1}``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ from .errors import (
 )
 from .estimable import EstimableSystem, scale_system
 from .linalg import (
-    DERIVED_RANK_RTOL,
     EPS,
     SymMatrix,
     SymStack,
@@ -73,11 +73,6 @@ class WeightMatrix:
         return _in_spans(self.F[None], q[None])[0]
 
 
-def _norms(q: np.ndarray) -> list[float]:
-    """2-norms of the rows of ``q``, as ``np.linalg.norm`` gives them."""
-    return np.sqrt(q[:, None, :] @ q[:, :, None]).ravel().tolist()
-
-
 def _in_spans(fs: np.ndarray, q: np.ndarray) -> list[bool]:
     """Whether each row ``q[i]`` lies in the span of the orthonormal ``fs[i]``."""
     col = q[:, :, None]
@@ -90,7 +85,7 @@ def make_weight_matrix(w_raw, space: EstimationSpace | None = None) -> WeightMat
     Checks nonnegative definiteness, and, when an estimation space is given,
     that the columns of ``W`` lie inside it (``span_residuals``).
     """
-    wm = as_sym(w_raw, DERIVED_RANK_RTOL) if not isinstance(w_raw, SymMatrix) else w_raw
+    wm = as_sym(w_raw)
     spec = eig_sym(wm)
     smallest = float(spec.eigenvalues[-1])
     if smallest < -spec.cutoff:
@@ -125,7 +120,7 @@ def weight_matrix_from_system(system: EstimableSystem,
                               space: EstimationSpace | None = None) -> WeightMatrix:
     """Weight matrix ``Q~ Q~'`` induced by a system with its primary weights."""
     qs = scale_system(system)
-    return make_weight_matrix(symmetrized(qs @ qs.T, DERIVED_RANK_RTOL), space)
+    return make_weight_matrix(symmetrized(qs @ qs.T), space)
 
 
 def _vector(q, v: int) -> np.ndarray:
@@ -155,19 +150,24 @@ def _raised(outcome):
 
 def _weights(ws: list[WeightMatrix], q: np.ndarray) -> list:
     """``weight_of(ws[i], q[i])`` for the rows of ``q``, with the error a row
-    would raise in its place; the weight matrices share one rank."""
+    would raise in its place; the weight matrices share one rank.  A nonzero
+    in-span ``q`` so short that ``q' W^+ q`` underflows has a weight past the
+    largest float, which is a DomainError, not ``inf``."""
     wplus = stack_arrays([w.Wplus for w in ws])
     quads = (q[:, None, :] @ wplus @ q[:, :, None]).ravel().tolist()
     spans = _in_spans(stack_arrays([w.F for w in ws]), q)
     out = []
-    for norm, inside, val in zip(_norms(q), spans, quads):
-        if norm == 0.0:
+    for nonzero, inside, val in zip(q.any(axis=1).tolist(), spans, quads):
+        if not nonzero:
             out.append(DomainError("the weight of the zero function is undefined"))
         elif not inside:
             out.append(None)
-        elif val <= 0.0:
+        elif val < 0.0:
             out.append(InternalConsistencyError(
                 f"q' W^+ q = {val:.3e} for an in-span q; weight must be positive"))
+        elif val == 0.0 or 1.0 / val == math.inf:
+            out.append(DomainError(
+                f"the weight of q overflows a float (q' W^+ q = {val:.3e})"))
         else:
             out.append(1.0 / val)
     return out
@@ -233,7 +233,7 @@ def weighted_info_matrices(cs: SymStack, ks: np.ndarray) -> tuple[SymStack, SymS
                 f"(K columns {list(bad)})",
                 columns=bad,
             )
-    m = SymStack(cs.pinv_form(ks), DERIVED_RANK_RTOL)
+    m = SymStack(cs.pinv_form(ks))
     if min(m.spectrum[2]) < ks.shape[2]:
         raise FeasibilityError(
             "K' C^+ K is numerically singular; the design sits on the feasibility boundary"

@@ -3,6 +3,7 @@
 import inspect
 
 import wdesign
+from wdesign import linalg
 
 #: Parameter names of per-call tolerance knobs.  Every tolerance is a named
 #: module constant, applied the same way at each call.
@@ -32,3 +33,12 @@ def test_no_public_function_takes_a_tolerance_knob():
     knobs = {name: sorted(KNOBS & set(inspect.signature(fn).parameters))
              for name, fn in walked.items()}
     assert {name: found for name, found in knobs.items() if found} == {}
+
+
+def test_only_the_symmatrix_constructor_takes_a_rank_cutoff():
+    # every other matrix is cut at DERIVED_RANK_RTOL; the CLI gives typed ones their own
+    takers = {name for name, fn in public_callables()
+              if "tol_rank" in inspect.signature(fn).parameters}
+    assert takers == {"SymMatrix.__init__"}
+    for fn in (linalg.as_sym, linalg.symmetrized):
+        assert "tol_rank" not in inspect.signature(fn).parameters

@@ -118,6 +118,7 @@ class TestExitCodes:
         ("estimation_space", 5),
         ("model", {"v": 3, "replications": None}),
         ("model", {"v": None, "replications": [2, 2, 2]}),
+        ("model", {"v": 3, "replications": [3, -1, 3]}),
         ("model", {"v": 3, "assignment": [1, 2, 3], "nuisance": {"kind": "blocks",
                                                                  "sizes": None}}),
         ("system", {"generator": "pairwise", "normalize": "false"}),
@@ -224,6 +225,27 @@ class TestCriterion:
         assert main(["criterion", "--file", write(tmp_path, payload)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "singular" in out and "positive-spectrum" in out
+
+    def test_a_typed_weight_matrix_keeps_its_rank(self, tmp_path):
+        # a rank-one contrast W typed to 12 significant digits: its roundoff
+        # eigenvalues sit above 1e-12 of the largest, so only the looser
+        # cutoff of typed matrices gives it rank 1
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            v = int(rng.integers(3, 9))
+            d = int(rng.integers(1, v))
+            k = (np.eye(v) - np.ones((v, v)) / v) @ rng.standard_normal((v, d))
+        assert (v, d) == (8, 1)
+        payload = {
+            "model": {"v": 8, "replications": [2] * 8},
+            "weight_matrix": {"W": [[float(f"{x:.12g}") for x in row] for row in k @ k.T]},
+            "criterion": {"name": "A"},
+        }
+        path = write(tmp_path, payload)
+        out = tmp_path / "report.json"
+        assert main(["info", "--file", path, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["results"]["weight_matrix"]["rank"] == 1
+        assert main(["criterion", "--file", path]) == EXIT_OK
 
     def test_both_targets_rejected(self, tmp_path, capsys):
         payload = dict(BALANCED)

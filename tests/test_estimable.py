@@ -7,7 +7,11 @@ from conftest import contrast, generalized_inverse_sample
 from wdesign import (
     DesignSpec,
     EstimableSystem,
+    SearchProblem,
+    argmax_equivalence_check,
+    certify_theorem1,
     eig_sym,
+    enumerate_optimal,
     estimation_space,
     info_matrix_for_system,
     information_matrix,
@@ -16,8 +20,9 @@ from wdesign import (
     system_from_weight_matrix_R,
     system_from_weight_matrix_sqrt,
     validate_system,
+    weight_matrix_from_system,
 )
-from wdesign.errors import FeasibilityError, SingularWeightError
+from wdesign.errors import FeasibilityError, RankError, SingularWeightError
 from wdesign.linalg import SymMatrix, symmetrized
 
 
@@ -40,6 +45,38 @@ class TestEstimableSystem:
         scaled = scale_system(EstimableSystem(control_system.Q, [1.0, 2.0]))
         base = control_system.Q
         assert np.linalg.matrix_rank(np.column_stack([scaled, base])) == 2
+
+
+def _near_rank_one_systems():
+    """Two contrast systems of v=3 whose ``Q~ Q~'`` has an eigenvalue below
+    1e-12 of its largest, while both singular values of ``Q~`` are far above
+    ``eps`` times the largest."""
+    e = np.eye(3)
+    nearly_parallel = np.column_stack([e[1] - e[0], e[1] - e[0] + 1e-6 * (e[2] - e[0])])
+    return {
+        "nearly-parallel": EstimableSystem(nearly_parallel),
+        "tiny-weight": EstimableSystem(np.column_stack([contrast(3, 1, 2), contrast(3, 1, 3)]),
+                                       [1.0, 1e-13]),
+    }
+
+
+NEAR_RANK_ONE = _near_rank_one_systems()
+
+
+class TestRankIsTheRankOfTheWeightMatrix:
+    @pytest.mark.parametrize("name", NEAR_RANK_ONE)
+    def test_rank_search_and_theorem1_agree(self, name, contrasts3, balanced_design):
+        system = NEAR_RANK_ONE[name]
+        assert system.r == weight_matrix_from_system(system, contrasts3).d == 1
+        problem = SearchProblem(v=3, n=4, criterion="A", target=system, space=contrasts3)
+        assert enumerate_optimal(problem).best_value.rank_used == 1
+        with pytest.raises(RankError):
+            certify_theorem1(balanced_design, system, contrasts3)
+
+    def test_both_routes_find_one_argmax(self, contrasts3):
+        problem = SearchProblem(v=3, n=4, criterion="A", target=NEAR_RANK_ONE["nearly-parallel"],
+                                space=contrasts3)
+        assert argmax_equivalence_check(problem).passed
 
 
 class TestValidateSystem:
@@ -93,7 +130,7 @@ class TestInfoMatrixForSystem:
         baseline = info_matrix_for_system(c, control_system).entries
         for _ in range(10):
             g = generalized_inverse_sample(c, rng)
-            alt = pinv(symmetrized(qs.T @ g @ qs, 1e-12)).entries
+            alt = pinv(symmetrized(qs.T @ g @ qs)).entries
             assert np.max(np.abs(alt - baseline)) <= 1e-9
 
     def test_infeasible_names_columns(self, q1, q3):
@@ -140,7 +177,7 @@ class TestSystemFromWeightMatrixR:
         w = np.eye(3) - contrasts3.projector.entries + control_system.Q @ control_system.Q.T
         sys = system_from_weight_matrix_R(SymMatrix(w), contrasts3)
         p = contrasts3.projector.entries
-        m = symmetrized(p @ np.linalg.inv(w) @ p, 1e-12)
+        m = symmetrized(p @ np.linalg.inv(w) @ p)
         np.testing.assert_allclose(sys.Q @ sys.Q.T, pinv(m).entries, atol=1e-10)
         assert sys.r == contrasts3.dim
 

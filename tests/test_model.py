@@ -15,7 +15,7 @@ from wdesign import (
 )
 from wdesign import model
 from wdesign.errors import SpaceError
-from wdesign.linalg import DERIVED_RANK_RTOL, projector, symmetrized
+from wdesign.linalg import projector, symmetrized
 
 
 class TestDesignSpec:
@@ -135,8 +135,7 @@ class TestNuisanceResidual:
         for spec in specs + [DesignSpec(s.v, s.assignment[::-1], s.nuisance_kind,
                                         s.block_sizes, s.L) for s in specs]:
             x, ell = design_matrix(spec)
-            expected = symmetrized(x.T @ (np.eye(spec.n) - projector(ell).entries) @ x,
-                                   DERIVED_RANK_RTOL)
+            expected = symmetrized(x.T @ (np.eye(spec.n) - projector(ell).entries) @ x)
             assert information_matrix(spec).entries.tobytes() == expected.entries.tobytes()
         keys = {(s.n, s.nuisance_kind, s.block_sizes) for s in specs if s.L is None}
         assert set(model._RESIDUALS._entries) == keys

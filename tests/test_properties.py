@@ -10,6 +10,7 @@ from wdesign import (
     eig_sym,
     info_matrix_for_system,
     information_matrix,
+    weight_matrix_from_system,
 )
 from wdesign.instances import random_instance
 
@@ -23,6 +24,16 @@ def test_scaling_the_system_scales_the_spectrum_of_n_q(seed, log_c):
     base = eig_sym(info_matrix_for_system(spec, system)).positive()
     after = eig_sym(info_matrix_for_system(spec, scaled)).positive()
     np.testing.assert_allclose(after, base / c**2, rtol=1e-9)
+
+
+@given(seed=st.integers(0, 2**32 - 1), v=st.integers(2, 6), s=st.integers(1, 5),
+       log_b=st.lists(st.floats(0.0, 14.0), min_size=5, max_size=5))
+def test_a_system_has_the_rank_of_its_weight_matrix(seed, v, s, log_b):
+    # primary weights spread up to 1e14 put eigenvalues of Q~ Q~' on both
+    # sides of the rank cutoff
+    q = np.random.default_rng(seed).standard_normal((v, s))
+    system = EstimableSystem(q, 10.0 ** np.array(log_b[:s]))
+    assert system.r == weight_matrix_from_system(system).d
 
 
 @given(st.data())

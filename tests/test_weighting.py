@@ -69,6 +69,11 @@ class TestMakeWeightMatrix:
             with pytest.raises(ValueError, match="read-only"):
                 factor[...] = 1.0
 
+    def test_an_array_and_its_symmatrix_have_one_rank(self):
+        # an eigenvalue 1e-13 of the largest is below the one rank cutoff
+        w = np.diag([1.0, 1e-13, 0.0])
+        assert make_weight_matrix(w).d == make_weight_matrix(SymMatrix(w)).d == 1
+
 
 class TestWeightOf:
     def test_unit_weight_pair_fixture(self, unit_weight_pair, full3, q3):
@@ -85,6 +90,14 @@ class TestWeightOf:
         w = make_weight_matrix(np.eye(3) - np.ones((3, 3)) / 3, contrasts3)
         with pytest.raises(DomainError):
             weight_of(w, np.zeros(3))
+
+    @pytest.mark.parametrize("tiny", [1e-170, 1e-160])
+    def test_a_weight_past_the_largest_float_is_a_domain_error(self, tiny):
+        # q is nonzero and in the span, but q' W^+ q underflows (to 0 at
+        # 1e-170, to a subnormal whose reciprocal is inf at 1e-160)
+        w = make_weight_matrix(np.eye(3))
+        with pytest.raises(DomainError, match="overflows"):
+            weight_of(w, tiny * np.eye(3)[0])
 
     def test_out_of_span_marker(self, q1, contrasts3, q3):
         w = weight_matrix_from_system(EstimableSystem(q1), contrasts3)
