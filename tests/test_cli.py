@@ -118,10 +118,10 @@ class TestExitCodes:
         ("estimation_space", 5),
         ("model", {"v": 3, "replications": None}),
         ("model", {"v": None, "replications": [2, 2, 2]}),
-        ("model", {"v": 3, "replications": [3, -1, 3]}),
         ("model", {"v": 3, "assignment": [1, 2, 3], "nuisance": {"kind": "blocks",
                                                                  "sizes": None}}),
         ("system", {"generator": "pairwise", "normalize": "false"}),
+        ("model", {"v": 3, "replications": [3, -1, 3]}),
     ])
     @pytest.mark.parametrize("command", ["info", "search"])
     def test_malformed_sections_are_input_errors(self, tmp_path, capsys, command, section,
