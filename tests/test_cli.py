@@ -7,6 +7,7 @@ import pytest
 
 from wdesign.linalg import SymMatrix
 from wdesign.cli import (
+    CERT_KINDS,
     EXIT_CERT_FAIL,
     EXIT_INPUT,
     EXIT_OK,
@@ -301,6 +302,70 @@ class TestCertify:
     def test_all_small_run_passes(self, tmp_path):
         path = write(tmp_path, BALANCED)
         assert main(["certify", "--file", path, "--trials", "5", "--seed", "3"]) == EXIT_OK
+
+    # Which file instance each ``--which`` certifies.  A tuple lists the
+    # kinds run on the file, in stdout order; a string is the input error.
+    CENTERED = (np.eye(3) - np.ones((3, 3)) / 3).tolist()
+    NO_SYSTEM = "{which} certification needs a 'system' section"
+    NO_W = "theorem2 certification needs a 'weight_matrix' section"
+    NO_W_IN_E = "{which} certification needs a weight matrix inside the estimation space"
+    LOW_RANK = ("theorem1 needs a system of rank dim(E)=2; this one has rank 1 "
+                "(certify theorem3 instead)")
+    SINGULAR = ("theorem2 needs a positive definite weight matrix; this one is singular "
+                "(certify theorem4 instead)")
+    NOT_ESTIMABLE = "weighted functions are not estimable under this design (K columns [0, 1])"
+    ALL_SYSTEM = ("theorem1", "theorem3", "theorem4", "aopt", "eopt")
+    SELECTION = {
+        # shape: (sections, outcomes for CERT_KINDS + ("all",))
+        "no-target": ({}, (NO_SYSTEM, NO_W, NO_SYSTEM, NO_W_IN_E, NO_W_IN_E, NO_W_IN_E, ())),
+        "vs-control": ({"system": {"generator": "vs_control", "k": 2}},
+                       (("theorem1",), NO_W, ("theorem3",), NO_W_IN_E, NO_W_IN_E, NO_W_IN_E,
+                        ALL_SYSTEM)),
+        "vs-control-k1": ({"system": {"generator": "vs_control", "k": 1}},
+                          (LOW_RANK, NO_W, ("theorem3",), NO_W_IN_E, NO_W_IN_E, NO_W_IN_E,
+                           ALL_SYSTEM[1:])),
+        "pairwise": ({"system": {"generator": "pairwise"}},
+                     (("theorem1",), NO_W, ("theorem3",), NO_W_IN_E, NO_W_IN_E, NO_W_IN_E,
+                      ALL_SYSTEM)),
+        "system-outside-e": ({"system": {"Q": [[1], [0], [0]]}},
+                             (LOW_RANK, NO_W,
+                              "system not estimable under the design; offending columns [0]",
+                              NO_W_IN_E, NO_W_IN_E, NO_W_IN_E,
+                              "column space of W escapes the estimation space "
+                              "(residual 3.333e-01)")),
+        "singular-w": ({"weight_matrix": {"W": CENTERED}},
+                       (NO_SYSTEM, SINGULAR, NO_SYSTEM, ("theorem4",), ("aopt",), ("eopt",),
+                        ("theorem4", "aopt", "eopt"))),
+        "pd-w-outside-e": ({"weight_matrix": {"W": np.diag([2.0, 1.0, 1.0]).tolist()}},
+                           (NO_SYSTEM, ("theorem2",), NO_SYSTEM, NO_W_IN_E, NO_W_IN_E,
+                            NO_W_IN_E, ("theorem2",))),
+        "system-and-w": ({"system": {"generator": "vs_control", "k": 2},
+                          "weight_matrix": {"W": CENTERED}},
+                         (("theorem1",), SINGULAR, ("theorem3",), ("theorem4",), ("aopt",),
+                          ("eopt",), ALL_SYSTEM)),
+        "w-not-estimable": ({"model": {"v": 3, "replications": [3, 3, 0]},
+                             "weight_matrix": {"W": CENTERED}},
+                            (NO_SYSTEM, SINGULAR, NO_SYSTEM) + (NOT_ESTIMABLE,) * 4),
+    }
+
+    @pytest.mark.parametrize("which", CERT_KINDS + ("all",))
+    @pytest.mark.parametrize("shape", SELECTION)
+    def test_file_target_selection(self, tmp_path, capsys, shape, which):
+        sections, outcomes = self.SELECTION[shape]
+        expected = outcomes[(CERT_KINDS + ("all",)).index(which)]
+        payload = {"model": {"v": 3, "replications": [2, 2, 2]}, **sections}
+        code = main(["certify", "--file", write(tmp_path, payload), "--which", which,
+                     "--trials", "0"])
+        captured = capsys.readouterr()
+        if isinstance(expected, str):
+            assert code == EXIT_INPUT
+            assert captured.err == f"error: {expected.format(which=which)}\n"
+            assert captured.out == ""
+        else:
+            assert code == EXIT_OK and captured.err == ""
+            ran = [line.split(" on the file instance")[0]
+                   for line in captured.out.splitlines() if " on the file instance" in line]
+            assert ran == list(expected)
 
 
 class TestSearch:
