@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .criteria import CriterionValue, POSITIVE_SPECTRUM_CRITERIA
-from .errors import FeasibilityError, SearchSpaceError, SpaceError
+from .errors import DomainError, FeasibilityError, SearchSpaceError, SpaceError
 from .estimable import EstimableSystem, scale_system, system_from_weight_matrix_sqrt
 from .linalg import (
     EPS,
@@ -96,6 +96,8 @@ class SearchProblem:
                 raise SpaceError("target weight matrix lies outside the estimation space")
         else:
             raise TypeError("target must be an EstimableSystem or a WeightMatrix")
+        if _target_rank(self) == 0:
+            raise DomainError("target of rank zero weights nothing")
 
     def template(self, assignment: tuple[int, ...]) -> DesignSpec:
         """DesignSpec for this problem with the given assignment."""
@@ -247,7 +249,7 @@ def _stack_scorer(problem: SearchProblem):
                 ascending = 1.0 / pos[:rank_needed]
                 ascending.flags.writeable = False
                 spectrum = ascending[::-1]
-                results[row] = criterion(spectrum) if rank_needed else 0.0, spectrum
+                results[row] = criterion(spectrum), spectrum
         return results
 
     return score

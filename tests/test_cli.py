@@ -397,6 +397,16 @@ class TestSearch:
         assert captured.err == "error: --both-routes needs an enumerable instance\n"
         assert captured.out == ""
 
+    def test_a_rank_zero_weight_matrix_is_an_input_error(self, tmp_path, capsys):
+        payload = dict(BALANCED, weight_matrix={"W": np.zeros((3, 3)).tolist()})
+        del payload["system"]
+        out = tmp_path / "report.json"
+        assert main(["search", "--file", write(tmp_path, payload),
+                     "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_needs_search_section(self, tmp_path):
         payload = {k: v for k, v in BALANCED.items() if k != "search"}
         assert main(["search", "--file", write(tmp_path, payload)]) == EXIT_INPUT

@@ -23,7 +23,7 @@ from wdesign import (
     eig_sym,
 )
 import wdesign.search as search_module
-from wdesign.errors import FeasibilityError, SearchSpaceError, SpaceError
+from wdesign.errors import DomainError, FeasibilityError, SearchSpaceError, SpaceError
 from wdesign.estimable import scale_system
 from wdesign.instances import random_instance
 from wdesign.linalg import DERIVED_RANK_RTOL, EPS, SYMMETRY_RTOL, max_abs, projector
@@ -1022,6 +1022,14 @@ class TestProblemValidation:
             SearchProblem(v=3, n=4, criterion="A",
                           target=EstimableSystem(np.array([1.0, 0.0, 0.0])),
                           space=estimation_space("contrasts", 3))
+
+    def test_a_rank_zero_target_is_rejected(self, contrasts3):
+        # W = Q~Q~' of this system is below the rank cutoff; without the
+        # check every assignment would tie at value 0
+        system = EstimableSystem(1e-14 * (np.eye(3)[0] - np.eye(3)[1]))
+        assert system.r == 0
+        with pytest.raises(DomainError, match="rank zero"):
+            SearchProblem(v=3, n=6, criterion="A", target=system, space=contrasts3)
 
     def test_unknown_criterion_rejected(self, contrasts3, q1):
         with pytest.raises(ValueError):
