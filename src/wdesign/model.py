@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import SpaceError
 from .linalg import (
-    EPS,
     SymMatrix,
     SymStack,
     as_sym,
@@ -230,12 +229,14 @@ def span_residuals(q: np.ndarray, projected: np.ndarray) -> tuple[np.ndarray, np
     systems and ``projected`` their projections onto the span tested.
 
     Returns the max-abs residual of each column, ``(..., s)``, and whether
-    it exceeds ``FEASIBILITY_RTOL * max(max|q|, eps)``, ``max|q|`` taken
-    over the whole system: whether the column lies outside the span.
+    it exceeds ``FEASIBILITY_RTOL * max|q|``, ``max|q|`` taken over the
+    whole system: whether the column lies outside the span.  There is no
+    floor, so the test does not depend on the scale of ``q``; a zero
+    column lies in every span.
     """
     worst = np.abs(q - projected).max(axis=-2)
     scales = np.abs(q).max(axis=(-2, -1), initial=0.0)
-    return worst, worst > FEASIBILITY_RTOL * np.maximum(scales, EPS)[..., None]
+    return worst, worst > FEASIBILITY_RTOL * scales[..., None]
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,6 +99,11 @@ class TestWeightOf:
         with pytest.raises(DomainError, match="overflows"):
             weight_of(w, tiny * np.eye(3)[0])
 
+    def test_the_span_test_does_not_depend_on_the_scale_of_q(self):
+        w = make_weight_matrix(np.diag([1.0, 0.0, 0.0]))
+        for k in range(-200, 201):
+            assert weight_of(w, 10.0 ** k * np.eye(3)[1]) is None, k
+
     def test_out_of_span_marker(self, q1, contrasts3, q3):
         w = weight_matrix_from_system(EstimableSystem(q1), contrasts3)
         assert weight_of(w, q3) is None
