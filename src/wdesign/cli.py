@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -194,25 +195,12 @@ def _parse_space(data: dict, spec: DesignSpec) -> EstimationSpace:
         raise ParseError(f"invalid estimation space: {exc}") from exc
 
 
-def _pairwise_columns(v: int) -> np.ndarray:
-    cols = []
-    for i in range(v):
-        for j in range(i + 1, v):
-            q = np.zeros(v)
-            q[i], q[j] = -1.0, 1.0
-            cols.append(q / np.sqrt(2.0))
-    return np.column_stack(cols)
-
-
-def _vs_control_columns(v: int, k: int) -> np.ndarray:
-    if k < 1 or k > v - 1:
-        raise ParseError(f"vs_control needs 1 <= k <= v-1, got k={k}")
-    cols = []
-    for t in range(1, k + 1):
-        q = np.zeros(v)
-        q[0], q[t] = -1.0, 1.0
-        cols.append(q / np.sqrt(2.0))
-    return np.column_stack(cols)
+def _pair_columns(v: int, pairs) -> np.ndarray:
+    """One column ``(e_j - e_i) / sqrt(2)`` per pair ``(i, j)``."""
+    q = np.zeros((v, len(pairs)))
+    for col, (i, j) in enumerate(pairs):
+        q[i, col], q[j, col] = -1.0, 1.0
+    return q / np.sqrt(2.0)
 
 
 def _parse_system(data: dict, spec: DesignSpec) -> EstimableSystem | None:
@@ -222,10 +210,12 @@ def _parse_system(data: dict, spec: DesignSpec) -> EstimableSystem | None:
     if "generator" in section:
         gen = section["generator"]
         if gen == "pairwise":
-            q = _pairwise_columns(spec.v)
+            q = _pair_columns(spec.v, list(itertools.combinations(range(spec.v), 2)))
         elif gen == "vs_control":
-            q = _vs_control_columns(spec.v, _number(int, section.get("k", spec.v - 1),
-                                                    "system.k"))
+            k = _number(int, section.get("k", spec.v - 1), "system.k")
+            if k < 1 or k > spec.v - 1:
+                raise ParseError(f"vs_control needs 1 <= k <= v-1, got k={k}")
+            q = _pair_columns(spec.v, [(0, t) for t in range(1, k + 1)])
         elif gen == "single":
             q = _matrix_from(_require(section, "q", "system"), "system.q")
         else:
@@ -525,80 +515,38 @@ def _parse_query(text: str, v: int) -> np.ndarray:
     return vec
 
 
-def _system_target(problem: Problem, which: str, strict: bool):
-    """The file's system, for theorem3."""
-    if problem.system is None and strict:
-        raise ParseError(f"{which} certification needs a 'system' section")
-    return problem.system
+#: The kinds a file instance can run, in the order it runs them.
+FILE_ORDER = ("theorem1", "theorem3", "theorem2", "theorem4", "aopt", "eopt")
 
 
-def _full_rank_target(problem: Problem, which: str, strict: bool):
-    """The file's system when its rank is dim(E), for theorem1."""
-    system = _system_target(problem, which, strict)
-    if system is None or system.r == problem.space.dim:
-        return system
-    if strict:
-        raise ParseError(
-            f"theorem1 needs a system of rank dim(E)={problem.space.dim}; this one has "
-            f"rank {system.r} (certify theorem3 instead)"
-        )
-    return None
-
-
-def _pd_target(problem: Problem, which: str, strict: bool):
-    """The file's weight matrix when it is positive definite, for theorem2."""
-    w = problem.weight_raw
-    if w is None:
-        if strict:
-            raise ParseError("theorem2 certification needs a 'weight_matrix' section")
-        return None
-    if eig_sym(w).numeric_rank == w.dim:
-        return w
-    if strict:
-        raise ParseError(
-            "theorem2 needs a positive definite weight matrix; this one is "
-            "singular (certify theorem4 instead)"
-        )
-    return None
-
-
-def _weight_target(problem: Problem, which: str, strict: bool):
-    """The file's weight matrix inside E or, under ``all`` without one, the
-    weight matrix its system induces."""
+def _file_target(problem: Problem, kind: str, which: str):
+    """``(target, None)`` for the file's instance of ``kind``, or ``(None,
+    reason)`` when the file has none: theorem1 takes a system of rank
+    dim(E), theorem3 any system, theorem2 a positive definite weight matrix,
+    and theorem4, aopt and eopt a weight matrix inside E or, under ``all``,
+    the one the file's system induces."""
+    system = problem.system
+    if kind in ("theorem1", "theorem3"):
+        if system is None:
+            return None, f"{kind} certification needs a 'system' section"
+        if kind == "theorem1" and system.r != problem.space.dim:
+            return None, (f"theorem1 needs a system of rank dim(E)={problem.space.dim}; "
+                          f"this one has rank {system.r} (certify theorem3 instead)")
+        return system, None
+    if kind == "theorem2":
+        w = problem.weight_raw
+        if w is None:
+            return None, "theorem2 certification needs a 'weight_matrix' section"
+        if eig_sym(w).numeric_rank != w.dim:
+            return None, ("theorem2 needs a positive definite weight matrix; this one is "
+                          "singular (certify theorem4 instead)")
+        return w, None
     w = problem.weight
-    if w is None and problem.system is not None and which == "all":
-        w = weight_matrix_from_system(problem.system, problem.space)
-    if w is None and strict:
-        raise ParseError(
-            f"{which} certification needs a weight matrix inside the estimation space"
-        )
-    return w
-
-
-#: Certification kind -> (the file instance's target for it, whether a
-#: random trial draws the seed of its rotations after the instance), in the
-#: order the file instance runs them.  ``criteria.STACKED_CERTIFICATIONS``
-#: runs each kind.
-KINDS = {
-    "theorem1": (_full_rank_target, False),
-    "theorem3": (_system_target, False),
-    "theorem2": (_pd_target, False),
-    "theorem4": (_weight_target, False),
-    "aopt": (_weight_target, True),
-    "eopt": (_weight_target, False),
-}
-
-
-def _file_certifications(problem: Problem, which: str, strict: bool):
-    """``(kind, instance)`` of the certifications applicable to the file's
-    own instance; strict selection raises ParseError when one does not apply."""
-    runs = []
-    for kind, (file_target, _) in KINDS.items():
-        if which in (kind, "all"):
-            target = file_target(problem, which, strict)
-            if target is not None:
-                runs.append((kind, (problem.spec, problem.space, target, 0)))
-    return runs
+    if w is None and system is not None and which == "all":
+        w = weight_matrix_from_system(system, problem.space)
+    if w is None:
+        return None, f"{kind} certification needs a weight matrix inside the estimation space"
+    return w, None
 
 
 def _random_certifications(kind: str, sequence: np.random.SeedSequence, trials: int):
@@ -609,7 +557,7 @@ def _random_certifications(kind: str, sequence: np.random.SeedSequence, trials: 
     is drawn before any is certified, in stacks (``certify_in_stacks``), so
     a draw error comes before the certification error of an earlier trial.
     """
-    seeded = KINDS[kind][1]
+    seeded = kind == "aopt"
     instances = []
     for child in sequence.spawn(trials):
         rng = np.random.default_rng(child)
@@ -629,10 +577,20 @@ def cmd_certify(problem: Problem, digest: str, which: str, trials: int,
     summary = {}
     all_passed = True
 
-    file_runs = _file_certifications(problem, which, strict=(which != "all"))
-    for name, instance in file_runs:
+    # every target is resolved before any runs, so the first error is a
+    # selection error
+    file_runs = []
+    for name in FILE_ORDER:
+        if which in (name, "all"):
+            target, reason = _file_target(problem, name, which)
+            if target is not None:
+                file_runs.append((name, target))
+            elif which != "all":
+                raise ParseError(reason)
+    for name, target in file_runs:
         try:
-            [report] = criteria.STACKED_CERTIFICATIONS[name](*([part] for part in instance))
+            [report] = criteria.STACKED_CERTIFICATIONS[name](
+                [problem.spec], [problem.space], [target], [0])
         except SingularWeightError as exc:
             raise ParseError(str(exc)) from exc
         all_passed &= report.passed

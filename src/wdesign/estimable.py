@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FeasibilityError, SingularWeightError
-from .linalg import SymMatrix, SymStack, as_sym, eig_sym, eigh_desc_stack, sqrt_psd, symmetrize
+from .linalg import SymMatrix, SymStack, as_sym, eig_sym, eigh_desc_stack, symmetrize
 from .model import EstimationSpace, _information, infeasible_rows
 
 #: Unit-norm slack below which a system counts as normalized.
@@ -142,4 +142,4 @@ def r_coefficients(ws: SymStack, projectors: np.ndarray) -> np.ndarray:
 def system_from_weight_matrix_sqrt(w) -> EstimableSystem:
     """System ``W^{1/2} tau`` matching the weight matrix ``W`` (any rank);
     ``w`` is a WeightMatrix, a SymMatrix or an array."""
-    return EstimableSystem(sqrt_psd(getattr(w, "matrix", w)).entries)
+    return EstimableSystem(SymStack.of([as_sym(getattr(w, "matrix", w))]).sqrt_psd().entries[0])

@@ -7,8 +7,10 @@ eigenvalue counts as nonzero when it exceeds ``tol_rank * max(|lambda|_max,
 eps)``.  ``tol_rank`` is ``DERIVED_RANK_RTOL`` for every matrix unless its
 constructor is given another; the CLI gives matrices typed into problem files
 a looser one.  Pseudoinverses, square roots and projectors all derive from
-that one cutoff, which keeps rank decisions consistent everywhere.  The one
-product with a pseudoinverse, ``Q' A^+ Q``, is written once, in
+that one cutoff, which keeps rank decisions consistent everywhere.  A
+SymMatrix keeps only its spectrum; its pseudoinverse, square roots and
+projectors are formed afresh on each call.  The one product with a
+pseudoinverse, ``Q' A^+ Q``, is written once, in
 ``SymStack.pinv_form``, and every route forms it there; none forms ``C^+``.
 
 Input is validated once, at the boundary: ``SymMatrix(...)`` and ``as_sym``
@@ -57,11 +59,11 @@ class SymMatrix:
     tol_rank : float, optional
         Relative eigenvalue cutoff; defaults to ``DERIVED_RANK_RTOL``.
 
-    The matrix never changes, so ``eig_sym`` and ``pinv`` decompose and
-    invert it once and keep the results on the object.
+    The matrix never changes, so ``eig_sym`` decomposes it once and keeps
+    its spectrum on the object; nothing else is kept.
     """
 
-    __slots__ = ("entries", "dim", "tol_rank", "_spectrum", "_pinv")
+    __slots__ = ("entries", "dim", "tol_rank", "_spectrum")
 
     def __init__(self, entries, tol_rank: float | None = None):
         a = _square_finite(np.array(entries, dtype=float))
@@ -90,7 +92,6 @@ class SymMatrix:
             raise ValueError("tol_rank must be nonnegative")
         self.tol_rank = tol
         self._spectrum = None
-        self._pinv = None
 
     def __repr__(self):
         return f"SymMatrix(dim={self.dim}, tol_rank={self.tol_rank:.3g})"
@@ -146,20 +147,12 @@ def eig_sym(A) -> Spectrum:
     """
     A = as_sym(A)
     if A._spectrum is None:
-        _decompose([A])
+        [w], [s], [rank], [cutoff] = eigh_desc_stack(A.entries[None], A.tol_rank)
+        w = w.copy()
+        w.flags.writeable = False
+        s.flags.writeable = False
+        A._spectrum = Spectrum(w, s, rank, cutoff)
     return A._spectrum
-
-
-def _decompose(mats: list[SymMatrix]) -> None:
-    """Decompose matrices of one size and tolerance in one solver call and
-    keep each spectrum, read-only, on its matrix."""
-    w, s, ranks, cutoffs = eigh_desc_stack(np.stack([m.entries for m in mats]),
-                                           mats[0].tol_rank)
-    for i, m in enumerate(mats):
-        spec = Spectrum(w[i].copy(), s[i], ranks[i], cutoffs[i])
-        spec.eigenvalues.flags.writeable = False
-        spec.eigenvectors.flags.writeable = False
-        m._spectrum = spec
 
 
 def eigh_desc_stack(a: np.ndarray, tol_rank: float = DERIVED_RANK_RTOL):
@@ -247,17 +240,13 @@ class SymStack:
     def of(cls, mats) -> SymStack:
         """The stack of SymMatrix objects of one size and tolerance.
 
-        Their spectra are shared with the matrices: the missing ones are
-        decomposed in one call and kept on each matrix, as ``eig_sym`` keeps
-        them.
+        Their spectra are shared with the matrices: each is taken through
+        ``eig_sym``, which decomposes a matrix once and keeps its spectrum.
         """
         tol = mats[0].tol_rank
         if any(m.tol_rank != tol or m.dim != mats[0].dim for m in mats):
             raise ValueError("a stack holds matrices of one size and one rank tolerance")
-        fresh = [m for m in mats if m._spectrum is None]
-        if fresh:
-            _decompose(fresh)
-        spectra = [m._spectrum for m in mats]
+        spectra = [eig_sym(m) for m in mats]
         return cls(stack_arrays([m.entries for m in mats]), tol,
                    (stack_arrays([s.eigenvalues for s in spectra]),
                     stack_arrays([s.eigenvectors for s in spectra]),
@@ -349,13 +338,9 @@ def pinv(A) -> SymMatrix:
 
     Eigenvalues whose magnitude clears the rank cutoff are inverted, the
     rest are zeroed; the four Penrose identities then hold to working
-    precision, and ``pinv(pinv(A))`` recovers ``A``.  Built once per
-    SymMatrix; later calls return the same object.
+    precision, and ``pinv(pinv(A))`` recovers ``A``.
     """
-    A = as_sym(A)
-    if A._pinv is None:
-        A._pinv = SymStack.of([A]).pinv().matrix(0)
-    return A._pinv
+    return SymStack.of([as_sym(A)]).pinv().matrix(0)
 
 
 def pinv_sqrt(A) -> SymMatrix:

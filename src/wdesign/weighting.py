@@ -31,6 +31,7 @@ from .linalg import (
     eig_sym,
     max_abs,
     stack_arrays,
+    symmetrize,
     symmetrized,
 )
 from .model import EstimationSpace, _information, infeasible_rows, span_residuals
@@ -108,7 +109,7 @@ def make_weight_matrix(w_raw, space: EstimationSpace | None = None) -> WeightMat
     f = spec.eigenvectors[:, :d].copy()
     k = f * np.sqrt(spec.eigenvalues[:d])
     if d:
-        wplus = symmetrized((f / spec.eigenvalues[:d]) @ f.T).entries
+        wplus = symmetrize((f / spec.eigenvalues[:d]) @ f.T)
     else:
         wplus = np.zeros((wm.dim, wm.dim))
     for factor in (k, f, wplus):

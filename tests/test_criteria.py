@@ -31,7 +31,7 @@ from wdesign import (
 from wdesign.criteria import SPECTRAL_TOL, STACKED_CERTIFICATIONS, certify_in_stacks
 from wdesign.errors import DomainError, RankError, SingularWeightError, SpaceError
 from wdesign.instances import random_instance
-from wdesign.linalg import DERIVED_RANK_RTOL, SymMatrix, pinv
+from wdesign.linalg import DERIVED_RANK_RTOL, SymMatrix, SymStack, pinv
 
 #: Certification kind -> its run on a ``random_instance`` draw.
 CERTIFY = {
@@ -382,16 +382,26 @@ class TestCachedAnalyses:
         assert c.tol_rank == DERIVED_RANK_RTOL
         assert information_matrix(balanced_design) is not c
 
-    def test_routes_form_no_pseudoinverse_of_c(self, control_system, contrasts3):
+    def test_routes_form_no_pseudoinverse_of_c(self, control_system, contrasts3,
+                                               monkeypatch):
+        inverted = []
+        original = SymStack.pinv
+
+        def recording(stack):
+            inverted.extend(stack.entries)
+            return original(stack)
+
+        monkeypatch.setattr(SymStack, "pinv", recording)
         spec = DesignSpec.from_replications(3, [2, 2, 2])
         c = check_estimation_space(spec, contrasts3)
         info_matrix_for_system(spec, control_system)
         w = weight_matrix_from_system(control_system, contrasts3)
         weighted_info_matrix(spec, w)
         weighted_variance(spec, w, control_system.Q[:, 0])
-        assert c._pinv is None
-        cplus = pinv(c)
-        assert pinv(c) is cplus
+        assert inverted
+        assert not any(np.array_equal(a, c.entries) for a in inverted)
+        pinv(c)
+        assert np.array_equal(inverted[-1], c.entries)
 
 
 def stack_key(instance):

@@ -173,7 +173,6 @@ class TestCache:
         with pytest.raises(ValueError):
             s.eigenvalues[0] = 0.0
         p = pinv(a)
-        assert pinv(a) is p
         assert not p.entries.flags.writeable
 
     def test_cold_copy_is_bit_identical(self):
