@@ -519,12 +519,12 @@ def _parse_query(text: str, v: int) -> np.ndarray:
 FILE_ORDER = ("theorem1", "theorem3", "theorem2", "theorem4", "aopt", "eopt")
 
 
-def _file_target(problem: Problem, kind: str, which: str):
+def _file_target(problem: Problem, kind: str, weight):
     """``(target, None)`` for the file's instance of ``kind``, or ``(None,
     reason)`` when the file has none: theorem1 takes a system of rank
     dim(E), theorem3 any system, theorem2 a positive definite weight matrix,
-    and theorem4, aopt and eopt a weight matrix inside E or, under ``all``,
-    the one the file's system induces."""
+    and theorem4, aopt and eopt ``weight``: the file's weight matrix inside
+    E or, under ``all``, the ``W = Q~Q~'`` of a system inside E."""
     system = problem.system
     if kind in ("theorem1", "theorem3"):
         if system is None:
@@ -541,12 +541,9 @@ def _file_target(problem: Problem, kind: str, which: str):
             return None, ("theorem2 needs a positive definite weight matrix; this one is "
                           "singular (certify theorem4 instead)")
         return w, None
-    w = problem.weight
-    if w is None and system is not None and which == "all":
-        w = weight_matrix_from_system(system, problem.space)
-    if w is None:
+    if weight is None:
         return None, f"{kind} certification needs a weight matrix inside the estimation space"
-    return w, None
+    return weight, None
 
 
 def _random_certifications(kind: str, sequence: np.random.SeedSequence, trials: int):
@@ -580,9 +577,13 @@ def cmd_certify(problem: Problem, digest: str, which: str, trials: int,
     # every target is resolved before any runs, so the first error is a
     # selection error
     file_runs = []
+    weight = problem.weight
+    if (weight is None and which == "all" and problem.system is not None
+            and validate_system(problem.system, problem.space)):
+        weight = weight_matrix_from_system(problem.system, problem.space)
     for name in FILE_ORDER:
         if which in (name, "all"):
-            target, reason = _file_target(problem, name, which)
+            target, reason = _file_target(problem, name, weight)
             if target is not None:
                 file_runs.append((name, target))
             elif which != "all":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FeasibilityError, SingularWeightError
 from .linalg import SymMatrix, SymStack, as_sym, eig_sym, eigh_desc_stack, symmetrize
-from .model import EstimationSpace, _information, infeasible_rows
+from .model import EstimationSpace, _information, estimable_forms, first_infeasible
 
 #: Unit-norm slack below which a system counts as normalized.
 NORMALIZED_ATOL = 1e-9
@@ -104,13 +104,13 @@ def info_matrices(cs: SymStack, qs: np.ndarray) -> SymStack:
     The one implementation of the ``N_Q`` route.  FeasibilityError names the
     offending columns of the first row that has any.
     """
-    for bad in infeasible_rows(cs, qs):
-        if bad:
-            raise FeasibilityError(
-                f"system not estimable under the design; offending columns {list(bad)}",
-                columns=bad,
-            )
-    return SymStack(cs.pinv_form(qs)).pinv()
+    bad, forms = estimable_forms(cs, qs)
+    if columns := first_infeasible(bad):
+        raise FeasibilityError(
+            f"system not estimable under the design; offending columns {list(columns)}",
+            columns=columns,
+        )
+    return SymStack(forms).pinv()
 
 
 def system_from_weight_matrix_R(w, space: EstimationSpace) -> EstimableSystem:
@@ -136,7 +136,7 @@ def system_from_weight_matrix_R(w, space: EstimationSpace) -> EstimableSystem:
 def r_coefficients(ws: SymStack, projectors: np.ndarray) -> np.ndarray:
     """``R = (P W^{-1} P)^{+1/2}`` of each row of a stack of nonsingular
     ``W`` and the projectors ``P`` of their estimation spaces."""
-    return SymStack(ws.pinv_form(projectors)).pinv_sqrt().entries
+    return SymStack(estimable_forms(ws, projectors)[1]).pinv_sqrt().entries
 
 
 def system_from_weight_matrix_sqrt(w) -> EstimableSystem:

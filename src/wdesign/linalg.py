@@ -10,8 +10,9 @@ a looser one.  Pseudoinverses, square roots and projectors all derive from
 that one cutoff, which keeps rank decisions consistent everywhere.  A
 SymMatrix keeps only its spectrum; its pseudoinverse, square roots and
 projectors are formed afresh on each call.  The one product with a
-pseudoinverse, ``Q' A^+ Q``, is written once, in
-``SymStack.pinv_form``, and every route forms it there; none forms ``C^+``.
+pseudoinverse, ``Q' A^+ Q``, is written once, with the estimability test it
+needs, in ``model.estimable_forms``; every route forms it there and none
+forms ``C^+``.
 
 Input is validated once, at the boundary: ``SymMatrix(...)`` and ``as_sym``
 on an array check shape, finiteness and symmetry.  Products the package
@@ -217,13 +218,12 @@ class SymStack:
 
     The stacked counterpart of SymMatrix and the one implementation of the
     spectral maps: ``pinv``, ``pinv_sqrt`` and ``sqrt_psd`` of a SymMatrix
-    are those of its one-row stack.  ``pinv_form`` is the one product with a
-    pseudoinverse, ``Q' A^+ Q``: the ``N_Q`` and ``C_W`` routes, weighted
-    variances and the search scorer all form it there, and none forms
-    ``C^+`` itself.  The spectrum is decomposed once, in one solver call,
-    and every slice goes through the operations it would go through alone,
-    so a row's result does not depend on the stack it came in.  The entries
-    are products the package formed, so only their finiteness is checked.
+    are those of its one-row stack; ``model.estimable_forms`` forms
+    ``Q' A^+ Q`` on its spectrum.  The spectrum is decomposed once, in one
+    solver call, and every slice goes through the operations it would go
+    through alone, so a row's result does not depend on the stack it came
+    in.  The entries are products the package formed, so only their
+    finiteness is checked.
     """
 
     __slots__ = ("entries", "tol_rank", "_spectrum")
@@ -270,33 +270,6 @@ class SymStack:
         w, s, ranks, cutoffs = self.spectrum
         return SymStack(self.entries[rows], self.tol_rank,
                         (w[rows], s[rows], [ranks[i] for i in rows], [cutoffs[i] for i in rows]))
-
-    def pinv_form(self, q: np.ndarray) -> np.ndarray:
-        """``q' A^+ q`` of each row, exactly symmetrized; ``q`` is a
-        ``(B, ..., v, s)`` stack, or one ``(v, s)`` matrix for every row.
-
-        ``A^+`` is ``F diag(1/lambda) F'`` over the eigenvalues above the
-        cutoff, built once per row and applied as ``(q' @ A^+) @ q``.  The
-        columns of ``q`` must lie in the span of those eigenvalues, as
-        ``model.infeasible_rows`` tests, and there this is the whole
-        ``q' A^+ q``.  The rows of one rank go through in one stack.
-        """
-        w, vectors, ranks, _ = self.spectrum
-        count = len(w)
-        out = None
-        for rank, rows in rank_groups(ranks):
-            f = take_rows(vectors, rows, count)[:, :, :rank]
-            g = (f / take_rows(w, rows, count)[:, None, :rank]) @ f.transpose(0, 2, 1)
-            sub = q if q.ndim == 2 else take_rows(q, rows, count)
-            # a row's A^+ serves every (v, s) block of that row
-            g = g.reshape(g.shape[:1] + (1,) * (sub.ndim - 3) + g.shape[1:])
-            m = symmetrize(sub.swapaxes(-1, -2) @ g @ sub)
-            if len(rows) == count:
-                return m
-            if out is None:
-                out = np.empty((count,) + m.shape[1:])
-            out[rows] = m
-        return out
 
     def pinv(self) -> SymStack:
         """Moore-Penrose pseudoinverses: eigenvalues whose magnitude clears

@@ -22,6 +22,7 @@ from .linalg import (
     as_sym,
     projector,
     rank_groups,
+    symmetrize,
     symmetrized,
     take_rows,
 )
@@ -302,36 +303,57 @@ def infeasible_columns(spec_or_C, Q) -> tuple[int, ...]:
     """Indices of columns of ``Q`` outside the column space of ``C``.
 
     The test is ``span_residuals`` against the column-space projector of
-    ``C``.  It is ``infeasible_rows`` of a one-row stack.
+    ``C``.  It is ``estimable_forms`` of a one-row stack.
     """
     c = _information(spec_or_C)
     q = np.asarray(Q, dtype=float)
     if q.ndim == 1:
         q = q[:, None]
-    return infeasible_rows(SymStack.of([c]), q[None])[0]
+    return first_infeasible(estimable_forms(SymStack.of([c]), q[None])[0])
 
 
-def infeasible_rows(cs: SymStack, q: np.ndarray) -> list[tuple[int, ...]]:
-    """``infeasible_columns`` of each row: the columns of ``q[b]`` (a
-    ``(B, v, s)`` stack, or one ``(v, s)`` matrix for every row) outside the
-    column space of row ``b`` of ``cs``.
+def estimable_forms(cs: SymStack, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(bad, forms)``: estimability and ``q' A^+ q`` of each row of a
+    stack in one pass, the chain of the ``N_Q`` and ``C_W`` routes, ``R``,
+    the weighted variances and the search scorer.
 
-    The bases of the column spaces differ in width with the rank of ``C``,
-    so the rows go through in one stack per rank.
+    ``q`` is a ``(B, ..., v, s)`` stack, or one ``(v, s)`` matrix for every
+    row.  ``bad`` (``(B, ..., s)``) marks the columns outside the span of
+    the eigenvectors ``F`` of their row above the cutoff (``span_residuals``,
+    each ``(v, s)`` block on its own scale).  The forms, finite on every
+    row, apply ``A^+ = F diag(1/lambda) F'`` as ``(q' @ A^+) @ q``, exactly
+    symmetrized.  The rows of one rank go through in one stack.
     """
     dim = cs.entries.shape[1]
     if q.shape[-2] != dim:
         raise ValueError(f"Q must have {dim} rows, got {q.shape[-2]}")
-    _, vectors, ranks, _ = cs.spectrum
+    w, vectors, ranks, _ = cs.spectrum
     count = len(ranks)
-    out = [()] * count
+    bad = forms = None
     for rank, rows in rank_groups(ranks):
         f = take_rows(vectors, rows, count)[:, :, :rank]
+        g = (f / take_rows(w, rows, count)[:, None, :rank]) @ f.transpose(0, 2, 1)
         sub = q if q.ndim == 2 else take_rows(q, rows, count)
-        over = span_residuals(sub, f @ (f.transpose(0, 2, 1) @ sub))[1]
-        for i in np.flatnonzero(over.any(axis=1)).tolist():
-            out[rows[i]] = tuple(np.flatnonzero(over[i]).tolist())
-    return out
+        # a row's F and A^+ serve every (v, s) block of that row
+        lift = (1,) * (sub.ndim - 3)
+        f, g = (a.reshape(a.shape[:1] + lift + a.shape[1:]) for a in (f, g))
+        over = span_residuals(sub, f @ (f.swapaxes(-1, -2) @ sub))[1]
+        m = symmetrize(sub.swapaxes(-1, -2) @ g @ sub)
+        if len(rows) == count:
+            return over, m
+        if forms is None:
+            bad = np.empty((count,) + over.shape[1:], dtype=bool)
+            forms = np.empty((count,) + m.shape[1:])
+        bad[rows] = over
+        forms[rows] = m
+    return bad, forms
+
+
+def first_infeasible(bad: np.ndarray) -> tuple[int, ...]:
+    """The columns outside the span in the first row of a ``(B, s)`` ``bad``
+    that has any, as ``estimable_forms`` gives it; ``()`` when none has."""
+    rows = np.flatnonzero(bad.any(axis=1))
+    return tuple(np.flatnonzero(bad[rows[0]]).tolist()) if len(rows) else ()
 
 
 def check_estimation_space(spec: DesignSpec, space: EstimationSpace) -> SymMatrix:

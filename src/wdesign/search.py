@@ -26,8 +26,9 @@ from .linalg import (
     eigh_desc_stack,
     max_abs,
     symmetrize,
+    take_rows,
 )
-from .model import DesignSpec, EstimationSpace, infeasible_rows, nuisance_residual
+from .model import DesignSpec, EstimationSpace, estimable_forms, nuisance_residual
 from .weighting import WeightMatrix, weight_matrix_from_system
 
 #: Largest assignment count enumerate_optimal will walk.
@@ -47,9 +48,9 @@ SCORE_CACHE_LIMIT = 2**13
 #: unchanged and took no longer.
 INCIDENCE_STACK_ROWS = 512
 
-#: Relative slack for collecting ties into the optimal set: a value ties
-#: the best when it is within ``TIE_RTOL * max(|best|, eps)``, so the set
-#: does not depend on the scale of the primary weights.
+#: Relative slack for collecting ties into the optimal set: a value ties the
+#: best when within ``TIE_RTOL * |best|``, with no floor, so the set does not
+#: depend on the scale of the target (a best of zero ties only exact zeros).
 TIE_RTOL = 1e-9
 
 
@@ -215,10 +216,10 @@ def _stack_scorer(problem: SearchProblem):
     ``(B, n)`` array of treatment labels; each result is ``(value, positive
     spectrum)``, or ``None`` when the target is not estimable under that
     labelling.  The nuisance projector is fixed per problem.  The scorer
-    builds the stack of ``C``, drops the rows under which the target is not
-    estimable (``infeasible_rows``), forms ``Q~' C^+ Q~`` of the rest with
-    ``SymStack.pinv_form``, the product every route shares, and takes one
-    batched eigendecomposition of it.  Each matrix goes through the
+    builds the stack of ``C``, forms ``Q~' C^+ Q~`` and decides estimability
+    in ``model.estimable_forms``, the chain every route shares, drops the
+    rows under which the target is not estimable, and takes one batched
+    eigendecomposition of the rest.  Each matrix goes through the
     operations it would go through alone, so a row's result does not depend
     on the stack it came in.  The returned spectra are read-only, because a
     cached result is shared.
@@ -236,12 +237,12 @@ def _stack_scorer(problem: SearchProblem):
             return []
         x = onehot[np.asarray(keys)]
         cs = SymStack(symmetrize(x.transpose(0, 2, 1) @ mres @ x))
-        bad = infeasible_rows(cs, qs)
-        rows = [row for row, columns in enumerate(bad) if not columns]
+        bad, forms = estimable_forms(cs, qs)
+        rows = np.flatnonzero(~bad.any(axis=1)).tolist()
         results = [None] * len(x)
         if not rows:
             return results
-        inverse, _, ranks_m, _ = eigh_desc_stack(cs.take(rows).pinv_form(qs))
+        inverse, _, ranks_m, _ = eigh_desc_stack(take_rows(forms, rows, len(x)))
         for row, pos, rank_m in zip(rows, inverse, ranks_m):
             if rank_m == rank_needed:
                 # ascending, so its reversed view is the descending spectrum
@@ -424,7 +425,7 @@ def enumerate_optimal(problem: SearchProblem) -> SearchResult:
                 best = value
                 best_assignment = assignment
                 best_spectrum = spectrum
-                floor = best - TIE_RTOL * max(abs(best), EPS)
+                floor = best - TIE_RTOL * abs(best)
                 optima = [(a, val) for a, val in optima if val >= floor]
             if value >= floor:
                 optima.append((assignment, value))
@@ -601,7 +602,7 @@ def argmax_equivalence_check(problem: SearchProblem) -> ArgmaxEquivalenceReport:
     rs = enumerate_optimal(system_problem)
     rw = enumerate_optimal(weighted_problem)
     va, vb = rs.best_value.value, rw.best_value.value
-    values_close = abs(va - vb) <= TIE_RTOL * max(abs(va), abs(vb), EPS)
+    values_close = abs(va - vb) <= TIE_RTOL * max(abs(va), abs(vb))
     sets_equal = set(rs.optimal_assignments) == set(rw.optimal_assignments)
     return ArgmaxEquivalenceReport(
         passed=bool(values_close and sets_equal),

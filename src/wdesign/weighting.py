@@ -34,7 +34,7 @@ from .linalg import (
     symmetrize,
     symmetrized,
 )
-from .model import EstimationSpace, _information, infeasible_rows, span_residuals
+from .model import EstimationSpace, _information, estimable_forms, first_infeasible, span_residuals
 
 #: Relative tolerance of the proportionality test in estimation equivalence.
 EQUIVALENCE_RTOL = 1e-8
@@ -190,21 +190,22 @@ def weighted_variances(cs: SymStack, ws: list[WeightMatrix], q: np.ndarray) -> n
     and ``ws[b]``, weight matrices of one rank.
 
     Every vector's two quadratic forms are ``(1, v) @ (v, v) @ (v, 1)``
-    slices, the operations it goes through alone; ``SymStack.pinv_form``
-    builds the ``F diag(1/lambda) F'`` of a row once for all its vectors.
+    slices, the operations it goes through alone; ``model.estimable_forms``
+    builds the ``F diag(1/lambda) F'`` of a row once for all its vectors,
+    and tests each vector against that row's ``F`` on its own scale.
     The first vector, in row order, that ``weighted_variance`` would reject
     raises its error.
     """
     count = q.shape[1]
     flat = np.ascontiguousarray(q).reshape(-1, q.shape[2])
-    rows = [b for b in range(len(ws)) for _ in range(count)]
-    weights = _weights([ws[b] for b in rows], flat)
-    for wt, bad in zip(weights, infeasible_rows(cs.take(rows), flat[:, :, None])):
+    weights = _weights([w for w in ws for _ in range(count)], flat)
+    bad, forms = estimable_forms(cs, q[:, :, :, None])
+    for wt, out in zip(weights, bad.ravel().tolist()):
         if _raised(wt) is None:
             raise SpaceError("q lies outside the span of the weight matrix")
-        if bad:
+        if out:
             raise FeasibilityError("q'tau is not estimable under the design", columns=(0,))
-    quads = cs.pinv_form(q[:, :, :, None]).ravel().tolist()
+    quads = forms.ravel().tolist()
     return np.array([wt * quad for wt, quad in zip(weights, quads)]).reshape(q.shape[:2])
 
 
@@ -227,14 +228,14 @@ def weighted_info_matrices(cs: SymStack, ks: np.ndarray) -> tuple[SymStack, SymS
     """
     if ks.shape[2] == 0:
         raise DomainError("weight matrix of rank zero weights nothing")
-    for bad in infeasible_rows(cs, ks):
-        if bad:
-            raise FeasibilityError(
-                "weighted functions are not estimable under this design "
-                f"(K columns {list(bad)})",
-                columns=bad,
-            )
-    m = SymStack(cs.pinv_form(ks))
+    bad, forms = estimable_forms(cs, ks)
+    if columns := first_infeasible(bad):
+        raise FeasibilityError(
+            "weighted functions are not estimable under this design "
+            f"(K columns {list(columns)})",
+            columns=columns,
+        )
+    m = SymStack(forms)
     if min(m.spectrum[2]) < ks.shape[2]:
         raise FeasibilityError(
             "K' C^+ K is numerically singular; the design sits on the feasibility boundary"

@@ -1,6 +1,7 @@
 """Problem-file parsing, the five subcommands, exit codes, report stability."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ BALANCED = {
     "criterion": {"name": "A"},
     "search": {"seed": 7, "restarts": 10, "max_passes": 50},
 }
+
+GOLDEN_PROBLEMS = Path(__file__).resolve().parent / "golden" / "problems"
 
 
 def write(tmp_path, payload, name="problem.json"):
@@ -303,6 +306,24 @@ class TestCertify:
         path = write(tmp_path, BALANCED)
         assert main(["certify", "--file", path, "--trials", "5", "--seed", "3"]) == EXIT_OK
 
+    def test_all_builds_the_induced_weight_matrix_once(self, monkeypatch, capsys):
+        from wdesign import cli as cli_module
+
+        built = cli_module.weight_matrix_from_system
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return built(*args)
+
+        monkeypatch.setattr(cli_module, "weight_matrix_from_system", counted)
+        path = str(GOLDEN_PROBLEMS / "certify-all.json")
+        assert main(["certify", "--file", path, "--which", "all", "--trials", "0"]) == EXIT_OK
+        ran = [line.split(" on the file instance")[0]
+               for line in capsys.readouterr().out.splitlines() if " on the file instance" in line]
+        assert ran == list(self.ALL_SYSTEM)
+        assert len(calls) == 1
+
     # Which file instance each ``--which`` certifies.  A tuple lists the
     # kinds run on the file, in stdout order; a string is the input error.
     CENTERED = (np.eye(3) - np.ones((3, 3)) / 3).tolist()
@@ -314,6 +335,7 @@ class TestCertify:
     SINGULAR = ("theorem2 needs a positive definite weight matrix; this one is singular "
                 "(certify theorem4 instead)")
     NOT_ESTIMABLE = "weighted functions are not estimable under this design (K columns [0, 1])"
+    NOT_ESTIMABLE_SYSTEM = "system not estimable under the design; offending columns [0]"
     ALL_SYSTEM = ("theorem1", "theorem3", "theorem4", "aopt", "eopt")
     SELECTION = {
         # shape: (sections, outcomes for CERT_KINDS + ("all",))
@@ -328,11 +350,8 @@ class TestCertify:
                      (("theorem1",), NO_W, ("theorem3",), NO_W_IN_E, NO_W_IN_E, NO_W_IN_E,
                       ALL_SYSTEM)),
         "system-outside-e": ({"system": {"Q": [[1], [0], [0]]}},
-                             (LOW_RANK, NO_W,
-                              "system not estimable under the design; offending columns [0]",
-                              NO_W_IN_E, NO_W_IN_E, NO_W_IN_E,
-                              "column space of W escapes the estimation space "
-                              "(residual 3.333e-01)")),
+                             (LOW_RANK, NO_W, NOT_ESTIMABLE_SYSTEM,
+                              NO_W_IN_E, NO_W_IN_E, NO_W_IN_E, NOT_ESTIMABLE_SYSTEM)),
         "singular-w": ({"weight_matrix": {"W": CENTERED}},
                        (NO_SYSTEM, SINGULAR, NO_SYSTEM, ("theorem4",), ("aopt",), ("eopt",),
                         ("theorem4", "aopt", "eopt"))),

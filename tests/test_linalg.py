@@ -15,7 +15,7 @@ from wdesign import (
     sqrt_psd,
 )
 from wdesign.errors import DomainError, NumericalError
-from wdesign.linalg import DERIVED_RANK_RTOL, SymStack, as_sym, eigh_desc_stack, symmetrized
+from wdesign.linalg import DERIVED_RANK_RTOL, as_sym, eigh_desc_stack, symmetrized
 
 
 def random_psd(rng, dim, rank=None):
@@ -228,23 +228,6 @@ class TestPinv:
             assert np.max(np.abs(ap @ m @ ap - ap)) <= tol
             assert np.max(np.abs((m @ ap).T - m @ ap)) <= tol
             assert np.max(np.abs((ap @ m).T - ap @ m)) <= tol
-
-    def test_pinv_form_rows_match_their_one_row_stacks_and_pinv(self):
-        rng = np.random.default_rng(4)
-        mats = [as_sym(random_psd(rng, 5, rank)) for rank in (2, 5, 2, 3, 5)]
-        stack = SymStack.of(mats)
-        assert len(set(stack.spectrum[2])) == 3
-        # columns inside each row's span, where the form is q' A^+ q
-        qs = np.stack([m.entries @ rng.standard_normal((5, 3)) for m in mats])
-        forms = stack.pinv_form(qs)
-        per_vector = stack.pinv_form(qs.transpose(0, 2, 1)[:, :, :, None])
-        assert per_vector.shape == (5, 3, 1, 1)
-        for i, m in enumerate(mats):
-            assert forms[i].tobytes() == SymStack.of([m]).pinv_form(qs[i][None])[0].tobytes()
-            expected = qs[i].T @ pinv(m).entries @ qs[i]
-            np.testing.assert_allclose(forms[i], expected, rtol=1e-8,
-                                       atol=1e-10 * np.abs(expected).max())
-            np.testing.assert_allclose(per_vector[i].ravel(), np.diag(forms[i]), rtol=1e-12)
 
 
 class TestPinvSqrt:

@@ -15,7 +15,7 @@ from wdesign import (
 )
 from wdesign import model
 from wdesign.errors import SpaceError
-from wdesign.linalg import projector, symmetrized
+from wdesign.linalg import SymMatrix, SymStack, pinv, projector, symmetrized
 
 
 class TestDesignSpec:
@@ -219,6 +219,41 @@ class TestFeasibility:
     def test_ones_never_estimable_with_intercept(self):
         spec = DesignSpec.from_replications(3, [2, 2, 2])
         assert infeasible_columns(spec, np.ones(3)) == (0,)
+
+    def test_estimable_forms_rows_match_their_one_row_stacks_pinv_and_verdicts(self):
+        rng = np.random.default_rng(4)
+
+        def psd(rank):
+            g = rng.standard_normal((5, rank))
+            return SymMatrix(g @ g.T)
+
+        mats = [psd(rank) for rank in (2, 5, 2, 3, 5, 2, 3)]
+        stack = SymStack.of(mats)
+        assert len(set(stack.spectrum[2])) == 3
+        # rows 0-4 keep their columns inside the span of their matrix; rows 5
+        # and 6, of ranks 2 and 3, each move one column out of it
+        qs = np.stack([m.entries @ rng.standard_normal((5, 3)) for m in mats])
+        qs[5, :, 1] = rng.standard_normal(5)
+        qs[6, :, 0] = rng.standard_normal(5)
+        bad, forms = model.estimable_forms(stack, qs)
+        per_bad, per_vector = model.estimable_forms(stack, qs.transpose(0, 2, 1)[:, :, :, None])
+        assert bad.shape == (7, 3) and per_bad.shape == (7, 3, 1)
+        assert per_vector.shape == (7, 3, 1, 1)
+        assert model.first_infeasible(bad) == (1,)
+        for i, m in enumerate(mats):
+            one_bad, one_form = model.estimable_forms(SymStack.of([m]), qs[i][None])
+            assert forms[i].tobytes() == one_form[0].tobytes()
+            assert bad[i].tolist() == one_bad[0].tolist()
+            columns = infeasible_columns(m, qs[i])
+            assert columns == {5: (1,), 6: (0,)}.get(i, ())
+            assert tuple(np.flatnonzero(bad[i]).tolist()) == columns
+            for j in range(3):
+                assert bool(per_bad[i, j, 0]) == bool(infeasible_columns(m, qs[i, :, j]))
+            # outside the span too, the form is q' A^+ q, and finite
+            expected = qs[i].T @ pinv(m).entries @ qs[i]
+            np.testing.assert_allclose(forms[i], expected, rtol=1e-8,
+                                       atol=1e-10 * np.abs(expected).max())
+            np.testing.assert_allclose(per_vector[i].ravel(), np.diag(forms[i]), rtol=1e-12)
 
 
 class TestCompetingDesignsCheck:

@@ -1001,6 +1001,26 @@ class TestScaleFreeTies:
         assert results[1e-10] == results[1.0] == results[1e10]
         assert len(results[1.0]) < enumeration_size(problem)
 
+    def test_tie_set_does_not_depend_on_a_power_of_two_scale_of_q(self):
+        # Q -> 2^k Q scales every A value by exactly 2^-2k; with the pairwise
+        # system of v=4 in blocks (3, 3, 3) the best value runs from 1e24 to
+        # 1e-121, far below machine epsilon, and the tie set must not move
+        pairs = np.column_stack([contrast(4, i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+
+        def problem(k):
+            return SearchProblem(v=4, n=9, criterion="A", target=EstimableSystem(2.0**k * pairs),
+                                 space=estimation_space("contrasts", 4),
+                                 nuisance_kind="blocks", block_sizes=(3, 3, 3))
+
+        ties = {k: set(enumerate_optimal(problem(k)).optimal_assignments)
+                for k in (0, -40, 40, 200)}
+        report = argmax_equivalence_check(problem(100))
+        assert report.passed
+        assert len(report.optima_system_route) == len(report.optima_weighted_route) == 1296
+        ties[100] = set(report.optima_system_route)
+        assert len(ties[0]) == 1296
+        assert all(tied == ties[0] for tied in ties.values())
+
 
 class TestEquivariance:
     def test_relabeling_permutes_the_argmax_set(self, contrasts3, control_system):
