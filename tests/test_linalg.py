@@ -15,7 +15,8 @@ from wdesign import (
     sqrt_psd,
 )
 from wdesign.errors import DomainError, NumericalError
-from wdesign.linalg import DERIVED_RANK_RTOL, as_sym, eigh_desc_stack, symmetrized
+from wdesign.linalg import DERIVED_RANK_RTOL, SymStack, as_sym, eigh_desc_stack, symmetrized
+from wdesign.model import estimable_forms
 
 
 def random_psd(rng, dim, rank=None):
@@ -228,6 +229,27 @@ class TestPinv:
             assert np.max(np.abs(ap @ m @ ap - ap)) <= tol
             assert np.max(np.abs((m @ ap).T - m @ ap)) <= tol
             assert np.max(np.abs((ap @ m).T - ap @ m)) <= tol
+
+    def test_pinv_form_rows_match_their_one_row_stacks_and_pinv(self):
+        # Q' A^+ Q, the one product with a pseudoinverse, is formed on a
+        # stack's spectrum by model.estimable_forms
+        rng = np.random.default_rng(4)
+        mats = [as_sym(random_psd(rng, 5, rank)) for rank in (2, 5, 2, 3, 5)]
+        stack = SymStack.of(mats)
+        assert len(set(stack.spectrum[2])) == 3
+        # columns inside each row's span, where the form is q' A^+ q
+        qs = np.stack([m.entries @ rng.standard_normal((5, 3)) for m in mats])
+        bad, forms = estimable_forms(stack, qs)
+        assert not bad.any()
+        per_vector = estimable_forms(stack, qs.transpose(0, 2, 1)[:, :, :, None])[1]
+        assert per_vector.shape == (5, 3, 1, 1)
+        for i, m in enumerate(mats):
+            one = estimable_forms(SymStack.of([m]), qs[i][None])[1]
+            assert forms[i].tobytes() == one[0].tobytes()
+            expected = qs[i].T @ pinv(m).entries @ qs[i]
+            np.testing.assert_allclose(forms[i], expected, rtol=1e-8,
+                                       atol=1e-10 * np.abs(expected).max())
+            np.testing.assert_allclose(per_vector[i].ravel(), np.diag(forms[i]), rtol=1e-12)
 
 
 class TestPinvSqrt:
