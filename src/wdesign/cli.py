@@ -52,7 +52,7 @@ EXIT_INPUT = 2
 #: Rank cutoff for matrices typed into files as 12-digit decimals.
 FILE_RANK_RTOL = 1e-9
 
-CERT_KINDS = ("theorem1", "theorem2", "theorem3", "theorem4", "aopt", "eopt")
+CERT_KINDS = tuple(criteria.STACKED_CERTIFICATIONS)
 
 
 def _fmt(x) -> str:
@@ -63,9 +63,9 @@ def _fmt_vector(vec) -> str:
     return "[" + ", ".join(_fmt(x) for x in np.asarray(vec).ravel()) + "]"
 
 
-def _fmt_matrix(mat, indent: str = "  ") -> str:
+def _fmt_matrix(mat) -> str:
     rows = np.atleast_2d(np.asarray(mat, dtype=float))
-    return "\n".join(indent + _fmt_vector(row) for row in rows)
+    return "\n".join("  " + _fmt_vector(row) for row in rows)
 
 
 def _round12(obj):

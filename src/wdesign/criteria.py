@@ -292,7 +292,8 @@ def _theorem3(specs, spaces, systems, seeds=None):
     # W = Q~ Q~' has the rank of Q, which the width of Q does not fix
     weighted = [None] * len(ws)
     for _, rows in rank_groups([w.d for w in ws]):
-        _, cw = weighted_info_matrices(cs.take(rows), np.stack([ws[i].K for i in rows]))
+        _, cw = weighted_info_matrices(_designs([specs[i] for i in rows]),
+                                       np.stack([ws[i].K for i in rows]))
         for row, positive in zip(rows, _positive(cw)):
             weighted[row] = positive
     return _spectral_reports("theorem3", _positive(n), weighted)

@@ -263,14 +263,6 @@ class SymStack:
         """Row ``row`` as a SymMatrix."""
         return SymMatrix._trusted(self.entries[row], self.tol_rank)
 
-    def take(self, rows: list[int]) -> SymStack:
-        """The stack of the given rows (repeats allowed), sharing the spectrum."""
-        if rows == list(range(len(self.entries))):
-            return self
-        w, s, ranks, cutoffs = self.spectrum
-        return SymStack(self.entries[rows], self.tol_rank,
-                        (w[rows], s[rows], [ranks[i] for i in rows], [cutoffs[i] for i in rows]))
-
     def pinv(self) -> SymStack:
         """Moore-Penrose pseudoinverses: eigenvalues whose magnitude clears
         the cutoff are inverted, the rest zeroed."""

@@ -9,8 +9,7 @@ projected out.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,13 +30,6 @@ from .linalg import (
 FEASIBILITY_RTOL = 1e-8
 
 NUISANCE_KINDS = ("intercept", "blocks", "explicit")
-
-#: Most floats the cache of nuisance residuals ``I - P_L`` holds, least
-#: recently used evicted first; 2**17 floats is 1 MiB.  The random
-#: certification designs (n <= 14, an intercept or 2-3 blocks) have under 470
-#: keys and 60,000 floats in all.  A residual larger than the limit (n > 362)
-#: is rebuilt on every call.
-RESIDUAL_CACHE_FLOATS = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,71 +138,47 @@ def _indicators(spec: DesignSpec) -> np.ndarray:
     return x
 
 
+def block_ranges(n: int, nuisance_kind: str,
+                 block_sizes: tuple[int, ...] | None) -> tuple[tuple[int, int], ...]:
+    """Unit ranges ``(start, end)`` of the blocks; any nuisance other than
+    blocks (an intercept) is one block of all ``n`` units."""
+    sizes = block_sizes if nuisance_kind == "blocks" else (n,)
+    ends = tuple(itertools.accumulate(sizes))
+    return tuple(zip((0,) + ends[:-1], ends))
+
+
 def _nuisance_matrix(spec: DesignSpec) -> np.ndarray:
-    n = spec.n
-    if spec.nuisance_kind == "intercept":
-        ell = np.ones((n, 1))
-    elif spec.nuisance_kind == "blocks":
-        ell = np.zeros((n, len(spec.block_sizes)))
-        start = 0
-        for j, size in enumerate(spec.block_sizes):
-            ell[start:start + size, j] = 1.0
-            start += size
-    else:
+    if spec.nuisance_kind == "explicit":
         # only the span of L enters C; unit columns keep the Gram matrix of
         # its projector well conditioned whatever the scale of each column
         norms = np.linalg.norm(spec.L, axis=0)
-        ell = spec.L / np.where(norms > 0.0, norms, 1.0)
+        return spec.L / np.where(norms > 0.0, norms, 1.0)
+    blocks = block_ranges(spec.n, spec.nuisance_kind, spec.block_sizes)
+    ell = np.zeros((spec.n, len(blocks)))
+    for j, (start, end) in enumerate(blocks):
+        ell[start:end, j] = 1.0
     return ell
-
-
-class _ResidualCache:
-    """Read-only ``I - P_L`` per ``(n, nuisance kind, block sizes)``.
-
-    Holds at most ``limit`` floats, least recently used evicted first.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.floats = 0
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def residual(self, spec: DesignSpec) -> np.ndarray:
-        key = (spec.n, spec.nuisance_kind, spec.block_sizes)
-        with self._lock:
-            resid = self._entries.get(key)
-            if resid is not None:
-                self._entries.move_to_end(key)
-                return resid
-            resid = _residual(spec)
-            resid.flags.writeable = False
-            if resid.size <= self.limit:
-                self._entries[key] = resid
-                self.floats += resid.size
-                while self.floats > self.limit:
-                    _, old = self._entries.popitem(last=False)
-                    self.floats -= old.size
-            return resid
 
 
 def _residual(spec: DesignSpec) -> np.ndarray:
     return np.eye(spec.n) - projector(_nuisance_matrix(spec)).entries
 
 
-_RESIDUALS = _ResidualCache(RESIDUAL_CACHE_FLOATS)
-
-
 def nuisance_residual(spec: DesignSpec) -> np.ndarray:
     """``I - P_L``, the projector onto the complement of the nuisance span.
 
-    Shared, and so read-only, for an intercept or blocks nuisance: designs
-    with the same ``n`` and nuisance get the same array.  An explicit ``L``
-    comes from outside and is rarely shared, so its residual is built anew.
+    For an intercept or blocks, ``P_L`` averages within each block, so its
+    entries are ``1 / size`` on each block and zero elsewhere; written in
+    that closed form, it has the bits of the projector route, since ``B'B``
+    is diagonal and every product of that route is exact.  An explicit
+    ``L`` goes through ``projector``.  Each call builds a new array.
     """
     if spec.nuisance_kind == "explicit":
         return _residual(spec)
-    return _RESIDUALS.residual(spec)
+    p = np.zeros((spec.n, spec.n))
+    for start, end in block_ranges(spec.n, spec.nuisance_kind, spec.block_sizes):
+        p[start:end, start:end] = 1.0 / (end - start)
+    return np.eye(spec.n) - p
 
 
 def information_matrix(spec: DesignSpec) -> SymMatrix:
@@ -218,8 +186,9 @@ def information_matrix(spec: DesignSpec) -> SymMatrix:
 
     Nonnegative definite by construction; when the nuisance contains the
     intercept its rows sum to zero, so the all-ones vector is in its null
-    space.  Each call builds a new matrix; the certification routes build
-    it once per spec and keep it on the spec.
+    space.  ``I - P_L`` comes from ``nuisance_residual``, in closed form
+    for an intercept or blocks.  Each call builds a new matrix; the
+    certification routes build it once per spec and keep it on the spec.
     """
     x = _indicators(spec)
     return symmetrized(x.T @ nuisance_residual(spec) @ x)

@@ -28,7 +28,7 @@ from .linalg import (
     symmetrize,
     take_rows,
 )
-from .model import DesignSpec, EstimationSpace, estimable_forms, nuisance_residual
+from .model import DesignSpec, EstimationSpace, block_ranges, estimable_forms, nuisance_residual
 from .weighting import WeightMatrix, weight_matrix_from_system
 
 #: Largest assignment count enumerate_optimal will walk.
@@ -185,20 +185,13 @@ def label_symmetric(problem: SearchProblem) -> bool:
     return True
 
 
-def _blocks(problem: SearchProblem) -> tuple[tuple[int, int], ...]:
-    """Unit ranges ``(start, end)`` of the blocks; an intercept is one block."""
-    sizes = problem.block_sizes if problem.nuisance_kind == "blocks" else (problem.n,)
-    ends = tuple(itertools.accumulate(sizes))
-    return tuple(zip((0,) + ends[:-1], ends))
-
-
 def _key_function(problem: SearchProblem):
     """The key an assignment is scored by, as a tuple: the assignment itself
     under an explicit ``L``, else the assignment with each block's labels
     sorted."""
     if problem.nuisance_kind == "explicit":
         return tuple
-    blocks = _blocks(problem)
+    blocks = block_ranges(problem.n, problem.nuisance_kind, problem.block_sizes)
 
     def key_of(assignment):
         labels = []
@@ -336,7 +329,8 @@ def _incidences(problem: SearchProblem, symmetric: bool):
     the first block holds ``(1,)`` followed by a multiset one smaller.
     """
     labels = range(1, problem.v + 1)
-    sizes = [end - start for start, end in _blocks(problem)]
+    sizes = [end - start for start, end
+             in block_ranges(problem.n, problem.nuisance_kind, problem.block_sizes)]
     sizes[0] -= symmetric
     count = math.prod(math.comb(problem.v + size - 1, size) for size in sizes)
 
@@ -556,7 +550,7 @@ def _start(problem: SearchProblem, rng: np.random.Generator, evaluate):
             return list(cand), scored
     cand = []
     first = 0
-    for start, end in _blocks(problem):
+    for start, end in block_ranges(problem.n, problem.nuisance_kind, problem.block_sizes):
         cover = min(end - start, problem.v)
         cand += [(first + i) % problem.v + 1 for i in range(cover)]
         cand += rng.integers(1, problem.v + 1, size=end - start - cover).tolist()

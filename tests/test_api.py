@@ -1,6 +1,10 @@
 """The public surface: what ``wdesign.__all__`` exports and how it is called."""
 
+import ast
+import importlib
 import inspect
+import re
+from pathlib import Path
 
 import wdesign
 from wdesign import linalg
@@ -42,3 +46,34 @@ def test_only_the_symmatrix_constructor_takes_a_rank_cutoff():
     assert takers == {"SymMatrix.__init__"}
     for fn in (linalg.as_sym, linalg.symmetrized):
         assert "tol_rank" not in inspect.signature(fn).parameters
+
+
+def dotted_references():
+    """``(where, module, attributes)`` of each `` `module.name` `` in the
+    README and each ````module.name```` in a docstring of the package,
+    ``module`` a module of ``wdesign``."""
+    package = Path(wdesign.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    name = r"({})((?:\.\w+)+)".format("|".join(modules))
+    readme = package.parents[1] / "README.md"
+    for match in re.finditer(rf"(?<!`)`{name}`(?!`)", readme.read_text()):
+        yield "README.md", match[1], match[2][1:].split(".")
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                for match in re.finditer(rf"``{name}``", ast.get_docstring(node) or ""):
+                    yield path.name, match[1], match[2][1:].split(".")
+
+
+def test_documented_names_resolve():
+    # a deletion that leaves a README or docstring reference behind fails here
+    refs = list(dotted_references())
+    assert {where for where, _, _ in refs} >= {"README.md", "search.py"}
+    stale = []
+    for where, module, attributes in refs:
+        obj = importlib.import_module(f"wdesign.{module}")
+        for attribute in attributes:
+            obj = getattr(obj, attribute, None)
+        if obj is None:
+            stale.append(f"{where}: {module}.{'.'.join(attributes)}")
+    assert stale == []

@@ -126,49 +126,24 @@ def random_specs(rng, count):
 
 
 class TestNuisanceResidual:
-    def test_bit_identical_to_the_uncached_projector_route(self, monkeypatch):
-        monkeypatch.setattr(model, "_RESIDUALS",
-                            model._ResidualCache(model.RESIDUAL_CACHE_FLOATS))
+    def test_bit_identical_to_the_uncached_projector_route(self):
         rng = np.random.default_rng(41)
-        # every intercept and blocks key comes twice: once cold, once cached
         specs = random_specs(rng, 30)
         for spec in specs + [DesignSpec(s.v, s.assignment[::-1], s.nuisance_kind,
                                         s.block_sizes, s.L) for s in specs]:
             x, ell = design_matrix(spec)
             expected = symmetrized(x.T @ (np.eye(spec.n) - projector(ell).entries) @ x)
             assert information_matrix(spec).entries.tobytes() == expected.entries.tobytes()
-        keys = {(s.n, s.nuisance_kind, s.block_sizes) for s in specs if s.L is None}
-        assert set(model._RESIDUALS._entries) == keys
-
-    def test_shared_only_for_intercept_and_blocks(self):
-        for spec in random_specs(np.random.default_rng(42), 3):
-            resid = model.nuisance_residual(spec)
-            assert not resid.flags.writeable or spec.nuisance_kind == "explicit"
-            same = model.nuisance_residual(spec) is resid
-            assert same == (spec.nuisance_kind != "explicit")
-
-    def test_cache_never_exceeds_its_limit(self, monkeypatch):
-        limit = 300
-        cache = model._ResidualCache(limit)
-        monkeypatch.setattr(model, "_RESIDUALS", cache)
-        rng = np.random.default_rng(43)
-        for spec in random_specs(rng, 60) + [DesignSpec(2, (1, 2) * 9)]:
-            resid = model.nuisance_residual(spec)
-            x, ell = design_matrix(spec)
-            assert resid.tobytes() == (np.eye(spec.n) - projector(ell).entries).tobytes()
-            assert cache.floats == sum(r.size for r in cache._entries.values()) <= limit
-        # an n = 18 residual holds 324 floats, more than the limit, so it is not kept
-        assert all(r.size <= limit for r in cache._entries.values())
-        assert model.nuisance_residual(DesignSpec(2, (1, 2) * 9)) is not resid
-
-    def test_default_limit_bounds_any_n(self, monkeypatch):
-        cache = model._ResidualCache(model.RESIDUAL_CACHE_FLOATS)
-        monkeypatch.setattr(model, "_RESIDUALS", cache)
-        # 362**2 floats fit in the limit, 363**2 do not, and 362**2 + 10**2 do not
-        for n, kept in ((362, [362]), (363, [362]), (10, [10])):
-            model.nuisance_residual(DesignSpec(2, (1, 2) * (n // 2) + (1,) * (n % 2)))
-            assert cache.floats <= model.RESIDUAL_CACHE_FLOATS
-            assert [r.shape[0] for r in cache._entries.values()] == kept
+        # the closed form of I - P_L: an intercept, blocks with some of size 1,
+        # and equal blocks, where the eigenvalues of B'B are degenerate
+        residual_specs = [DesignSpec(1, (1,) * n) for n in range(1, 61)]
+        for _ in range(20):
+            sizes = tuple(int(s) for s in rng.choice([1, 1, 2, 3, 5], size=rng.integers(1, 9)))
+            residual_specs.append(DesignSpec(1, (1,) * sum(sizes), "blocks", sizes))
+        residual_specs.append(DesignSpec(1, (1,) * 360, "blocks", (30,) * 12))
+        for spec in residual_specs:
+            expected = np.eye(spec.n) - projector(design_matrix(spec)[1]).entries
+            assert model.nuisance_residual(spec).tobytes() == expected.tobytes()
 
 
 class TestEstimationSpace:
