@@ -334,22 +334,22 @@ class InterpretationReport:
 def _w_orthogonal_set(rng, w: WeightMatrix) -> np.ndarray:
     """d mutually W-orthogonal vectors inside the span of W.
 
-    Gram-Schmidt in the inner product ``<a, b> = a' W^+ b``; draws are
-    retried if a direction collapses, that is if its W-norm falls below
+    Gram-Schmidt in the inner product ``<u, u'> = u' W^+ u'``, run on the
+    coefficients of ``u = K a``, since ``(K a)' W^+ (K b) = a' b``; draws
+    are retried if a direction collapses, that is if its W-norm falls below
     ``1e-6`` of the candidate's, which does not depend on the scale of W.
     """
     d = w.d
     for _ in range(50):
         cols = []
-        candidates = w.K @ rng.standard_normal((d, 2 * d + 4))
-        for cand in candidates.T:
-            u = cand.copy()
+        for cand in rng.standard_normal((d, 2 * d + 4)).T:
+            a = cand.copy()
             for prev in cols:
-                u -= (u @ w.Wplus @ prev) / (prev @ w.Wplus @ prev) * prev
-            if float(np.sqrt(u @ w.Wplus @ u)) > 1e-6 * float(np.sqrt(cand @ w.Wplus @ cand)):
-                cols.append(u)
+                a -= (a @ prev) / (prev @ prev) * prev
+            if float(np.sqrt(a @ a)) > 1e-6 * float(np.sqrt(cand @ cand)):
+                cols.append(a)
             if len(cols) == d:
-                return np.column_stack(cols)
+                return w.K @ np.column_stack(cols)
     raise ValueError("could not build a W-orthogonal set; W is too ill-conditioned")
 
 

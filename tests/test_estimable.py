@@ -32,6 +32,13 @@ class TestEstimableSystem:
         assert sys.r == 1 and sys.s == 2
         assert sys.normalized
 
+    def test_r_is_the_rank_of_the_systems_own_w(self, control_system, q1):
+        for system in (control_system, EstimableSystem(np.column_stack([q1, q1]), [1.0, 3.0])):
+            qs = scale_system(system)
+            assert np.array_equal(system.W.entries, 0.5 * (qs @ qs.T + (qs @ qs.T).T))
+            assert system.r == eig_sym(system.W).numeric_rank
+        assert "W=" not in repr(control_system)
+
     def test_vector_promoted_to_column(self, q1):
         assert EstimableSystem(q1).Q.shape == (3, 1)
 

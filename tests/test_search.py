@@ -1022,6 +1022,21 @@ class TestScaleFreeTies:
         assert all(tied == ties[0] for tied in ties.values())
 
 
+    def test_label_symmetry_does_not_depend_on_the_scale_of_the_weights(self):
+        # b_3 sits 1e-9 above the others, so swapping treatments changes W at
+        # every scale; a floor at eps called it symmetric from 2^-64 down
+        q = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+
+        def outcome(k):
+            system = EstimableSystem(q, 2.0**k * np.array([1.0, 1.0, 1.0 + 1e-9]))
+            problem = SearchProblem(v=3, n=5, criterion="A", target=system,
+                                    space=estimation_space("contrasts", 3))
+            return label_symmetric(problem), len(enumerate_optimal(problem).optimal_assignments)
+
+        assert outcome(0) == (False, 90)
+        assert all(outcome(k) == outcome(0) for k in (-64, -70, 100))
+
+
 class TestEquivariance:
     def test_relabeling_permutes_the_argmax_set(self, contrasts3, control_system):
         base = SearchProblem(v=3, n=4, criterion="E",

@@ -26,7 +26,7 @@ from wdesign import (
 )
 from wdesign.errors import DomainError, FeasibilityError, SpaceError
 from wdesign.instances import random_instance
-from wdesign.linalg import SymMatrix, SymStack
+from wdesign.linalg import SymMatrix, SymStack, pinv
 from wdesign.model import _information
 from wdesign.weighting import weighted_variances
 
@@ -58,14 +58,14 @@ class TestMakeWeightMatrix:
             w = make_weight_matrix(SymMatrix(0.5 * (k0 @ k0.T + (k0 @ k0.T).T)), contrasts3)
             scale = max(1.0, np.max(np.abs(w.matrix.entries)))
             assert np.max(np.abs(w.K @ w.K.T - w.matrix.entries)) <= 1e-9 * scale
-            np.testing.assert_allclose(w.K.T @ w.Wplus @ w.K, np.eye(w.d), atol=1e-9)
+            np.testing.assert_allclose(w.K.T @ pinv(w.matrix).entries @ w.K, np.eye(w.d), atol=1e-9)
 
     @pytest.mark.parametrize("w_raw", [np.eye(3) - np.ones((3, 3)) / 3, np.zeros((3, 3))])
     def test_factors_are_read_only(self, contrasts3, w_raw):
         # a search problem's scorer keeps K: a write into it would leave
         # stale scores behind
         w = make_weight_matrix(w_raw, contrasts3)
-        for factor in (w.K, w.F, w.Wplus, w.matrix.entries):
+        for factor in (w.K, w.matrix.entries):
             with pytest.raises(ValueError, match="read-only"):
                 factor[...] = 1.0
 
@@ -83,7 +83,7 @@ class TestWeightOf:
 
     def test_duplicated_column_halves_the_quadratic_form(self, q1, contrasts3):
         w = weight_matrix_from_system(EstimableSystem(np.column_stack([q1, q1])), contrasts3)
-        assert float(q1 @ w.Wplus @ q1) == pytest.approx(0.5, abs=1e-10)
+        assert float(q1 @ pinv(w.matrix).entries @ q1) == pytest.approx(0.5, abs=1e-10)
         assert weight_of(w, q1) == pytest.approx(2.0, abs=1e-10)
 
     def test_zero_vector_rejected(self, contrasts3):
@@ -161,9 +161,11 @@ class TestWeightedVariances:
         draws = {}
         for _ in range(60):
             spec, _, w = random_instance(rng, "aopt")
-            draws.setdefault((spec.v, w.d), []).append((spec, w))
+            draws.setdefault(spec.v, []).append((spec, w))
         stacks = [rows for rows in draws.values() if len(rows) > 1]
         assert len(stacks) >= 3
+        # weight matrices of different rank d share a stack
+        assert any(len({w.d for _, w in rows}) > 1 for rows in stacks)
         for rows in stacks:
             specs, ws = zip(*rows)
             q = np.array([[w.K @ rng.standard_normal(w.d) for _ in range(4)] for w in ws])
@@ -294,6 +296,22 @@ class TestEstimationEquivalence:
         eq13, c13 = estimation_equivalent(w1, w3)
         assert eq23 and eq13 and c13 == pytest.approx(c12 * c23, rel=1e-9)
 
+    @pytest.mark.parametrize("pair", [((1.0, 2.0, 0.0), (2.0, 4.0, 0.0)),
+                                      ((1.0, 2.0, 0.0), (1.0, 5.0, 0.0))])
+    def test_verdict_and_c_do_not_depend_on_a_power_of_two_scale(self, pair):
+        # W^+ scales by 2^-k: at k = 1000 its projected squares underflow, and
+        # a floor at eps made the non-proportional pair proportional at 2^300
+        def compare(k):
+            w1, w2 = (make_weight_matrix(2.0**k * np.diag(diag)) for diag in pair)
+            return estimation_equivalent(w1, w2)
+
+        base, c = compare(0)
+        assert base == (pair[1][0] == 2.0)
+        for k in (-40, 40, 300, 1000):
+            eq, ck = compare(k)
+            assert eq == base
+            assert ck == pytest.approx(c, rel=1e-12)
+
 
 class TestWeightMatrixFromSystem:
     def test_unscaled_display(self, control_system, contrasts3):
@@ -311,6 +329,18 @@ class TestWeightMatrixFromSystem:
         w = weight_matrix_from_system(EstimableSystem(q1), contrasts3)
         np.testing.assert_allclose(w.matrix.entries, np.outer(q1, q1), atol=1e-12)
         assert w.d == 1
+
+    def test_factors_the_systems_own_w_without_a_decomposition(self, control_system,
+                                                                contrasts3, monkeypatch):
+        # the system formed W = Q~Q~' and decomposed it for r; the weight
+        # matrix takes that matrix and its spectrum as they are
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        w = weight_matrix_from_system(control_system, contrasts3)
+        assert w.matrix is control_system.W
+        assert w.d == control_system.r
+        assert calls == []
 
 
 class TestSecondaryWeights:
@@ -374,10 +404,10 @@ class TestSystemWeightIdentities:
             if system.r < 2:
                 continue
             w = weight_matrix_from_system(system, contrasts3)
-            np.testing.assert_allclose(q.T @ w.Wplus @ q, np.eye(2), atol=1e-9)
+            np.testing.assert_allclose(q.T @ pinv(w.matrix).entries @ q, np.eye(2), atol=1e-9)
             b = rng.uniform(0.5, 2.0, size=2)
             ws = weight_matrix_from_system(EstimableSystem(q, b), contrasts3)
-            np.testing.assert_allclose(q.T @ ws.Wplus @ q, np.diag(1.0 / b), atol=1e-9)
+            np.testing.assert_allclose(q.T @ pinv(ws.matrix).entries @ q, np.diag(1.0 / b), atol=1e-9)
 
     def test_centering_projector_weights_every_contrast_equally(self):
         rng = np.random.default_rng(27)
