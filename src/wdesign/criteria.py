@@ -22,7 +22,6 @@ from .estimable import (
     scale_system,
 )
 from .linalg import (
-    EPS,
     SymStack,
     as_sym,
     eig_sym,
@@ -179,7 +178,8 @@ class CertificationReport:
 
 def spectral_deviation(sa, sb) -> float:
     """Max elementwise gap of two descending spectra, relative to the largest
-    magnitude in either (floored at eps), so it does not depend on their scale.
+    magnitude in either, with no floor, so it does not depend on their scale;
+    two zero spectra do not differ.
 
     The shorter spectrum is zero-padded, so the same helper serves both the
     positive-part and the full-spectrum (zero multiplicity) comparisons.
@@ -192,7 +192,7 @@ def spectral_deviation(sa, sb) -> float:
     pa[: sa.size] = sa
     pb[: sb.size] = sb
     top = max(max_abs(pa), max_abs(pb))
-    return max_abs(pa - pb) / max(top, EPS)
+    return max_abs(pa - pb) / top if top else 0.0
 
 
 def _designs(specs) -> SymStack:
@@ -331,28 +331,6 @@ class InterpretationReport:
     deviations: dict
 
 
-def _w_orthogonal_set(rng, w: WeightMatrix) -> np.ndarray:
-    """d mutually W-orthogonal vectors inside the span of W.
-
-    Gram-Schmidt in the inner product ``<u, u'> = u' W^+ u'``, run on the
-    coefficients of ``u = K a``, since ``(K a)' W^+ (K b) = a' b``; draws
-    are retried if a direction collapses, that is if its W-norm falls below
-    ``1e-6`` of the candidate's, which does not depend on the scale of W.
-    """
-    d = w.d
-    for _ in range(50):
-        cols = []
-        for cand in rng.standard_normal((d, 2 * d + 4)).T:
-            a = cand.copy()
-            for prev in cols:
-                a -= (a @ prev) / (prev @ prev) * prev
-            if float(np.sqrt(a @ a)) > 1e-6 * float(np.sqrt(cand @ cand)):
-                cols.append(a)
-            if len(cols) == d:
-                return w.K @ np.column_stack(cols)
-    raise ValueError("could not build a W-orthogonal set; W is too ill-conditioned")
-
-
 def a_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix,
                                seed: int = 0) -> InterpretationReport:
     """Averaged-variance reading of weighted A-optimality.
@@ -361,7 +339,10 @@ def a_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix,
     average weighted variance of its columns equals ``1 / Phi_AW``; (b) the
     same average is attained by ``d`` mutually W-orthogonal functions drawn
     inside the span of ``W``.  ``Z`` is the identity, then three rotations
-    drawn from ``seed``.
+    drawn from ``seed``.  The W-orthogonal functions are ``u = K a`` for
+    orthogonal columns ``a``, since ``(K a)' W^+ (K b) = a' b``: the
+    unnormalized Gram-Schmidt columns of a ``d x d`` normal draw, which are
+    the columns of its ``Q`` scaled by the diagonal of its ``R``.
     """
     return _aopt([spec], [None], [w], [seed])[0]
 
@@ -375,32 +356,35 @@ def _aopt(specs, spaces, ws, seeds):
     count, v, d = ks.shape
     targets = [1.0 / _spectrum_value("A", values[i], ranks[i], cutoffs[i], d).value
                for i in range(count)]
-    # each instance draws its rotations, then its W-orthogonal set, from its seed
-    normals, w_orthogonal = [], []
-    for w, seed in zip(ws, seeds):
+    # each instance draws its rotations, then its W-orthogonal coefficients
+    # (the first d columns of a (d, 2d + 4) draw, a width that keeps seeded
+    # reports stable), from its seed; one QR factors them all
+    normals = []
+    for seed in seeds:
         rng = np.random.default_rng(seed)
         normals += [rng.standard_normal((d, d)) for _ in range(trials)]
-        w_orthogonal.append(_w_orthogonal_set(rng, w).T)
+        normals.append(rng.standard_normal((d, 2 * d + 4))[:, :d])
+    q, r = np.linalg.qr(np.array(normals))
+    q = q.reshape(count, trials + 1, d, d)
+    diag = np.diagonal(r, axis1=1, axis2=2).reshape(count, trials + 1, 1, d)
     z = np.empty((count, trials + 1, d, d))
     z[:, 0] = np.eye(d)
-    q, r = np.linalg.qr(np.array(normals))
-    z[:, 1:] = (q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]).reshape(
-        count, trials, d, d)
+    z[:, 1:] = q[:, :trials] * np.sign(diag[:, :trials])
+    w_orthogonal = ks @ (q[:, trials] * diag[:, trials])
     rotated = np.repeat(ks, trials + 1, axis=0) @ z.reshape(-1, d, d)
     wm = np.stack([w.matrix.entries for w in ws])
     recon = np.abs(rotated @ rotated.transpose(0, 2, 1) - np.repeat(wm, trials + 1, axis=0))
     recon = recon.max(axis=(1, 2)).reshape(count, trials + 1).tolist()
     vectors = np.concatenate([rotated.transpose(0, 2, 1).reshape(count, -1, v),
-                              np.array(w_orthogonal)], axis=1)
+                              w_orthogonal.transpose(0, 2, 1)], axis=1)
     variances = weighted_variances(cs, ws, vectors)
     reports = []
     for target, w_entries, errors, row in zip(targets, wm, recon, variances):
-        scale = max(abs(target), EPS)
-        w_scale = max(max_abs(w_entries), EPS)
+        w_scale = max_abs(w_entries)
         averages = [float(np.mean(row[i * d:(i + 1) * d])) for i in range(trials + 2)]
-        deviations = {f"rotation_{idx}": max(abs(avg - target) / scale, error / w_scale)
+        deviations = {f"rotation_{idx}": max(abs(avg - target) / target, error / w_scale)
                       for idx, (avg, error) in enumerate(zip(averages, errors))}
-        deviations["w_orthogonal"] = abs(averages[-1] - target) / scale
+        deviations["w_orthogonal"] = abs(averages[-1] - target) / target
         worst = max(deviations.values())
         reports.append(InterpretationReport("aopt", worst <= A_INTERPRETATION_TOL, worst,
                                             A_INTERPRETATION_TOL, deviations))
@@ -426,13 +410,12 @@ def _eopt(specs, spaces, ws, seeds=None):
     checks = []
     for i, lam_max in enumerate(m_values[:, 0].tolist()):
         phi_e = _spectrum_value("E", values[i], ranks[i], cutoffs[i], ks.shape[2]).value
-        scale = max(lam_max, EPS)
-        checks.append((lam_max, scale, abs(1.0 / phi_e - lam_max) / scale))
+        checks.append((lam_max, abs(1.0 / phi_e - lam_max) / lam_max))
     maximizers = (ks @ m_vectors[:, :, :1]).transpose(0, 2, 1)
     reports = []
-    for (lam_max, scale, dev_value), (variance,) in zip(
+    for (lam_max, dev_value), (variance,) in zip(
             checks, weighted_variances(cs, ws, maximizers).tolist()):
-        deviations = {"value": dev_value, "maximizer": abs(variance - lam_max) / scale}
+        deviations = {"value": dev_value, "maximizer": abs(variance - lam_max) / lam_max}
         worst = max(deviations.values())
         reports.append(InterpretationReport("eopt", worst <= E_INTERPRETATION_TOL, worst,
                                             E_INTERPRETATION_TOL, deviations))

@@ -2,8 +2,9 @@
 
 Everything here takes a ``numpy.random.Generator`` so batches are exactly
 reproducible.  Draws are retried until the instance is comfortably
-conditioned; the certifications assert agreement to 1e-8, so instances near
-a feasibility or rank boundary are not interesting, only fragile.
+conditioned (``_accepts``); the certifications assert agreement to 1e-8, so
+instances near a feasibility or rank boundary are not interesting, only
+fragile.
 """
 
 from __future__ import annotations
@@ -19,6 +20,19 @@ from .weighting import WeightMatrix, make_weight_matrix
 
 #: Smallest accepted ratio of extreme positive eigenvalues in drawn instances.
 CONDITION_FLOOR = 1e-4
+
+#: Shortest drawn system column that is normalized: normalizing a shorter
+#: one blows its roundoff out of the estimation space.
+SHORTEST_COLUMN = 1e-8
+
+
+def _accepts(matrix: SymMatrix, rank: int) -> bool:
+    """Whether ``matrix`` has numeric rank ``rank`` and its smallest kept
+    eigenvalue is at least ``CONDITION_FLOOR`` of its largest; the spectrum
+    stays on the matrix."""
+    s = eig_sym(matrix)
+    pos = s.positive()
+    return s.numeric_rank == rank and pos[-1] >= CONDITION_FLOOR * pos[0]
 
 
 def _partition(rng, n: int, parts: int) -> tuple[int, ...]:
@@ -43,11 +57,7 @@ def random_design(rng) -> DesignSpec:
             # n > v >= 3, so there are at least two parts
             sizes = _partition(rng, n, min(int(rng.integers(2, 4)), n - v + 1, n - 1))
         spec = DesignSpec(v, tuple(int(t) for t in assignment), kind, sizes)
-        s = eig_sym(_information(spec))
-        if s.numeric_rank != v - 1:
-            continue
-        pos = s.positive()
-        if pos[-1] >= CONDITION_FLOOR * pos[0]:
+        if _accepts(_information(spec), v - 1):
             return spec
     raise ValueError(f"failed to draw a well-conditioned connected design (v={v}, n={n})")
 
@@ -57,8 +67,10 @@ def random_system(rng, space: EstimationSpace, s: int | None = None,
     """System with normalized columns inside the estimation space.
 
     ``full_rank=False`` appends columns that are combinations of the base
-    ones, producing ``s > r``.  ``scaled`` draws primary weights in
-    ``[0.5, 2]`` instead of all ones.
+    ones, producing ``s > r``.  A draw is accepted on the ``W = QQ'`` of its
+    unit columns, whose eigenvalues are the squared singular values of
+    ``Q``.  ``scaled`` then draws primary weights in ``[0.5, 2]`` instead of
+    all ones.
     """
     e = space.dim
     if e < 1:
@@ -74,15 +86,14 @@ def random_system(rng, space: EstimationSpace, s: int | None = None,
             q = np.column_stack([q0, q0 @ rng.standard_normal((base, extras))])
             count = base
         norms = np.linalg.norm(q, axis=0)
-        if np.any(norms < 1e-8):
+        if np.any(norms < SHORTEST_COLUMN):
             continue
-        q = q / norms
-        sv = np.linalg.svd(q, compute_uv=False)
-        positive = sv[sv > 1e-10 * sv[0]]
-        if positive.size != count or positive[-1] < 1e-2 * positive[0]:
+        system = EstimableSystem(q / norms)
+        if not _accepts(system.W, count):
             continue
-        b = rng.uniform(0.5, 2.0, size=q.shape[1]) if scaled else None
-        return EstimableSystem(q, b)
+        if not scaled:
+            return system
+        return EstimableSystem(system.Q, rng.uniform(0.5, 2.0, size=system.s))
     raise ValueError("failed to draw a well-conditioned system")
 
 
@@ -95,11 +106,7 @@ def random_weight_matrix(rng, space: EstimationSpace) -> WeightMatrix:
     for _ in range(500):
         k = space.projector.entries @ rng.standard_normal((space.v, d))
         w = symmetrized(k @ k.T / d)
-        s = eig_sym(w)
-        if s.numeric_rank != d:
-            continue
-        pos = s.positive()
-        if pos[-1] >= CONDITION_FLOOR * pos[0]:
+        if _accepts(w, d):
             return make_weight_matrix(w, space)
     raise ValueError("failed to draw a well-conditioned weight matrix")
 

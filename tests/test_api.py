@@ -103,3 +103,28 @@ def test_no_module_imports_a_name_it_does_not_use():
     unused = {path.name: found for path in sorted(package.glob("*.py"))
               if path.stem != "__init__" and (found := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def small_float_literals(source: str) -> list[int]:
+    """Lines of the float literals in ``(0, 0.1)`` that sit outside a
+    module-level assignment, where a tolerance gets its name."""
+    tree = ast.parse(source)
+    named = {id(node) for statement in tree.body
+             if isinstance(statement, (ast.Assign, ast.AnnAssign))
+             for node in ast.walk(statement)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0.0 < node.value < 0.1 and id(node) not in named)
+
+
+def test_small_float_literal_check_sees_an_unnamed_tolerance():
+    source = "TOL = 1e-8\n\ndef f(x):\n    return x > 1e-6 * TOL + 0.5\n"
+    assert small_float_literals(source) == [4]
+
+
+def test_every_small_float_literal_is_a_named_constant():
+    # a tolerance written inline escapes the README list and the scale audit
+    package = Path(wdesign.__file__).parent
+    found = {path.name: lines for path in sorted(package.glob("*.py"))
+             if (lines := small_float_literals(path.read_text()))}
+    assert found == {}

@@ -33,6 +33,10 @@ def write(tmp_path, payload, name="problem.json"):
     return str(path)
 
 
+def assert_one_error_line(err: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestParsing:
     def test_generators(self, tmp_path):
         payload = dict(BALANCED, system={"generator": "pairwise"})
@@ -126,13 +130,66 @@ class TestExitCodes:
                                                                  "sizes": None}}),
         ("system", {"generator": "pairwise", "normalize": "false"}),
         ("model", {"v": 3, "replications": [3, -1, 3]}),
+        ("estimation_space", {"kind": "explicit"}),
+        ("estimation_space", {"kind": "explicit", "basis": [[1, 0], [0, 1]]}),
+        ("estimation_space", {"kind": "explicit", "basis": [[1, 0], [-1, 0], [0, 0]]}),
+        ("estimation_space", {"kind": "explicit", "basis": [[1, 0], [-1]]}),
+        ("estimation_space", {"kind": "rows"}),
+        ("system", {"Q": [[1, 0], [-1]]}),
+        ("system", {"Q": [[[1]], [[-1]], [[0]]]}),
+        ("model", {"v": 3, "replications": [2, 2, 2], "nuisance": 5}),
+        ("model", {"v": 3, "replications": [2, 2, 2], "nuisance": {"sizes": [3, 3]}}),
+        ("model", {"v": 3}),
+        ("system", {"generator": "contrasts"}),
+        ("system", {"generator": "single"}),
+        ("system", {"generator": "vs_control", "k": 3}),
+        ("system", {"generator": "vs_control", "k": 0}),
+        ("system", {"Q": [[1], [-1]]}),
+        ("system", {"Q": [[1, 0], [-1, 0], [0, 0]], "normalize": True}),
+        ("system", {"generator": "pairwise", "b": [1, 0, 1]}),
+        ("system", {"generator": "pairwise", "b": [1, 1]}),
+        ("weight_matrix", {}),
+        ("weight_matrix", {"W": [[1, -1], [-1, 1]]}),
+        ("weight_matrix", {"W": [[2, -1, -1], [-1, 2, -1], [-1, -1.5, 2]]}),
+        ("criterion", {"name": "T"}),
+        ("criterion", {}),
     ])
     @pytest.mark.parametrize("command", ["info", "search"])
     def test_malformed_sections_are_input_errors(self, tmp_path, capsys, command, section,
                                                  value):
         path = write(tmp_path, dict(BALANCED, **{section: value}))
-        assert main([command, "--file", path]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error: ")
+        out = tmp_path / "report.json"
+        assert main([command, "--file", path, "--out", str(out)]) == EXIT_INPUT
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, content", [
+        (["info"], [BALANCED]),
+        (["info"], None),
+        (["info"], b'{"model": "\xff"}'),
+        (["criterion"], {k: v for k, v in BALANCED.items() if k != "system"}),
+        (["criterion"], {k: v for k, v in BALANCED.items() if k != "criterion"}),
+        (["criterion"], dict(BALANCED, weight_matrix={"W": np.eye(3).tolist()})),
+        (["criterion"], dict({k: v for k, v in BALANCED.items() if k != "system"},
+                             weight_matrix={"W": np.eye(3).tolist()})),
+        (["search"], dict({k: v for k, v in BALANCED.items() if k != "system"},
+                          weight_matrix={"W": np.eye(3).tolist()})),
+        (["search"], {k: v for k, v in BALANCED.items() if k != "criterion"}),
+        (["weights", "--query", "1,one,0"], BALANCED),
+        (["weights", "--query", "1,-1"], BALANCED),
+    ])
+    def test_unusable_files_and_targets_are_input_errors(self, tmp_path, capsys, args,
+                                                         content):
+        # content: a JSON document, raw bytes, or None for no file
+        path = tmp_path / "problem.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(json.dumps(content))
+        out = tmp_path / "report.json"
+        assert main([args[0], "--file", str(path), "--out", str(out), *args[1:]]) == EXIT_INPUT
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, value", [
         ("model", {"v": 3.9, "replications": [2, 2, 2]}),
@@ -182,6 +239,16 @@ class TestInfo:
         assert main(["info", "--file", write(tmp_path, payload)]) == EXIT_OK
         assert "rank: 1" in capsys.readouterr().out
 
+    def test_explicit_estimation_space_basis(self, tmp_path, capsys):
+        # two contrasts of three treatments span the contrasts space
+        payload = dict(BALANCED, estimation_space={"kind": "explicit",
+                                                   "basis": [[1, 0], [-1, 1], [0, -1]]})
+        out = tmp_path / "report.json"
+        assert main(["info", "--file", write(tmp_path, payload), "--out", str(out)]) == EXIT_OK
+        assert "estimation space: explicit (dim 2)" in capsys.readouterr().out
+        system = json.loads(out.read_text())["results"]["system"]
+        assert system["feasible"] and system["in_estimation_space"]
+
 
 class TestCriterion:
     def test_both_routes_agree(self, tmp_path, capsys):
@@ -196,10 +263,10 @@ class TestCriterion:
                                                                          monkeypatch):
         # the weighted route is made 1e-6 larger than the system route, so
         # the relative deviation is 1e-6 whatever the scale of the values
-        from wdesign import cli as cli_module
+        from wdesign import criteria
 
-        weighted = cli_module.weighted_info_matrix
-        monkeypatch.setattr(cli_module, "weighted_info_matrix",
+        weighted = criteria.weighted_info_matrix
+        monkeypatch.setattr(criteria, "weighted_info_matrix",
                             lambda c, w: SymMatrix(weighted(c, w).entries * (1.0 + 1e-6)))
         out = tmp_path / "report.json"
         for scale in (1e-10, 1e-5, 1.0, 1e5, 1e10):

@@ -329,6 +329,55 @@ class TestInterpretationChecks:
             assert not report.passed
             assert report.deviation == pytest.approx(1e-6, rel=1e-3)
 
+    def test_w_orthogonal_functions_are_the_gram_schmidt_of_their_draw(self, monkeypatch):
+        from wdesign import criteria
+
+        seen = []
+        variances = criteria.weighted_variances
+
+        def recording(cs, ws, vectors):
+            seen.append(vectors)
+            return variances(cs, ws, vectors)
+
+        monkeypatch.setattr(criteria, "weighted_variances", recording)
+        spec, space, w = random_instance(np.random.default_rng(8), "aopt")
+        d, seed = w.d, 11
+        assert d >= 2 and a_opt_interpretation_check(spec, w, seed=seed).passed
+        # reference: Gram-Schmidt loop on the first d columns of the draw that
+        # follows the three rotations
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            rng.standard_normal((d, d))
+        cols = []
+        for a in rng.standard_normal((d, 2 * d + 4)).T[:d]:
+            for prev in cols:
+                a = a - (a @ prev) / (prev @ prev) * prev
+            cols.append(a)
+        expected = w.K @ np.column_stack(cols)
+        got = seen[0][0, -d:].T
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        gram = got.T @ pinv(w.matrix).entries @ got
+        off = gram - np.diag(np.diag(gram))
+        assert np.abs(off).max() <= 1e-12 * np.abs(gram).max()
+
+    def test_deviations_do_not_depend_on_a_power_of_four_scale_of_the_weights(self):
+        # W -> 4^j W scales every product by a power of two, exactly, so with
+        # no floor at machine epsilon each deviation keeps its bits
+        spec = DesignSpec.from_replications(4, [2, 2, 3, 2], "blocks", (3, 3, 3))
+        space = estimation_space("contrasts", 4)
+        k = space.projector.entries @ np.random.default_rng(5).standard_normal((4, 2))
+        w = k @ k.T
+        checks = {
+            "aopt": lambda w: a_opt_interpretation_check(spec, w, seed=3),
+            "eopt": lambda w: e_opt_interpretation_check(spec, w),
+            "theorem4": lambda w: certify_theorem4(spec, w),
+        }
+        deviations = {j: {kind: check(make_weight_matrix(4.0 ** j * w, space)).deviation
+                          for kind, check in checks.items()}
+                      for j in (-40, -20, 0, 20, 40)}
+        assert all(deviations[j] == deviations[0] for j in deviations)
+        assert all(0.0 < value <= 1e-12 for value in deviations[0].values())
+
     def test_eopt_bounds_sampled_weighted_variances(self, contrasts3, control_system):
         rng = np.random.default_rng(37)
         spec = DesignSpec.from_replications(3, [3, 2, 1])
