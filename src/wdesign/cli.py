@@ -28,7 +28,7 @@ from .estimable import (
     validate_system,
 )
 from .instances import random_instance
-from .linalg import DERIVED_RANK_RTOL, SymMatrix, eig_sym, max_abs
+from .linalg import DERIVED_RANK_RTOL, SymMatrix, eig_sym, max_abs, typed
 from .model import (
     DesignSpec,
     EstimationSpace,
@@ -46,9 +46,6 @@ from .weighting import (
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_INPUT = 2
-
-#: Rank cutoff for matrices typed into files as 12-digit decimals.
-FILE_RANK_RTOL = 1e-9
 
 CERT_KINDS = tuple(criteria.STACKED_CERTIFICATIONS)
 
@@ -245,7 +242,7 @@ def _parse_weight(data: dict, spec: DesignSpec, space: EstimationSpace):
     if w.shape != (spec.v, spec.v):
         raise ParseError(f"W must be {spec.v} x {spec.v}, got {w.shape}")
     try:
-        raw = SymMatrix(w, FILE_RANK_RTOL)
+        raw = typed(w)
     except ValueError as exc:
         raise ParseError(f"invalid weight matrix: {exc}") from exc
     try:

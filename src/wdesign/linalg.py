@@ -3,21 +3,21 @@
 Every matrix that matters downstream (information matrices, weight matrices,
 projectors) is symmetric, so this module fixes a single spectral convention
 for all of them: eigenvalues are sorted in descending order, and an
-eigenvalue counts as nonzero when it exceeds ``tol_rank * max(|lambda|_max,
-eps)``.  ``tol_rank`` is ``DERIVED_RANK_RTOL`` for every matrix unless its
-constructor is given another; the CLI gives matrices typed into problem files
-a looser one.  Pseudoinverses, square roots and projectors all derive from
-that one cutoff, which keeps rank decisions consistent everywhere.  A
-SymMatrix keeps only its spectrum; its pseudoinverse, square roots and
-projectors are formed afresh on each call.  The one product with a
-pseudoinverse, ``Q' A^+ Q``, is written once, with the estimability test it
-needs, in ``model.estimable_forms``; every route forms it there and none
-forms ``C^+``.
+eigenvalue counts as nonzero when it exceeds ``tol * max(|lambda|_max,
+eps)``, ``tol`` being ``DERIVED_RANK_RTOL``, or ``FILE_RANK_RTOL`` for a
+matrix typed into a problem file (``typed``).  Pseudoinverses, square roots
+and projectors all derive from the spectrum a matrix keeps, so every use of
+a matrix makes the same rank decisions.  A SymMatrix keeps only its
+spectrum; its pseudoinverse, square roots and projectors are formed afresh
+on each call.  The one product with a pseudoinverse, ``Q' A^+ Q``, is
+written once, with the estimability test it needs, in
+``model.estimable_forms``; every route forms it there and none forms
+``C^+``.
 
-Input is validated once, at the boundary: ``SymMatrix(...)`` and ``as_sym``
-on an array check shape, finiteness and symmetry.  Products the package
-forms itself go through ``symmetrized``, which makes them exactly symmetric
-and so skips the symmetry test, which could not fail on them.
+Input is validated once, at the boundary: ``SymMatrix(...)``, ``typed`` and
+``as_sym`` on an array check shape, finiteness and symmetry.  Products the
+package forms itself go through ``symmetrized``, which makes them exactly
+symmetric and so skips the symmetry test, which could not fail on them.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ SYMMETRY_RTOL = 1e-12
 #: matrices is never mistaken for signal.
 DERIVED_RANK_RTOL = 1e-12
 
+#: Relative rank cutoff of a matrix typed into a problem file as 12-digit decimals.
+FILE_RANK_RTOL = 1e-9
+
 
 def _square_finite(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -50,52 +53,55 @@ def _square_finite(a: np.ndarray) -> np.ndarray:
 
 
 class SymMatrix:
-    """Dense real symmetric matrix plus the rank tolerance attached to it.
+    """Dense real symmetric matrix.
 
     Parameters
     ----------
     entries : array_like
         Square array, symmetric to ``1e-12`` relative to its largest entry.
         The stored copy is exactly symmetrized and marked read-only.
-    tol_rank : float, optional
-        Relative eigenvalue cutoff; defaults to ``DERIVED_RANK_RTOL``.
 
     The matrix never changes, so ``eig_sym`` decomposes it once and keeps
     its spectrum on the object; nothing else is kept.
     """
 
-    __slots__ = ("entries", "dim", "tol_rank", "_spectrum")
+    __slots__ = ("entries", "dim", "_spectrum")
 
-    def __init__(self, entries, tol_rank: float | None = None):
+    def __init__(self, entries):
         a = _square_finite(np.array(entries, dtype=float))
         scale = float(np.max(np.abs(a)))
         if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
             raise ValueError("matrix is not symmetric within tolerance")
-        self._fill(0.5 * (a + a.T), tol_rank)
+        self._fill(0.5 * (a + a.T))
 
     @classmethod
-    def _trusted(cls, a: np.ndarray, tol_rank: float | None = None) -> SymMatrix:
+    def _trusted(cls, a: np.ndarray) -> SymMatrix:
         """SymMatrix taking ``a``, an exactly symmetric array, as its entries.
 
         No symmetry test and no copy: ``a`` is marked read-only and kept.
-        Shape, finiteness and ``tol_rank`` are still checked.
+        Shape and finiteness are still checked.
         """
         m = cls.__new__(cls)
-        m._fill(_square_finite(a), tol_rank)
+        m._fill(_square_finite(a))
         return m
 
-    def _fill(self, a: np.ndarray, tol_rank: float | None) -> None:
+    def _fill(self, a: np.ndarray) -> None:
         a.flags.writeable = False
         self.entries = a
         self.dim = int(a.shape[0])
-        tol = DERIVED_RANK_RTOL if tol_rank is None else float(tol_rank)
-        if tol < 0:
-            raise ValueError("tol_rank must be nonnegative")
-        self.tol_rank = tol
         self._spectrum = None
 
     def __repr__(self):
-        return f"SymMatrix(dim={self.dim}, tol_rank={self.tol_rank:.3g})"
+        return f"SymMatrix(dim={self.dim})"
+
+
+def typed(entries) -> SymMatrix:
+    """SymMatrix of a matrix typed into a problem file, validated as
+    ``SymMatrix(...)`` validates it, whose spectrum is cut at
+    ``FILE_RANK_RTOL`` here and kept for every later use."""
+    m = SymMatrix(entries)
+    m._spectrum = _spectrum(m.entries, FILE_RANK_RTOL)
+    return m
 
 
 def as_sym(a) -> SymMatrix:
@@ -141,19 +147,23 @@ class Spectrum:
 def eig_sym(A) -> Spectrum:
     """Spectral decomposition of a symmetric matrix, eigenvalues descending.
 
-    The rank cutoff is ``tol_rank * max(|lambda|_max, eps)``.  Within ties
-    the eigenvector order is solver-dependent; only spectra and spanned
+    The rank cutoff is ``DERIVED_RANK_RTOL * max(|lambda|_max, eps)``.  Within
+    ties the eigenvector order is solver-dependent; only spectra and spanned
     subspaces are contractual.  The spectrum is computed once per SymMatrix
     and shared by every later call, so its arrays are read-only.
     """
     A = as_sym(A)
     if A._spectrum is None:
-        [w], [s], [rank], [cutoff] = eigh_desc_stack(A.entries[None], A.tol_rank)
-        w = w.copy()
-        w.flags.writeable = False
-        s.flags.writeable = False
-        A._spectrum = Spectrum(w, s, rank, cutoff)
+        A._spectrum = _spectrum(A.entries, DERIVED_RANK_RTOL)
     return A._spectrum
+
+
+def _spectrum(a: np.ndarray, tol_rank: float) -> Spectrum:
+    [w], [s], [rank], [cutoff] = eigh_desc_stack(a[None], tol_rank)
+    w = w.copy()
+    w.flags.writeable = False
+    s.flags.writeable = False
+    return Spectrum(w, s, rank, cutoff)
 
 
 def eigh_desc_stack(a: np.ndarray, tol_rank: float = DERIVED_RANK_RTOL):
@@ -214,40 +224,38 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 class SymStack:
-    """``B`` exactly symmetric ``v x v`` arrays sharing one rank tolerance.
+    """``B`` exactly symmetric ``v x v`` arrays.
 
     The stacked counterpart of SymMatrix and the one implementation of the
     spectral maps: ``pinv``, ``pinv_sqrt`` and ``sqrt_psd`` of a SymMatrix
     are those of its one-row stack; ``model.estimable_forms`` forms
-    ``Q' A^+ Q`` on its spectrum.  The spectrum is decomposed once, in one
-    solver call, and every slice goes through the operations it would go
-    through alone, so a row's result does not depend on the stack it came
-    in.  The entries are products the package formed, so only their
-    finiteness is checked.
+    ``Q' A^+ Q`` on its spectrum.  The spectrum, unless given, is decomposed
+    once, in one solver call, at ``DERIVED_RANK_RTOL``, and every slice goes
+    through the operations it would go through alone, so a row's result
+    does not depend on the stack it came in.  The entries are products the
+    package formed, so only their finiteness is checked.
     """
 
-    __slots__ = ("entries", "tol_rank", "_spectrum")
+    __slots__ = ("entries", "_spectrum")
 
-    def __init__(self, entries: np.ndarray, tol_rank: float = DERIVED_RANK_RTOL,
-                 spectrum=None):
+    def __init__(self, entries: np.ndarray, spectrum=None):
         if not np.isfinite(entries).all():
             raise ValueError("matrix entries must be finite")
         self.entries = entries
-        self.tol_rank = tol_rank
         self._spectrum = spectrum
 
     @classmethod
     def of(cls, mats) -> SymStack:
-        """The stack of SymMatrix objects of one size and tolerance.
+        """The stack of SymMatrix objects of one size.
 
         Their spectra are shared with the matrices: each is taken through
-        ``eig_sym``, which decomposes a matrix once and keeps its spectrum.
+        ``eig_sym``, which decomposes a matrix once and keeps its spectrum,
+        so each row keeps the cutoff of its own matrix.
         """
-        tol = mats[0].tol_rank
-        if any(m.tol_rank != tol or m.dim != mats[0].dim for m in mats):
-            raise ValueError("a stack holds matrices of one size and one rank tolerance")
+        if any(m.dim != mats[0].dim for m in mats):
+            raise ValueError("a stack holds matrices of one size")
         spectra = [eig_sym(m) for m in mats]
-        return cls(stack_arrays([m.entries for m in mats]), tol,
+        return cls(stack_arrays([m.entries for m in mats]),
                    (stack_arrays([s.eigenvalues for s in spectra]),
                     stack_arrays([s.eigenvectors for s in spectra]),
                     [s.numeric_rank for s in spectra], [s.cutoff for s in spectra]))
@@ -256,12 +264,12 @@ class SymStack:
     def spectrum(self):
         """``(eigenvalues, eigenvectors, ranks, cutoffs)`` as ``eigh_desc_stack`` gives them."""
         if self._spectrum is None:
-            self._spectrum = eigh_desc_stack(self.entries, self.tol_rank)
+            self._spectrum = eigh_desc_stack(self.entries)
         return self._spectrum
 
     def matrix(self, row: int) -> SymMatrix:
         """Row ``row`` as a SymMatrix."""
-        return SymMatrix._trusted(self.entries[row], self.tol_rank)
+        return SymMatrix._trusted(self.entries[row])
 
     def pinv(self) -> SymStack:
         """Moore-Penrose pseudoinverses: eigenvalues whose magnitude clears
@@ -269,7 +277,7 @@ class SymStack:
         w, vectors, _, cutoffs = self.spectrum
         inv = np.zeros(w.shape)
         np.divide(1.0, w, out=inv, where=np.abs(w) > np.array(cutoffs)[:, None])
-        return SymStack(_rebuild(vectors, inv), self.tol_rank)
+        return SymStack(_rebuild(vectors, inv))
 
     def pinv_sqrt(self) -> SymStack:
         """``(A^+)^{1/2}`` of nonnegative definite matrices."""
@@ -290,7 +298,7 @@ class SymStack:
         vals = np.zeros(w.shape)
         keep = w > np.array(cutoffs)[:, None]
         vals[keep] = fn(w[keep])
-        return SymStack(_rebuild(vectors, vals), self.tol_rank)
+        return SymStack(_rebuild(vectors, vals))
 
 
 def _rebuild(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -90,9 +90,7 @@ class SearchProblem:
             if not self.space.contains(self.target.Q):
                 raise SpaceError("target system lies outside the estimation space")
         elif isinstance(self.target, WeightMatrix):
-            if not self.target.space_check and not self.space.contains(
-                self.target.matrix.entries
-            ):
+            if not self.space.contains(self.target.matrix.entries):
                 raise SpaceError("target weight matrix lies outside the estimation space")
         else:
             raise TypeError("target must be an EstimableSystem or a WeightMatrix")

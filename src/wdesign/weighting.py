@@ -42,15 +42,13 @@ class WeightMatrix:
     ``K`` satisfies ``K K' = W`` and ``K' W^+ K = I_d``.  It is read-only,
     because what is built from it, such as a search problem's scorer, keeps
     it.  Every ``q' W^+ q`` and span test goes through
-    ``model.estimable_forms`` on ``matrix``.  ``space_check`` records
-    whether the inclusion of the span in an estimation space was verified
-    at construction.
+    ``model.estimable_forms`` on ``matrix``.  It records no estimation
+    space: whoever needs the span inside one tests it there.
     """
 
     matrix: SymMatrix
     d: int
     K: np.ndarray
-    space_check: bool
 
     @property
     def v(self) -> int:
@@ -75,7 +73,6 @@ def make_weight_matrix(w_raw, space: EstimationSpace | None = None) -> WeightMat
         raise DomainError(
             f"weight matrix must be nonnegative definite (smallest eigenvalue {smallest:.3e})"
         )
-    checked = False
     if space is not None:
         if space.v != wm.dim:
             raise ValueError(f"W is {wm.dim} x {wm.dim}, space expects v={space.v}")
@@ -86,11 +83,10 @@ def make_weight_matrix(w_raw, space: EstimationSpace | None = None) -> WeightMat
                 f"column space of W escapes the estimation space (residual {resid:.3e})",
                 residual=resid,
             )
-        checked = True
     d = spec.numeric_rank
     k = spec.basis() * np.sqrt(spec.eigenvalues[:d])
     k.flags.writeable = False
-    return WeightMatrix(wm, d, k, checked)
+    return WeightMatrix(wm, d, k)
 
 
 def weight_matrix_from_system(system: EstimableSystem,
@@ -163,7 +159,7 @@ def weighted_variance(spec_or_C, w: WeightMatrix, q) -> float:
 def weighted_variances(cs: SymStack, ws: list[WeightMatrix], q: np.ndarray) -> np.ndarray:
     """``weighted_variance`` of each vector of a stack: entry ``(b, j)`` is
     that of ``q[b, j]`` (``q`` is ``(B, N, v)``) under row ``b`` of ``cs``
-    and ``ws[b]``, weight matrices of one rank tolerance.
+    and ``ws[b]``; each row keeps the rank cutoff of its own ``W``.
 
     Every vector's two quadratic forms are ``(1, v) @ (v, v) @ (v, 1)``
     slices, the operations it goes through alone; ``model.estimable_forms``

@@ -11,7 +11,7 @@ from wdesign import linalg
 
 #: Parameter names of per-call tolerance knobs.  Every tolerance is a named
 #: module constant, applied the same way at each call.
-KNOBS = {"rtol", "tol", "trials"}
+KNOBS = {"rtol", "tol", "tol_rank", "trials"}
 
 
 def public_callables():
@@ -39,13 +39,12 @@ def test_no_public_function_takes_a_tolerance_knob():
     assert {name: found for name, found in knobs.items() if found} == {}
 
 
-def test_only_the_symmatrix_constructor_takes_a_rank_cutoff():
-    # every other matrix is cut at DERIVED_RANK_RTOL; the CLI gives typed ones their own
-    takers = {name for name, fn in public_callables()
-              if "tol_rank" in inspect.signature(fn).parameters}
-    assert takers == {"SymMatrix.__init__"}
-    for fn in (linalg.as_sym, linalg.symmetrized):
+def test_no_matrix_constructor_takes_a_rank_cutoff():
+    # every decomposition is cut at DERIVED_RANK_RTOL, but that of ``linalg.typed``
+    for fn in (linalg.as_sym, linalg.symmetrized, linalg.typed, linalg.SymMatrix._trusted,
+               linalg.SymStack.__init__, linalg.SymStack.of):
         assert "tol_rank" not in inspect.signature(fn).parameters
+    assert "tol_rank" not in linalg.SymMatrix.__slots__ + linalg.SymStack.__slots__
 
 
 def dotted_references():

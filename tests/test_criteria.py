@@ -51,10 +51,9 @@ def fresh_copies(spec, space, target):
     if isinstance(target, EstimableSystem):
         target = EstimableSystem(target.Q.copy(), target.b.copy())
     elif isinstance(target, SymMatrix):
-        target = SymMatrix(target.entries.copy(), target.tol_rank)
+        target = SymMatrix(target.entries.copy())
     else:
-        target = make_weight_matrix(
-            SymMatrix(target.matrix.entries.copy(), target.matrix.tol_rank), space)
+        target = make_weight_matrix(SymMatrix(target.matrix.entries.copy()), space)
     return spec, space, target
 
 
@@ -428,7 +427,7 @@ class TestCachedAnalyses:
     def test_information_matrix_is_built_once_per_design(self, balanced_design, contrasts3):
         c = check_estimation_space(balanced_design, contrasts3)
         assert check_estimation_space(balanced_design, contrasts3) is c
-        assert c.tol_rank == DERIVED_RANK_RTOL
+        assert eig_sym(c).cutoff == DERIVED_RANK_RTOL * eig_sym(c).eigenvalues[0]
         assert information_matrix(balanced_design) is not c
 
     def test_routes_form_no_pseudoinverse_of_c(self, control_system, contrasts3,

@@ -15,7 +15,7 @@ from wdesign import (
     sqrt_psd,
 )
 from wdesign.errors import DomainError, NumericalError
-from wdesign.linalg import DERIVED_RANK_RTOL, SymStack, as_sym, eigh_desc_stack, symmetrized
+from wdesign.linalg import SymStack, as_sym, eigh_desc_stack, symmetrized
 from wdesign.model import estimable_forms
 
 
@@ -38,11 +38,9 @@ class TestSymMatrix:
         with pytest.raises(ValueError, match="not symmetric"):
             as_sym(np.array([[1.0, 2.0], [1.0, 3.0]]))
 
-    def test_rejects_nonsquare_and_bad_tol(self):
+    def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             SymMatrix(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            SymMatrix(np.eye(2), tol_rank=-1.0)
 
 
 class TestSymmetrized:
@@ -56,11 +54,10 @@ class TestSymmetrized:
                 # a product that is symmetric up to roundoff, as the package forms them
                 g = rng.standard_normal((dim, dim))
                 a = g @ a @ a.T @ g.T
-            tol = None if trial % 3 == 0 else DERIVED_RANK_RTOL
             fast = symmetrized(a)
-            checked = SymMatrix(0.5 * (a + a.T), tol)
+            checked = SymMatrix(0.5 * (a + a.T))
             assert fast.entries.tobytes() == checked.entries.tobytes()
-            assert (fast.dim, fast.tol_rank) == (checked.dim, checked.tol_rank)
+            assert fast.dim == checked.dim
             assert not fast.entries.flags.writeable
             with pytest.raises(ValueError):
                 fast.entries[0, 0] = 1.0
@@ -182,7 +179,7 @@ class TestCache:
             for a in (random_psd(rng, dim), random_psd(rng, dim, rng.integers(0, dim + 1)),
                       SymMatrix(np.diag(np.linspace(-2.0, 1.0, dim)))):
                 warm_s, warm_p = eig_sym(a), pinv(a)
-                cold = SymMatrix(a.entries.copy(), a.tol_rank)
+                cold = SymMatrix(a.entries.copy())
                 cold_s = eig_sym(cold)
                 assert cold_s is not warm_s
                 assert cold_s.eigenvalues.tobytes() == warm_s.eigenvalues.tobytes()

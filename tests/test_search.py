@@ -1058,6 +1058,13 @@ class TestProblemValidation:
                           target=EstimableSystem(np.array([1.0, 0.0, 0.0])),
                           space=estimation_space("contrasts", 3))
 
+    def test_a_weight_target_checked_in_another_space_is_rejected(self, full3, contrasts3):
+        # the span test is the problem's own: a W checked in the full space
+        # fails it at construction, not after the whole enumeration
+        w = make_weight_matrix(np.eye(3), full3)
+        with pytest.raises(SpaceError):
+            SearchProblem(v=3, n=4, criterion="A", target=w, space=contrasts3)
+
     def test_a_rank_zero_target_is_rejected(self, contrasts3):
         # W = Q~Q~' of this system is below the rank cutoff; without the
         # check every assignment would tie at value 0

@@ -26,7 +26,7 @@ from wdesign import (
 )
 from wdesign.errors import DomainError, FeasibilityError, SpaceError
 from wdesign.instances import random_instance
-from wdesign.linalg import SymMatrix, SymStack, pinv
+from wdesign.linalg import SymMatrix, SymStack, pinv, typed
 from wdesign.model import _information
 from wdesign.weighting import weighted_variances
 
@@ -39,7 +39,7 @@ class TestMakeWeightMatrix:
     def test_centering_projector_accepted(self, contrasts3):
         w = make_weight_matrix(np.eye(3) - np.ones((3, 3)) / 3, contrasts3)
         assert w.d == 2
-        assert w.space_check
+        assert contrasts3.contains(w.matrix.entries)
 
     def test_control_gram_accepted(self, contrasts3):
         raw = 0.5 * np.array([[2.0, -1, -1], [-1, 1, 0], [-1, 0, 1]])
@@ -174,6 +174,16 @@ class TestWeightedVariances:
             for b, (spec, w) in enumerate(rows):
                 for j in range(4):
                     assert got[b, j].hex() == weighted_variance(spec, w, q[b, j]).hex()
+
+    def test_a_typed_and_a_derived_weight_matrix_share_a_stack(self, balanced_design,
+                                                               control_system, q1):
+        # each row keeps the rank cutoff of its own W
+        ws = [make_weight_matrix(typed([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])),
+              weight_matrix_from_system(control_system)]
+        cs = SymStack.of([_information(balanced_design)] * 2)
+        got = weighted_variances(cs, ws, np.array([[q1], [q1]]))
+        assert [x.hex() for x in got[:, 0]] == [
+            weighted_variance(balanced_design, w, q1).hex() for w in ws]
 
     def test_first_rejected_vector_raises_its_own_error(self, balanced_design, full3, q1, q2):
         w = make_weight_matrix(np.eye(3), full3)
