@@ -9,6 +9,7 @@ that the E/A criteria mean what they should in terms of weighted variances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,7 +227,10 @@ def certify_theorem1(spec: DesignSpec, system: EstimableSystem,
 
     For a system whose rank equals dim(E), the positive spectrum of
     ``(Q~' C^+ Q~)^+`` must match that of ``W^{-1/2} C W^{-1/2}`` with
-    ``W = I - P + Q~ Q~'``, multiplicities included.
+    ``W = s (I - P) + Q~ Q~'``, multiplicities included.  ``C`` vanishes
+    off E, so any ``s > 0`` gives that spectrum; ``s`` is the power of two
+    at the scale of the largest eigenvalue of ``Q~ Q~'``, so the deviation
+    does not depend on the scale of ``b`` (exactly so under ``b -> 4^j b``).
     """
     return _theorem1([spec], [space], [system])[0]
 
@@ -243,7 +247,10 @@ def _theorem1(specs, spaces, systems, seeds=None):
     qs = np.stack([scale_system(system) for system in systems])
     n = info_matrices(cs, qs)
     v = qs.shape[1]
-    wp = np.eye(v) - _projectors(spaces) + qs @ qs.transpose(0, 2, 1)
+    scales = [math.ldexp(1.0, math.frexp(eig_sym(system.W).eigenvalues[0])[1] - 1)
+              for system in systems]
+    wp = (np.array(scales)[:, None, None] * (np.eye(v) - _projectors(spaces))
+          + qs @ qs.transpose(0, 2, 1))
     wph = SymStack(symmetrize(wp)).pinv_sqrt().entries
     cw = SymStack(symmetrize(wph @ cs.entries @ wph))
     return _spectral_reports("theorem1", _positive(n), _positive(cw))

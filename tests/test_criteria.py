@@ -171,6 +171,18 @@ class TestTheorem1:
         scaled = EstimableSystem(control_system.Q, [1.0, 2.0])
         assert certify_theorem1(balanced_design, scaled, contrasts3).passed
 
+    def test_deviation_does_not_depend_on_a_power_of_four_scale_of_the_weights(self):
+        # b -> 4^j b scales Q~ by 2^j and the regularizer of I - P with it, exactly
+        spec = DesignSpec.from_replications(4, [2, 2, 3, 2], "blocks", (3, 3, 3))
+        space = estimation_space("contrasts", 4)
+        rng = np.random.default_rng(5)
+        q = space.projector.entries @ rng.standard_normal((4, 3))
+        b = rng.uniform(0.5, 2.0, 3)
+        reports = [certify_theorem1(spec, EstimableSystem(q, 4.0 ** j * b), space)
+                   for j in range(-40, 41)]
+        assert all(report.passed for report in reports)
+        assert {report.deviation for report in reports} == {reports[40].deviation}
+
     def test_rank_deficient_redirects(self, balanced_design, q1, contrasts3):
         with pytest.raises(RankError, match="theorem3"):
             certify_theorem1(balanced_design, EstimableSystem(q1), contrasts3)
