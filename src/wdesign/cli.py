@@ -49,6 +49,11 @@ EXIT_INPUT = 2
 
 CERT_KINDS = tuple(criteria.STACKED_CERTIFICATIONS)
 
+#: Largest ``v`` and ``n`` a problem file may give.  The routes form square
+#: float arrays of these orders (``C`` is ``v x v``, ``I - P_L`` is
+#: ``n x n``); one of order 4,096 takes 128 MiB.
+SIZE_LIMIT = 4096
+
 
 def _fmt(x) -> str:
     return f"{float(x):.12g}"
@@ -158,20 +163,30 @@ def _parse_model(data: dict) -> DesignSpec:
         ell = _matrix_from(nuisance["L"], "model.nuisance.L") if "L" in nuisance else None
     else:
         raise ParseError("'nuisance' must be a string or an object with a 'kind'")
+    if "assignment" in model:
+        assignment = _numbers(int, model["assignment"], "model.assignment")
+        n = len(assignment)
+    elif "replications" in model:
+        replications = _numbers(int, model["replications"], "model.replications")
+        n = sum(replications)
+    else:
+        raise ParseError("section 'model' needs 'assignment' or 'replications'")
+    # n is checked before any design is built: a huge replication count
+    # would otherwise build its assignment first
+    if "n" in model and _number(int, model["n"], "model.n") != n:
+        raise ParseError(f"model says n={model['n']} but the assignment lists {n} units")
+    if sizes is not None and sum(sizes) != n:
+        raise ParseError(f"invalid model: block sizes sum to {sum(sizes)}, expected n={n}")
+    if ell is not None and ell.shape[0] != n:
+        raise ParseError(f"invalid model: L has {ell.shape[0]} rows, expected n={n}")
+    if max(v, n) > SIZE_LIMIT:
+        raise ParseError(f"model has v={v} and n={n}; neither may exceed {SIZE_LIMIT}")
     try:
         if "assignment" in model:
-            assignment = _numbers(int, model["assignment"], "model.assignment")
-            spec = DesignSpec(v, tuple(assignment), kind, sizes, ell)
-        elif "replications" in model:
-            replications = _numbers(int, model["replications"], "model.replications")
-            spec = DesignSpec.from_replications(v, replications, kind, sizes, ell)
-        else:
-            raise ParseError("section 'model' needs 'assignment' or 'replications'")
+            return DesignSpec(v, tuple(assignment), kind, sizes, ell)
+        return DesignSpec.from_replications(v, replications, kind, sizes, ell)
     except ValueError as exc:
         raise ParseError(f"invalid model: {exc}") from exc
-    if "n" in model and _number(int, model["n"], "model.n") != spec.n:
-        raise ParseError(f"model says n={model['n']} but the assignment lists {spec.n} units")
-    return spec
 
 
 def _parse_space(data: dict, spec: DesignSpec) -> EstimationSpace:

@@ -153,6 +153,18 @@ class TestExitCodes:
         ("weight_matrix", {"W": [[2, -1, -1], [-1, 2, -1], [-1, -1.5, 2]]}),
         ("criterion", {"name": "T"}),
         ("criterion", {}),
+        # a count far past the limit is rejected before its assignment is built
+        ("model", {"v": 4, "replications": [3, 2, 2, 2**70]}),
+        ("model", {"v": 4, "n": 9, "replications": [3, 2, 2, 2**70]}),
+        ("model", {"v": 4, "replications": [3, 2, 2, 2**70],
+                   "nuisance": {"kind": "blocks", "sizes": [3, 3, 3]}}),
+        ("model", {"v": 4, "n": 9, "replications": [3, 2, 2, 2**70],
+                   "nuisance": {"kind": "blocks", "sizes": [3, 3, 3]}}),
+        ("model", {"v": 4, "replications": [3, 2, 2, 2**70],
+                   "nuisance": {"kind": "explicit", "L": [[1]] * 9}}),
+        ("model", {"v": 4, "n": 9, "replications": [3, 2, 2, 2**70],
+                   "nuisance": {"kind": "explicit", "L": [[1]] * 9}}),
+        ("model", {"v": 1000000, "assignment": [1, 2, 3, 4]}),
     ])
     @pytest.mark.parametrize("command", ["info", "search"])
     def test_malformed_sections_are_input_errors(self, tmp_path, capsys, command, section,
