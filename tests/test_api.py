@@ -127,3 +127,53 @@ def test_every_small_float_literal_is_a_named_constant():
     found = {path.name: lines for path in sorted(package.glob("*.py"))
              if (lines := small_float_literals(path.read_text()))}
     assert found == {}
+
+
+def named_tolerances(module: str, source: str) -> dict[str, float]:
+    """``module.NAME -> value`` of each module-level name bound to a float
+    literal in ``(0, 0.1)``: the named tolerances ``small_float_literals``
+    leaves alone."""
+    found = {}
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.Assign):
+            targets = statement.targets
+        elif isinstance(statement, ast.AnnAssign):
+            targets = [statement.target]
+        else:
+            continue
+        value = statement.value
+        if (isinstance(value, ast.Constant) and isinstance(value.value, float)
+                and 0.0 < value.value < 0.1):
+            found.update({f"{module}.{target.id}": value.value
+                          for target in targets if isinstance(target, ast.Name)})
+    return found
+
+
+def readme_tolerances(readme: str) -> dict[str, str | None]:
+    """``module.NAME -> value`` of each `` `module.NAME` `` in the README's
+    "Tolerances" section, the value being the text in the parentheses that
+    follow it (None when none do)."""
+    section = readme.split("### Tolerances\n", 1)[1].split("\n#", 1)[0]
+    return {match[1]: match[2] for match in
+            re.finditer(r"`(\w+\.[A-Z][A-Z0-9_]*)`(?:\s*\(([^)]*)\))?", section)}
+
+
+def test_tolerance_lists_see_names_and_values():
+    source = ("TOL: float = 1e-8\nWIDE = 0.5\nEPS = float(1e-16)\nA = B = 1e-3\n"
+              "def f():\n    LOCAL = 1e-6\n")
+    assert named_tolerances("m", source) == {"m.TOL": 1e-8, "m.A": 1e-3, "m.B": 1e-3}
+    readme = ("`m.X` (1)\n### Tolerances\n\nSee `m.span` and `TOL`.\n\n- `m.TOL` (1e-8): x\n"
+              "- `m.A` (1e-3) and `m.B`\n  (0.001): y\n- `m.C`: z\n\n### Next\n- `m.D` (1)\n")
+    assert readme_tolerances(readme) == {"m.TOL": "1e-8", "m.A": "1e-3", "m.B": "0.001",
+                                         "m.C": None}
+
+
+def test_the_readme_lists_every_named_tolerance_with_its_value():
+    # a tolerance that is added, moved or retuned without the README fails here
+    package = Path(wdesign.__file__).parent
+    source = {}
+    for path in sorted(package.glob("*.py")):
+        source.update(named_tolerances(path.stem, path.read_text()))
+    listed = readme_tolerances((package.parents[1] / "README.md").read_text())
+    assert len(source) >= 13
+    assert {name: value and float(value) for name, value in listed.items()} == source
