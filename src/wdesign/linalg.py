@@ -147,10 +147,11 @@ class Spectrum:
 def eig_sym(A) -> Spectrum:
     """Spectral decomposition of a symmetric matrix, eigenvalues descending.
 
-    The rank cutoff is ``DERIVED_RANK_RTOL * max(|lambda|_max, eps)``.  Within
-    ties the eigenvector order is solver-dependent; only spectra and spanned
-    subspaces are contractual.  The spectrum is computed once per SymMatrix
-    and shared by every later call, so its arrays are read-only.
+    The rank cutoff is ``DERIVED_RANK_RTOL * max(|lambda|_max, eps)``, but
+    for a matrix from ``typed``.  Within ties the eigenvector order is
+    solver-dependent; only spectra and spanned subspaces are contractual.
+    The spectrum is computed once per SymMatrix and shared by every later
+    call, so its arrays are read-only.
     """
     A = as_sym(A)
     if A._spectrum is None:
