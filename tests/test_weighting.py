@@ -26,7 +26,7 @@ from wdesign import (
 )
 from wdesign.errors import DomainError, FeasibilityError, SpaceError
 from wdesign.instances import random_instance
-from wdesign.linalg import SymMatrix, SymStack, pinv, typed
+from wdesign.linalg import DERIVED_RANK_RTOL, FILE_RANK_RTOL, SymMatrix, SymStack, pinv, typed
 from wdesign.model import _information
 from wdesign.weighting import weighted_variances
 
@@ -180,6 +180,8 @@ class TestWeightedVariances:
         # each row keeps the rank cutoff of its own W
         ws = [make_weight_matrix(typed([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])),
               weight_matrix_from_system(control_system)]
+        for w, tol in zip(ws, (FILE_RANK_RTOL, DERIVED_RANK_RTOL)):
+            assert eig_sym(w.matrix).cutoff == tol * eig_sym(w.matrix).eigenvalues[0]
         cs = SymStack.of([_information(balanced_design)] * 2)
         got = weighted_variances(cs, ws, np.array([[q1], [q1]]))
         assert [x.hex() for x in got[:, 0]] == [
