@@ -16,7 +16,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -308,32 +308,10 @@ def load_problem(path: str) -> tuple[Problem, str]:
 
 
 # ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass(eq=False)
-class Report:
-    """Command echo, input digest, numeric results, pass/fail, wall time."""
-
-    command: str
-    input_digest: str
-    results: dict = field(default_factory=dict)
-    passed: bool | None = None
-    wall_time_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "results": _round12(self.results),
-            "pass": self.passed,
-            "wall_time_s": float(f"{self.wall_time_s:.6f}"),
-        }
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+# commands
+#
+# Each ``cmd_*`` takes the problem and the parsed arguments and returns
+# ``(results, lines, passed)``; ``passed`` is None unless it checked something.
 
 
 def _target_of(problem: Problem):
@@ -352,11 +330,7 @@ def _target_of(problem: Problem):
     raise ParseError("this command needs a 'system' or a 'weight_matrix' section")
 
 
-# ---------------------------------------------------------------------------
-# commands
-
-
-def cmd_info(problem: Problem, digest: str) -> tuple[Report, int]:
+def cmd_info(problem: Problem, args) -> tuple[dict, list, bool | None]:
     c = _information(problem.spec)
     s = eig_sym(c)
     results = {
@@ -404,8 +378,7 @@ def cmd_info(problem: Problem, digest: str) -> tuple[Report, int]:
             f"weight matrix: rank={results['weight_matrix']['rank']}, "
             f"in_estimation_space={problem.weight is not None}, feasible={not bad}"
         )
-    print("\n".join(lines))
-    return Report("info", digest, results), EXIT_OK
+    return results, lines, None
 
 
 def _criterion_block(value) -> dict:
@@ -419,7 +392,7 @@ def _criterion_block(value) -> dict:
     }
 
 
-def cmd_criterion(problem: Problem, digest: str) -> tuple[Report, int]:
+def cmd_criterion(problem: Problem, args) -> tuple[dict, list, bool | None]:
     if problem.criterion is None:
         raise ParseError("this command needs a 'criterion' section")
     target = _target_of(problem)
@@ -448,14 +421,13 @@ def cmd_criterion(problem: Problem, digest: str) -> tuple[Report, int]:
                     f"positive-spectrum value {_fmt(cv.positive_value)}]")
         lines.append(f"  {label}: {_fmt(cv.value)}{note}")
     lines.append(f"  deviation of the two routes: {_fmt(deviation)}")
-    print("\n".join(lines))
-    return Report("criterion", digest, results), EXIT_OK
+    return results, lines, None
 
 
-def cmd_weights(problem: Problem, digest: str, queries) -> tuple[Report, int]:
+def cmd_weights(problem: Problem, args) -> tuple[dict, list, bool | None]:
     if problem.system is None:
         raise ParseError("the weights command needs a 'system' section")
-    vectors = [_parse_query(q, problem.spec.v) for q in queries]
+    vectors = [_parse_query(q, problem.spec.v) for q in args.query]
     report = secondary_weights(problem.system, vectors)
     strict = check_weight_dominance(problem.system)
     w = report.weight_matrix
@@ -506,8 +478,7 @@ def cmd_weights(problem: Problem, digest: str, queries) -> tuple[Report, int]:
         "annotations": annotations,
         "in_estimation_space": validate_system(problem.system, problem.space),
     }
-    print("\n".join(lines))
-    return Report("weights", digest, results), EXIT_OK
+    return results, lines, None
 
 
 def _parse_query(text: str, v: int) -> np.ndarray:
@@ -569,8 +540,8 @@ def _random_certifications(kind: str, sequence: np.random.SeedSequence, trials: 
     return criteria.certify_in_stacks(kind, instances)
 
 
-def cmd_certify(problem: Problem, digest: str, which: str, trials: int,
-                seed: int) -> tuple[Report, int]:
+def cmd_certify(problem: Problem, args) -> tuple[dict, list, bool | None]:
+    which, trials, seed = args.which, args.trials, args.seed
     if trials < 0:
         raise ParseError(f"--trials must be nonnegative, got {trials}")
     kinds = CERT_KINDS if which == "all" else (which,)
@@ -633,13 +604,10 @@ def cmd_certify(problem: Problem, digest: str, which: str, trials: int,
         for failure in failures:
             lines.append(f"  trial {failure['trial']} (seed {failure['seed']}): "
                          f"deviation {_fmt(failure['deviation'])}")
-    print("\n".join(lines))
-    report = Report("certify", digest, {"which": which, "seed": seed, **summary},
-                    passed=all_passed)
-    return report, EXIT_OK if all_passed else EXIT_CERT_FAIL
+    return {"which": which, "seed": seed, **summary}, lines, all_passed
 
 
-def cmd_search(problem: Problem, digest: str, both_routes: bool) -> tuple[Report, int]:
+def cmd_search(problem: Problem, args) -> tuple[dict, list, bool | None]:
     if problem.search is None:
         raise ParseError("the search command needs a 'search' section")
     if problem.criterion is None:
@@ -657,7 +625,7 @@ def cmd_search(problem: Problem, digest: str, both_routes: bool) -> tuple[Report
         **problem.search,
     )
     enumerable = search.enumeration_size(sp) <= search.ENUMERATION_LIMIT
-    if both_routes and not enumerable:
+    if args.both_routes and not enumerable:
         raise ParseError("--both-routes needs an enumerable instance")
     result = search.enumerate_optimal(sp) if enumerable else search.exchange_search(sp)
     best = result.best_design
@@ -684,7 +652,7 @@ def cmd_search(problem: Problem, digest: str, both_routes: bool) -> tuple[Report
     else:
         results["restarts"] = [asdict(stats) for stats in result.restarts]
     passed = None
-    if both_routes:
+    if args.both_routes:
         check = search.argmax_equivalence_check(sp)
         passed = check.passed
         results["argmax_equivalence"] = {
@@ -700,9 +668,7 @@ def cmd_search(problem: Problem, digest: str, both_routes: bool) -> tuple[Report
             f"({_fmt(check.value_system_route)} vs {_fmt(check.value_weighted_route)}, "
             f"{len(check.optima_system_route)} vs {len(check.optima_weighted_route)} optima)"
         )
-    print("\n".join(lines))
-    code = EXIT_OK if passed in (None, True) else EXIT_CERT_FAIL
-    return Report("search", digest, results, passed=passed), code
+    return results, lines, passed
 
 
 # ---------------------------------------------------------------------------
@@ -740,27 +706,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: print its lines, write its ``--out`` report, and exit
+    1 exactly when it checked something that failed."""
     args = build_parser().parse_args(argv)
+    # looked up per call, so a rebinding of a ``cmd_*`` attribute takes effect
+    commands = {"info": cmd_info, "criterion": cmd_criterion, "weights": cmd_weights,
+                "certify": cmd_certify, "search": cmd_search}
     started = time.perf_counter()
     try:
         problem, digest = load_problem(args.file)
-        if args.command == "info":
-            report, code = cmd_info(problem, digest)
-        elif args.command == "criterion":
-            report, code = cmd_criterion(problem, digest)
-        elif args.command == "weights":
-            report, code = cmd_weights(problem, digest, args.query)
-        elif args.command == "certify":
-            report, code = cmd_certify(problem, digest, args.which, args.trials, args.seed)
-        else:
-            report, code = cmd_search(problem, digest, args.both_routes)
+        results, lines, passed = commands[args.command](problem, args)
     except (WdesignError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report.wall_time_s = time.perf_counter() - started
+    print("\n".join(lines))
     if args.out:
-        report.write(args.out)
-    return code
+        report = {
+            "command": args.command,
+            "input_digest": digest,
+            "results": _round12(results),
+            "pass": passed,
+            "wall_time_s": float(f"{time.perf_counter() - started:.6f}"),
+        }
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    return EXIT_CERT_FAIL if passed is False else EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover
