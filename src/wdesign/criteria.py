@@ -261,7 +261,11 @@ def certify_theorem2(spec: DesignSpec, w_pd, space: EstimationSpace) -> Certific
 
     ``W^{-1/2} C W^{-1/2}`` and the information matrix for ``R tau`` with
     ``R = (P W^{-1} P)^{+1/2}`` are both ``v x v``; their spectra must agree
-    including the zero multiplicities.
+    including the zero multiplicities.  ``W`` is taken at ``4^-k``, ``k``
+    half the binary exponent of its largest eigenvalue: both spectra scale
+    by ``4^k`` exactly, so the deviation does not depend on the scale of
+    ``W`` (to the bit under ``W -> 4^j W``), and ``R`` does not fall under
+    the rank cutoff's floor when ``W`` is large.
     """
     return _theorem2([spec], [space], [w_pd])[0]
 
@@ -274,6 +278,8 @@ def _theorem2(specs, spaces, ws, seeds=None):
             raise SingularWeightError(
                 "theorem2 needs a positive definite W; see certify_theorem4 for singular W"
             )
+    scales = np.ldexp(1.0, -2 * (np.frexp(values[:, 0])[1] // 2))
+    wms = SymStack(wms.entries * scales[:, None, None])
     cs = _designs(specs)
     check_estimation_spaces(cs, spaces)
     wph = wms.pinv_sqrt().entries
@@ -354,11 +360,20 @@ def a_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix,
     return _aopt([spec], [None], [w], [seed])[0]
 
 
+def _full_rank(cw: SymStack, d: int) -> None:
+    """RankError unless every row of ``C_W`` keeps all ``d`` eigenvalues
+    above the rank cutoff, as the readings of A and E need."""
+    if (rank := min(cw.spectrum[2])) < d:
+        raise RankError(f"the weighted information matrix keeps rank {rank} of d = {d} "
+                        "above the rank cutoff")
+
+
 def _aopt(specs, spaces, ws, seeds):
     trials = 3  # rotations drawn from each seed, after the identity
     cs = _designs(specs)
     ks = np.stack([w.K for w in ws])
     _, cw = weighted_info_matrices(cs, ks)
+    _full_rank(cw, ks.shape[2])
     values, _, ranks, cutoffs = cw.spectrum
     count, v, d = ks.shape
     targets = [1.0 / _spectrum_value("A", values[i], ranks[i], cutoffs[i], d).value
@@ -412,6 +427,7 @@ def _eopt(specs, spaces, ws, seeds=None):
     cs = _designs(specs)
     ks = np.stack([w.K for w in ws])
     m, cw = weighted_info_matrices(cs, ks)
+    _full_rank(cw, ks.shape[2])
     values, _, ranks, cutoffs = cw.spectrum
     m_values, m_vectors, _, _ = m.spectrum
     checks = []

@@ -19,6 +19,7 @@ from .linalg import (
     SymMatrix,
     SymStack,
     as_sym,
+    max_abs,
     projector,
     rank_groups,
     symmetrize,
@@ -150,9 +151,12 @@ def block_ranges(n: int, nuisance_kind: str,
 def _nuisance_matrix(spec: DesignSpec) -> np.ndarray:
     if spec.nuisance_kind == "explicit":
         # only the span of L enters C; unit columns keep the Gram matrix of
-        # its projector well conditioned whatever the scale of each column
-        norms = np.linalg.norm(spec.L, axis=0)
-        return spec.L / np.where(norms > 0.0, norms, 1.0)
+        # its projector well conditioned whatever the scale of each column.
+        # A power of two takes each column near unit scale first, so its
+        # norm neither overflows nor underflows and no bit moves
+        ell = np.ldexp(spec.L, -np.frexp(np.max(np.abs(spec.L), axis=0))[1])
+        norms = np.linalg.norm(ell, axis=0)
+        return ell / np.where(norms > 0.0, norms, 1.0)
     blocks = block_ranges(spec.n, spec.nuisance_kind, spec.block_sizes)
     ell = np.zeros((spec.n, len(blocks)))
     for j, (start, end) in enumerate(blocks):
@@ -278,6 +282,9 @@ def infeasible_columns(spec_or_C, Q) -> tuple[int, ...]:
     q = np.asarray(Q, dtype=float)
     if q.ndim == 1:
         q = q[:, None]
+    # the test does not depend on the scale of Q; near unit scale, the forms
+    # it discards do not overflow
+    q = np.ldexp(q, -np.frexp(max_abs(q))[1])
     return first_infeasible(estimable_forms(SymStack.of([c]), q[None])[0])
 
 

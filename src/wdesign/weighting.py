@@ -301,8 +301,11 @@ def secondary_weights(system: EstimableSystem, queries=()) -> WeightReport:
 
     The system's columns are always included, carrying their primary
     weights; each query vector gets its span status and, when inside the
-    span of ``Q``, the implied weight ``(q' W^+ q)^{-1}``.
+    span of ``Q``, the implied weight ``(q' W^+ q)^{-1}``.  A system whose
+    ``W`` falls below the rank cutoff is a DomainError.
     """
+    if system.r == 0:
+        raise DomainError("a system of rank zero weights nothing")
     w = weight_matrix_from_system(system)
     records = []
     for j in range(system.s):
@@ -319,7 +322,8 @@ def check_weight_dominance(system: EstimableSystem) -> tuple[bool, ...]:
     """Verify each secondary weight ``w(q_i) >= b_i``; return strictness flags.
 
     A violation beyond tolerance cannot come from the model, only from a
-    numerical defect, so it raises InternalConsistencyError.  Columns that
+    numerical defect, so it raises InternalConsistencyError; a system of
+    rank zero is a DomainError, as in ``secondary_weights``.  Columns that
     are linear combinations of the others pick up extra implied weight and
     get flagged strict.
     """

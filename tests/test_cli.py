@@ -379,6 +379,13 @@ class TestWeights:
         payload = {"model": {"v": 3, "replications": [2, 2, 2]}}
         assert main(["weights", "--file", write(tmp_path, payload)]) == EXIT_INPUT
 
+    def test_a_system_of_rank_zero_is_an_input_error(self, tmp_path, capsys):
+        # W = Q~ Q~' near 1e-310 falls below the rank cutoff's floor
+        q = (1e-155 * np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])).tolist()
+        payload = {"model": {"v": 3, "replications": [2, 2, 2]}, "system": {"Q": q}}
+        assert main(["weights", "--file", write(tmp_path, payload)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: a system of rank zero weights nothing\n"
+
 
 class TestCertify:
     def test_all_small_run_passes(self, tmp_path):
@@ -402,6 +409,30 @@ class TestCertify:
                for line in capsys.readouterr().out.splitlines() if " on the file instance" in line]
         assert ran == list(self.ALL_SYSTEM)
         assert len(calls) == 1
+
+    def test_theorem2_passes_on_a_large_positive_definite_weight(self, tmp_path, capsys):
+        payload = json.loads((GOLDEN_PROBLEMS / "certify-pd-weight.json").read_text())
+        payload["weight_matrix"]["W"] = (1e36 * np.array(payload["weight_matrix"]["W"])).tolist()
+        assert main(["certify", "--file", write(tmp_path, payload), "--trials", "0"]) == EXIT_OK
+        assert "theorem2 on the file instance: pass" in capsys.readouterr().out
+
+    def test_readings_of_a_weighted_information_matrix_under_the_cutoff_are_input_errors(
+            self, tmp_path, capsys):
+        # C_W of this W sits near 1e-36, below the rank cutoff's floor
+        w = 1e36 * np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+        path = write(tmp_path, {"model": {"v": 3, "replications": [2, 2, 2]},
+                                "weight_matrix": {"W": w.tolist()}})
+        out = tmp_path / "report.json"
+        for which in ("aopt", "eopt"):
+            assert main(["certify", "--file", path, "--which", which, "--trials", "0",
+                         "--out", str(out)]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.err == ("error: the weighted information matrix keeps rank 0 "
+                                    "of d = 2 above the rank cutoff\n")
+            assert captured.out == "" and not out.exists()
+        assert main(["certify", "--file", path, "--which", "theorem4", "--trials", "0",
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["pass"] is True
 
     # Which file instance each ``--which`` certifies.  A tuple lists the
     # kinds run on the file, in stdout order; a string is the input error.
@@ -553,3 +584,77 @@ class TestSearch:
         assert main(["search", "--file", write(tmp_path, BALANCED),
                      "--out", str(enumerated)]) == EXIT_OK
         assert "restarts" not in json.loads(enumerated.read_text())["results"]
+
+
+#: Numeric subtrees of a problem file that the scale sweep multiplies, one at
+#: a time, where the file has them; and the factors it multiplies them by.
+SCALED_SUBTREES = (("system", "Q"), ("system", "b"), ("weight_matrix", "W"),
+                   ("model", "nuisance", "L"), ("estimation_space", "basis"))
+SCALE_FACTORS = (2.0**60, 2.0**-60, 1e36, 1e-36, 1e150, 1e-150, 1e300, 1e-300)
+
+#: The factors at which ``search`` runs too: it is the slow command, and the
+#: extremes are where a scale breaks first.
+SEARCH_FACTORS = (1.0, 1e300, 1e-300)
+
+#: Unscaled golden problems that ``certify`` refuses: the blocks of
+#: enum-blocks-0 leave treatment 1 alone in the first, so C misses the
+#: contrasts (its search finds a connected design).
+UNCERTIFIABLE = ("enum-blocks-0.json",)
+
+
+def _scaled(value, factor):
+    if isinstance(value, list):
+        return [_scaled(entry, factor) for entry in value]
+    return factor * value
+
+
+def _subtree_parent(document, keys):
+    """The object holding the subtree ``keys``, or None when the file has none."""
+    node = document
+    for key in keys[:-1]:
+        node = node.get(key) if isinstance(node, dict) else None
+    return node if isinstance(node, dict) and keys[-1] in node else None
+
+
+def _sweep_cases():
+    for path in sorted(GOLDEN_PROBLEMS.glob("*.json")):
+        document = json.loads(path.read_text())
+        yield pytest.param(path.name, None, 1.0, id=path.stem)
+        for keys in SCALED_SUBTREES:
+            if _subtree_parent(document, keys) is not None:
+                for factor in SCALE_FACTORS:
+                    yield pytest.param(path.name, keys, factor,
+                                       id=f"{path.stem}-{'.'.join(keys)}-{factor:g}")
+
+
+class TestScaleSweep:
+    """Each golden problem file with one numeric subtree scaled, through every
+    command that applies: the exit code keeps its contract at every scale."""
+
+    @pytest.mark.parametrize("name, keys, factor", list(_sweep_cases()))
+    def test_exit_codes_keep_their_contract(self, tmp_path, capsys, name, keys, factor):
+        document = json.loads((GOLDEN_PROBLEMS / name).read_text())
+        if keys is not None:
+            parent = _subtree_parent(document, keys)
+            parent[keys[-1]] = _scaled(parent[keys[-1]], factor)
+        path = write(tmp_path, document)
+        commands = [["info"], ["criterion"], ["weights"], ["certify", "--trials", "0"]]
+        if "search" in document and factor in SEARCH_FACTORS:
+            commands.append(["search"])
+        out = tmp_path / "report.json"
+        for command in commands:
+            out.unlink(missing_ok=True)
+            code = main(command + ["--file", path, "--out", str(out)])
+            captured = capsys.readouterr()
+            if code == EXIT_INPUT:
+                assert_one_error_line(captured.err)
+                assert not out.exists()
+            else:
+                passed = json.loads(out.read_text())["pass"]
+                assert code == (EXIT_CERT_FAIL if passed is False else EXIT_OK)
+            if command[0] == "certify":
+                # a scale of valid input is valid input: it may pass or be
+                # refused, never fail; every certifiable unscaled file passes
+                assert code != EXIT_CERT_FAIL
+                if keys is None and name not in UNCERTIFIABLE:
+                    assert code == EXIT_OK and passed is True

@@ -30,7 +30,7 @@ from wdesign import (
 )
 from wdesign.criteria import SPECTRAL_TOL, STACKED_CERTIFICATIONS, certify_in_stacks
 from wdesign.errors import DomainError, RankError, SingularWeightError, SpaceError
-from wdesign.instances import random_instance
+from wdesign.instances import random_instance, random_pd_matrix
 from wdesign.linalg import DERIVED_RANK_RTOL, SymMatrix, SymStack, pinv
 
 #: Certification kind -> its run on a ``random_instance`` draw.
@@ -213,6 +213,18 @@ class TestTheorem2:
             atol=1e-8,
         )
 
+    def test_deviation_does_not_depend_on_a_power_of_four_scale_of_w(self):
+        # W -> 4^j W scales both spectra by 4^-j; W is taken at a power of
+        # four, so they keep their bits and R stays clear of the cutoff floor
+        spec = DesignSpec.from_replications(4, [2, 2, 3, 2], "blocks", (3, 3, 3))
+        space = estimation_space("contrasts", 4)
+        w = random_pd_matrix(np.random.default_rng(5), 4).entries
+        reports = [certify_theorem2(spec, 4.0 ** j * w, space) for j in range(-20, 61)]
+        assert reports[20].passed
+        assert {report.deviation for report in reports} == {reports[20].deviation}
+        for factor in (1e36, 1e150, 1e300):
+            assert certify_theorem2(spec, factor * w, space).passed
+
     def test_singular_rejected(self, balanced_design, contrasts3):
         with pytest.raises(SingularWeightError, match="theorem4"):
             certify_theorem2(
@@ -312,6 +324,20 @@ class TestInterpretationChecks:
     def test_eopt_rank_one(self, balanced_design, q1, contrasts3):
         w = weight_matrix_from_system(EstimableSystem(q1), contrasts3)
         assert e_opt_interpretation_check(balanced_design, w).passed
+
+    @pytest.mark.parametrize("kind", ["aopt", "eopt"])
+    def test_a_weighted_information_matrix_under_the_cutoff_is_a_rank_error(self, kind,
+                                                                            balanced_design,
+                                                                            contrasts3):
+        # C_W of a W near 1e36 sits near 1e-36, below the rank cutoff's floor
+        centered = np.eye(3) - np.ones((3, 3)) / 3
+        huge = (balanced_design, contrasts3, make_weight_matrix(1e36 * centered, contrasts3), 0)
+        good = (balanced_design, contrasts3, make_weight_matrix(centered, contrasts3), 0)
+        with pytest.raises(RankError, match="rank 0 of d = 2"):
+            CERTIFY[kind](balanced_design, contrasts3, huge[2])
+        with pytest.raises(RankError, match="rank 0 of d = 2"):
+            certify_in_stacks(kind, [good, huge])
+        assert certify_theorem4(balanced_design, huge[2]).passed
 
     def test_randomized(self):
         rng = np.random.default_rng(36)

@@ -92,6 +92,21 @@ class TestInformationMatrix:
             used = len(set(assignment))
             assert s.numeric_rank <= min(v - 1, used)
 
+    def test_explicit_l_does_not_depend_on_the_scale_of_its_columns(self):
+        # the column norms of L overflowed at 1e300 and underflowed at
+        # 1e-200, and either dropped the nuisance from C
+        L = np.random.default_rng(13).standard_normal((8, 2))
+
+        def info(ell):
+            return information_matrix(DesignSpec(3, (1, 2, 3, 1, 2, 3, 1, 2), "explicit",
+                                                 L=ell)).entries
+
+        base = info(L)
+        for j in (-1000, -700, 700, 1000):
+            assert info(np.ldexp(L, j)).tobytes() == base.tobytes()
+        for scale in (1e-300, 1e-200, 1e200, 1e300, np.array([1e300, 1e-300])):
+            np.testing.assert_allclose(info(scale * L), base, rtol=1e-12, atol=1e-12)
+
     def test_invariant_under_within_block_permutation(self):
         rng = np.random.default_rng(12)
         assignment = (1, 2, 3, 2, 3, 1, 1, 2)
@@ -194,6 +209,13 @@ class TestFeasibility:
     def test_ones_never_estimable_with_intercept(self):
         spec = DesignSpec.from_replications(3, [2, 2, 2])
         assert infeasible_columns(spec, np.ones(3)) == (0,)
+
+    def test_the_verdict_does_not_depend_on_the_scale_of_q(self):
+        # q' C^+ q of a q near 1e300 overflowed, though the verdict ignores it
+        spec = DesignSpec.from_replications(3, [2, 2, 2])
+        q = np.column_stack([contrast(3, 1, 2), np.ones(3)])
+        for scale in (1e-300, 1.0, 1e300):
+            assert infeasible_columns(spec, scale * q) == (1,)
 
     def test_estimable_forms_rows_match_their_one_row_stacks_pinv_and_verdicts(self):
         rng = np.random.default_rng(4)

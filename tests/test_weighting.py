@@ -395,6 +395,14 @@ class TestWeightDominance:
         system = EstimableSystem(np.column_stack([q1, q2, q3]), [1.0, 1.0, 0.5])
         assert check_weight_dominance(system) == (True, True, True)
 
+    def test_a_system_of_rank_zero_is_a_domain_error(self, control_system):
+        # W = Q~ Q~' near 1e-310 falls below the rank cutoff's floor
+        system = EstimableSystem(1e-155 * control_system.Q)
+        assert system.r == 0
+        for fn in (secondary_weights, check_weight_dominance):
+            with pytest.raises(DomainError, match="a system of rank zero weights nothing"):
+                fn(system)
+
     def test_flags_do_not_depend_on_the_scale_of_the_weights(self, q1, q2, q3, control_system):
         # with an absolute slack of 1e-9, every weight of the 1e-10 scale fell inside it
         pairwise = np.column_stack([q1, q2, q3])
