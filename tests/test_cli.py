@@ -101,6 +101,20 @@ class TestExitCodes:
         assert "FAILURES" in out and "seed" in out
 
 
+    def test_a_failed_argmax_check_exits_one_with_a_failed_report(self, tmp_path,
+                                                                monkeypatch, capsys):
+        from wdesign import search
+        from wdesign.search import ArgmaxEquivalenceReport
+
+        monkeypatch.setattr(search, "argmax_equivalence_check",
+                            lambda problem: ArgmaxEquivalenceReport(False, 1.0, 2.0, (), ()))
+        out = tmp_path / "report.json"
+        assert main(["search", "--file", write(tmp_path, BALANCED), "--both-routes",
+                     "--out", str(out)]) == EXIT_CERT_FAIL
+        assert "argmax equivalence of the two routes: FAIL" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert report["pass"] is False and report["command"] == "search"
+
     def test_negative_trials_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path, BALANCED)
         assert main(["certify", "--file", path, "--trials", "-1"]) == EXIT_INPUT
