@@ -70,6 +70,8 @@ def _fmt_matrix(mat) -> str:
 
 def _round12(obj):
     """Recursively render numerics to 12 significant digits for reports."""
+    if type(obj) is int:  # the common leaf; a bool is not one
+        return obj
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

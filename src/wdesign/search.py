@@ -186,17 +186,29 @@ def label_symmetric(problem: SearchProblem) -> bool:
 def _key_function(problem: SearchProblem):
     """The key an assignment is scored by, as a tuple: the assignment itself
     under an explicit ``L``, else the assignment with each block's labels
-    sorted."""
+    sorted.  A block with at most ``SCORE_CACHE_LIMIT`` label tuples
+    (``v**size``) looks its sorted labels up in the dict ``key_of.table``,
+    filled on first sight and never past that limit; a larger block sorts."""
     if problem.nuisance_kind == "explicit":
         return tuple
-    blocks = block_ranges(problem.n, problem.nuisance_kind, problem.block_sizes)
+    table = {}
+    parts = [(slice(start, end), problem.v**(end - start) <= SCORE_CACHE_LIMIT) for start, end
+             in block_ranges(problem.n, problem.nuisance_kind, problem.block_sizes)]
 
     def key_of(assignment):
-        labels = []
-        for start, end in blocks:
-            labels += sorted(assignment[start:end])
-        return tuple(labels)
+        assignment = tuple(assignment)  # exchange search passes a list
+        labels = ()
+        for cut, small in parts:
+            part = assignment[cut]
+            block = table.get(part) if small else None
+            if block is None:
+                block = tuple(sorted(part))
+                if small and len(table) < SCORE_CACHE_LIMIT:
+                    table[part] = block
+            labels += block
+        return labels
 
+    key_of.table = table
     return key_of
 
 
@@ -283,21 +295,17 @@ def make_evaluator(problem: SearchProblem):
     """Assignment scorer: returns ``(value, positive spectrum)`` or None.
 
     ``None`` means the target is not estimable under that assignment.  The
-    score comes from the problem's scorer (``SearchProblem.scorer``), as a
-    one-row stack, unless its memo holds it.
-
-    Under an intercept or block nuisance, ``C`` depends on the assignment
-    only through the multiset of treatments in each block (the whole run is
-    one block under an intercept).  The scorer therefore scores the
-    assignment with each block's labels sorted.  When the problem is small
-    enough to enumerate (``v**(n-1) <= ENUMERATION_LIMIT``), the scorer also
-    remembers the scores of up to ``SCORE_CACHE_LIMIT`` such block
-    incidences, and empties its memo when a new one would overflow it;
-    larger problems are scored afresh on every call.  Values are thus
-    exactly invariant under permuting units within a block and never depend
-    on what the memo holds.  An explicit ``L`` admits no such reduction, so
-    every assignment is scored as given.  The returned spectra are
-    read-only, because a remembered result is shared.
+    assignment is scored through its key (see ``_key_function``): under an
+    intercept or block nuisance, ``C`` depends on it only through the
+    multiset of treatments in each block (the whole run is one block under
+    an intercept).  The score comes from the problem's scorer
+    (``SearchProblem.scorer``), as a one-row stack, unless its memo holds
+    it.  On problems small enough to enumerate
+    (``v**(n-1) <= ENUMERATION_LIMIT``) the memo holds the scores of up to
+    ``SCORE_CACHE_LIMIT`` block incidences and is emptied when a new one
+    would overflow it.  Values are thus exactly invariant under permuting
+    units within a block and never depend on what the memo holds.  The
+    returned spectra are read-only, because a remembered result is shared.
     """
     score = problem.scorer()
     key_of = _key_function(problem)
@@ -401,26 +409,25 @@ def enumerate_optimal(problem: SearchProblem) -> SearchResult:
     symmetric = size < problem.v**problem.n
     _score_incidences(problem, symmetric)
     evaluate = make_evaluator(problem)
-    heads = [1] if symmetric else range(1, problem.v + 1)
+    labels = range(1, problem.v + 1)
+    heads = [1] if symmetric else labels
     best = None
     best_assignment = None
     best_spectrum = None
     optima = []
-    for head in heads:
-        for tail in itertools.product(range(1, problem.v + 1), repeat=problem.n - 1):
-            assignment = (head, *tail)
-            scored = evaluate(assignment)
-            if scored is None:
-                continue
-            value, spectrum = scored
-            if best is None or value > best:
-                best = value
-                best_assignment = assignment
-                best_spectrum = spectrum
-                floor = best - TIE_RTOL * abs(best)
-                optima = [(a, val) for a, val in optima if val >= floor]
-            if value >= floor:
-                optima.append((assignment, value))
+    for assignment in itertools.product(heads, *[labels] * (problem.n - 1)):
+        scored = evaluate(assignment)
+        if scored is None:
+            continue
+        value, spectrum = scored
+        if best is None or value > best:
+            best = value
+            best_assignment = assignment
+            best_spectrum = spectrum
+            floor = best - TIE_RTOL * abs(best)
+            optima = [(a, val) for a, val in optima if val >= floor]
+        if value >= floor:
+            optima.append((assignment, value))
     if best is None:
         raise FeasibilityError("no feasible assignment can estimate the target")
     tied = tuple(a for a, val in optima if val >= floor)

@@ -12,6 +12,7 @@ from wdesign.cli import (
     EXIT_CERT_FAIL,
     EXIT_INPUT,
     EXIT_OK,
+    _round12,
     load_problem,
     main,
 )
@@ -35,6 +36,17 @@ def write(tmp_path, payload, name="problem.json"):
 
 def assert_one_error_line(err: str) -> None:
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_report_rounding_keeps_each_leaf_type():
+    rounded = _round12({"int": 3, "bool": True, "np_bool": np.bool_(False),
+                        "np_int": np.int64(-4), "float": 1 / 3, "rows": np.array([[1, 2]]),
+                        "nested": [(7, None, "text")]})
+    assert rounded == {"int": 3, "bool": True, "np_bool": False, "np_int": -4,
+                       "float": 0.333333333333, "rows": [[1, 2]],
+                       "nested": [[7, None, "text"]]}
+    assert [type(rounded[key]) for key in ("int", "bool", "np_bool", "np_int")] == \
+        [int, bool, bool, int]
 
 
 class TestParsing:

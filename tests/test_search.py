@@ -716,6 +716,149 @@ class TestScorer:
             assert again.tobytes() == before.tobytes()
 
 
+def pairwise(v):
+    return np.column_stack([contrast(v, i, j)
+                            for i, j in itertools.combinations(range(1, v + 1), 2)])
+
+
+def key_problems(contrasts3, control_system):
+    """Intercept and block problems with blocks on both sides of ``v**size <=
+    SCORE_CACHE_LIMIT``, enumerable or not."""
+    pairs = EstimableSystem(pairwise(3))
+    blocks = {"nuisance_kind": "blocks"}
+    return [
+        SearchProblem(v=3, n=5, criterion="A", target=pairs, space=contrasts3),
+        SearchProblem(v=3, n=40, criterion="A", target=control_system, space=contrasts3),
+        SearchProblem(v=3, n=8, criterion="D", target=pairs, space=contrasts3,
+                      block_sizes=(3, 3, 2), **blocks),
+        SearchProblem(v=3, n=40, criterion="A", target=pairs, space=contrasts3,
+                      block_sizes=(4, 10, 2, 9, 4, 11), **blocks),
+        SearchProblem(v=2, n=16, criterion="E", target=EstimableSystem(contrast(2, 1, 2)),
+                      space=estimation_space("contrasts", 2), block_sizes=(14, 2), **blocks),
+    ]
+
+
+class TestKeys:
+    def test_keys_are_the_sorted_labels_of_each_block(self, contrasts3, control_system):
+        rng = np.random.default_rng(21)
+        limit = search_module.SCORE_CACHE_LIMIT
+        sides = set()
+        for problem in key_problems(contrasts3, control_system):
+            key_of = search_module._key_function(problem)
+            sizes = [len(block) for block in blocks_of(problem)]
+            sides.update(problem.v ** size <= limit for size in sizes)
+            for assignment in random_assignments(rng, problem, 200):
+                expected = block_sorted(problem, assignment)
+                for given in (assignment, list(assignment)):
+                    key = key_of(given)
+                    assert type(key) is tuple and key == expected
+            # only the blocks of at most SCORE_CACHE_LIMIT label tuples are kept
+            small = {size for size in sizes if problem.v ** size <= limit}
+            assert {len(part) for part in key_of.table} == small
+            assert all(labels == tuple(sorted(part)) for part, labels in key_of.table.items())
+        assert sides == {False, True}
+
+    def test_the_table_never_holds_more_than_the_limit(self, contrasts3):
+        # 3^8 + 3^7 = 8,748 label tuples of small blocks, past the limit of 8,192
+        problem = SearchProblem(v=3, n=15, criterion="A", target=EstimableSystem(pairwise(3)),
+                                space=contrasts3, nuisance_kind="blocks", block_sizes=(8, 7))
+        assert problem.v ** (problem.n - 1) > ENUMERATION_LIMIT
+        key_of = search_module._key_function(problem)
+        rng = np.random.default_rng(22)
+        for assignment in rng.integers(1, 4, size=(20000, 15)).tolist():
+            assert key_of(assignment) == block_sorted(problem, assignment)
+            assert len(key_of.table) <= search_module.SCORE_CACHE_LIMIT
+        assert len(key_of.table) == search_module.SCORE_CACHE_LIMIT
+
+    def test_an_explicit_nuisance_keeps_the_assignment(self, contrasts3, control_system):
+        problem = SearchProblem(v=3, n=5, criterion="A", target=control_system,
+                                space=contrasts3, nuisance_kind="explicit", L=np.ones((5, 1)))
+        assert search_module._key_function(problem) is tuple
+
+
+def walk_problems(contrasts3, control_system):
+    """Small intercept, block and explicit-``L`` problems, label-symmetric or not."""
+    pairs = EstimableSystem(pairwise(3))
+    trend = np.column_stack([np.ones(5), np.linspace(-1.0, 1.0, 5)])
+    return [
+        SearchProblem(v=3, n=5, criterion="A", target=pairs, space=contrasts3),
+        SearchProblem(v=3, n=5, criterion="D", target=control_system, space=contrasts3),
+        SearchProblem(v=3, n=7, criterion="A", target=pairs, space=contrasts3,
+                      nuisance_kind="blocks", block_sizes=(3, 2, 2)),
+        SearchProblem(v=3, n=7, criterion="E", target=control_system, space=contrasts3,
+                      nuisance_kind="blocks", block_sizes=(1, 4, 2)),
+        SearchProblem(v=3, n=5, criterion="A", target=pairs, space=contrasts3,
+                      nuisance_kind="explicit", L=trend),
+        SearchProblem(v=3, n=5, criterion="A", target=control_system, space=contrasts3,
+                      nuisance_kind="explicit", L=trend),
+    ]
+
+
+def counting_evaluators(monkeypatch):
+    """Record every assignment the ``make_evaluator`` closures are called with."""
+    calls = []
+    original = search_module.make_evaluator
+
+    def make_evaluator(problem):
+        evaluate = original(problem)
+
+        def counted(assignment):
+            calls.append(assignment)
+            return evaluate(assignment)
+
+        return counted
+
+    monkeypatch.setattr(search_module, "make_evaluator", make_evaluator)
+    return calls
+
+
+def reference_walk(problem):
+    """The walk as a ``(head, *tail)`` double loop: the order of its labellings,
+    the tied optima in that order and the best score."""
+    evaluate = make_evaluator(problem)
+    heads = [1] if label_symmetric(problem) else range(1, problem.v + 1)
+    order = [(head, *tail) for head in heads
+             for tail in itertools.product(range(1, problem.v + 1), repeat=problem.n - 1)]
+    scored = [(assignment, evaluate(assignment)) for assignment in order]
+    scored = [(assignment, result) for assignment, result in scored if result is not None]
+    best = max(result[0] for _, result in scored)
+    floor = best - search_module.TIE_RTOL * abs(best)
+    optima = tuple(assignment for assignment, result in scored if result[0] >= floor)
+    first = next(result for _, result in scored if result[0] == best)
+    return order, optima, first
+
+
+class TestWalk:
+    def test_one_evaluation_per_labelling_in_the_order_of_the_double_loop(
+            self, monkeypatch, contrasts3, control_system):
+        symmetric = set()
+        for problem in walk_problems(contrasts3, control_system):
+            order, optima, (value, spectrum) = reference_walk(problem)
+            symmetric.add((problem.nuisance_kind, label_symmetric(problem)))
+            calls = counting_evaluators(monkeypatch)
+            result = enumerate_optimal(problem)
+            monkeypatch.undo()
+            assert len(calls) == enumeration_size(problem) == len(order)
+            assert calls == order
+            assert result.optimal_assignments == optima
+            assert same_bits((result.best_value.value, result.best_value.spectrum_used),
+                             (value, spectrum))
+        assert symmetric == set(itertools.product(("intercept", "blocks", "explicit"),
+                                                  (False, True)))
+
+    def test_the_benchmark_search_evaluates_each_of_its_4_to_the_8_labellings(
+            self, monkeypatch):
+        # v = 4 in blocks (3, 3, 3), pairwise contrasts, A: the enum-blocks workload
+        problem = SearchProblem(v=4, n=9, criterion="A", target=EstimableSystem(pairwise(4)),
+                                space=estimation_space("contrasts", 4),
+                                nuisance_kind="blocks", block_sizes=(3, 3, 3))
+        calls = counting_evaluators(monkeypatch)
+        result = enumerate_optimal(problem)
+        assert len(calls) == enumeration_size(problem) == 4**8
+        assert len(result.optimal_assignments) == 1296
+        assert result.best_value.value == pytest.approx(20.0 / 21.0, rel=1e-12)
+
+
 class TestExchange:
     def test_matches_enumeration_on_random_problems(self):
         checked = 0
