@@ -197,7 +197,7 @@ def _key_function(problem: SearchProblem):
 
     def key_of(assignment):
         assignment = tuple(assignment)  # exchange search passes a list
-        labels = ()
+        labels = []
         for cut, small in parts:
             part = assignment[cut]
             block = table.get(part) if small else None
@@ -206,7 +206,7 @@ def _key_function(problem: SearchProblem):
                 if small and len(table) < SCORE_CACHE_LIMIT:
                     table[part] = block
             labels += block
-        return labels
+        return tuple(labels)
 
     key_of.table = table
     return key_of
