@@ -202,9 +202,9 @@ def _key_function(problem: SearchProblem):
             part = assignment[cut]
             block = table.get(part) if small else None
             if block is None:
-                block = tuple(sorted(part))
+                block = sorted(part)
                 if small and len(table) < SCORE_CACHE_LIMIT:
-                    table[part] = block
+                    block = table[part] = tuple(block)
             labels += block
         return tuple(labels)
 
