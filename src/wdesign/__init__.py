@@ -30,21 +30,17 @@ from .estimable import (
     scale_system,
     system_from_weight_matrix_R,
     system_from_weight_matrix_sqrt,
-    validate_system,
 )
 from .linalg import (
     Spectrum,
     SymMatrix,
     eig_sym,
     pinv,
-    pinv_sqrt,
     projector,
-    sqrt_psd,
 )
 from .model import (
     DesignSpec,
     EstimationSpace,
-    check_estimation_space,
     design_matrix,
     estimation_space,
     infeasible_columns,
@@ -97,7 +93,6 @@ __all__ = [
     "certify_theorem2",
     "certify_theorem3",
     "certify_theorem4",
-    "check_estimation_space",
     "check_weight_dominance",
     "criterion_value",
     "design_matrix",
@@ -115,15 +110,12 @@ __all__ = [
     "phi_for_system",
     "phi_weighted",
     "pinv",
-    "pinv_sqrt",
     "projector",
     "scale_system",
     "secondary_weights",
     "spectral_deviation",
-    "sqrt_psd",
     "system_from_weight_matrix_R",
     "system_from_weight_matrix_sqrt",
-    "validate_system",
     "value_from_positive_spectrum",
     "variance_decomposition",
     "weight_matrix_from_system",

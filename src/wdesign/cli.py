@@ -22,11 +22,7 @@ import numpy as np
 
 from . import criteria, search
 from .errors import DomainError, ParseError, SpaceError, WdesignError
-from .estimable import (
-    EstimableSystem,
-    system_from_weight_matrix_sqrt,
-    validate_system,
-)
+from .estimable import EstimableSystem, system_from_weight_matrix_sqrt
 from .instances import random_instance
 from .linalg import DERIVED_RANK_RTOL, SymMatrix, eig_sym, max_abs, typed
 from .model import (
@@ -361,7 +357,7 @@ def cmd_info(problem: Problem, args) -> tuple[dict, list, bool | None]:
             "normalized": problem.system.normalized,
             "feasible": not bad,
             "infeasible_columns": list(bad),
-            "in_estimation_space": validate_system(problem.system, problem.space),
+            "in_estimation_space": problem.space.contains(problem.system.Q),
         }
         lines.append(
             f"system: s={problem.system.s}, rank={problem.system.r}, "
@@ -478,7 +474,7 @@ def cmd_weights(problem: Problem, args) -> tuple[dict, list, bool | None]:
         "rank": w.d,
         "records": records,
         "annotations": annotations,
-        "in_estimation_space": validate_system(problem.system, problem.space),
+        "in_estimation_space": problem.space.contains(problem.system.Q),
     }
     return results, lines, None
 
@@ -556,7 +552,7 @@ def cmd_certify(problem: Problem, args) -> tuple[dict, list, bool | None]:
     file_runs = []
     weight = problem.weight
     if (weight is None and which == "all" and problem.system is not None
-            and validate_system(problem.system, problem.space)):
+            and problem.space.contains(problem.system.Q)):
         weight = weight_matrix_from_system(problem.system, problem.space)
     for name in FILE_ORDER:
         if which in (name, "all"):

@@ -77,13 +77,6 @@ class EstimableSystem:
         return self.Q.shape[1]
 
 
-def validate_system(system: EstimableSystem, space: EstimationSpace) -> bool:
-    """Whether every column of ``Q`` lies in the estimation space."""
-    if system.v != space.v:
-        raise ValueError(f"system has {system.v} rows, space expects {space.v}")
-    return space.contains(system.Q)
-
-
 def scale_system(system: EstimableSystem) -> np.ndarray:
     """Scaled coefficients ``Q~ = Q diag(sqrt(b))``; column i is sqrt(b_i) q_i."""
     return system.Q * np.sqrt(system.b)

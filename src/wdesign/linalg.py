@@ -3,11 +3,12 @@
 Every matrix that matters downstream (information matrices, weight matrices,
 projectors) is symmetric, so this module fixes a single spectral convention
 for all of them: eigenvalues are sorted in descending order, and an
-eigenvalue counts as nonzero when it exceeds ``tol * max(|lambda|_max,
-eps)``, ``tol`` being ``DERIVED_RANK_RTOL``, or ``FILE_RANK_RTOL`` for a
-matrix typed into a problem file (``typed``).  Pseudoinverses, square roots
-and projectors all derive from the spectrum a matrix keeps, so every use of
-a matrix makes the same rank decisions.  A SymMatrix keeps only its
+eigenvalue counts as nonzero when it exceeds ``max(tol * |lambda|_max,
+tiny)``, ``tol`` being ``DERIVED_RANK_RTOL``, or ``FILE_RANK_RTOL`` for a
+matrix typed into a problem file (``typed``), and ``tiny`` the smallest
+normal float.  Pseudoinverses, square roots and projectors all derive from
+the spectrum a matrix keeps, so every use of a matrix makes the same rank
+decisions.  A SymMatrix keeps only its
 spectrum; its pseudoinverse, square roots and projectors are formed afresh
 on each call.  The one product with a pseudoinverse, ``Q' A^+ Q``, is
 written once, with the estimability test it needs, in
@@ -29,7 +30,9 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 
-EPS = float(np.finfo(float).eps)
+#: Smallest normal float: the floor of every rank cutoff, so a subnormal
+#: eigenvalue, which keeps too few bits to invert, never counts.
+TINY = float(np.finfo(float).tiny)
 
 #: Relative asymmetry allowed on construction of a SymMatrix.
 SYMMETRY_RTOL = 1e-12
@@ -104,6 +107,18 @@ def typed(entries) -> SymMatrix:
     return m
 
 
+def scaled(m: SymMatrix, exponent: int) -> SymMatrix:
+    """``2^exponent m``, which keeps the spectrum of ``m`` scaled alike and so
+    its rank decisions.  Exact while the entries stay normal floats."""
+    s = eig_sym(m)
+    out = SymMatrix._trusted(np.ldexp(m.entries, exponent))
+    w = np.ldexp(s.eigenvalues, exponent)
+    w.flags.writeable = False
+    out._spectrum = Spectrum(w, s.eigenvectors, s.numeric_rank,
+                             float(np.ldexp(s.cutoff, exponent)))
+    return out
+
+
 def as_sym(a) -> SymMatrix:
     """Coerce an array (or pass a SymMatrix through) to SymMatrix."""
     return a if isinstance(a, SymMatrix) else SymMatrix(a)
@@ -147,7 +162,7 @@ class Spectrum:
 def eig_sym(A) -> Spectrum:
     """Spectral decomposition of a symmetric matrix, eigenvalues descending.
 
-    The rank cutoff is ``DERIVED_RANK_RTOL * max(|lambda|_max, eps)``, but
+    The rank cutoff is ``max(DERIVED_RANK_RTOL * |lambda|_max, TINY)``, but
     for a matrix from ``typed``.  Within ties the eigenvector order is
     solver-dependent; only spectra and spanned subspaces are contractual.
     The spectrum is computed once per SymMatrix and shared by every later
@@ -171,7 +186,8 @@ def eigh_desc_stack(a: np.ndarray, tol_rank: float = DERIVED_RANK_RTOL):
     """Descending spectra of a ``(B, v, v)`` stack of exactly symmetric arrays.
 
     The one place the spectral convention is written: descending
-    eigenvalues and the cutoff ``tol_rank * max(|lambda|_max, eps)``.
+    eigenvalues and the cutoff ``max(tol_rank * |lambda|_max, TINY)``,
+    relative above the subnormal range, like every other tolerance.
     Returns the eigenvalues ``(B, v)`` (a descending view of the solver's
     array), the matching eigenvectors ``(B, v, v)`` (a copy), and lists of
     the numeric ranks and the cutoffs.  One solver call decomposes each
@@ -193,7 +209,7 @@ def eigh_desc_stack(a: np.ndarray, tol_rank: float = DERIVED_RANK_RTOL):
     cutoffs = []
     size = w.shape[1]
     for row in w.tolist():
-        cutoff = tol_rank * max(-row[0], row[-1], EPS)
+        cutoff = max(tol_rank * max(-row[0], row[-1]), TINY)
         cutoffs.append(cutoff)
         ranks.append(size - bisect.bisect_right(row, cutoff))
     return w[:, ::-1], s[:, :, ::-1].copy(), ranks, cutoffs
@@ -228,9 +244,9 @@ class SymStack:
     """``B`` exactly symmetric ``v x v`` arrays.
 
     The stacked counterpart of SymMatrix and the one implementation of the
-    spectral maps: ``pinv``, ``pinv_sqrt`` and ``sqrt_psd`` of a SymMatrix
-    are those of its one-row stack; ``model.estimable_forms`` forms
-    ``Q' A^+ Q`` on its spectrum.  The spectrum, unless given, is decomposed
+    spectral maps: ``pinv`` of a SymMatrix is that of its one-row stack;
+    ``model.estimable_forms`` forms ``Q' A^+ Q`` on its spectrum.  The
+    spectrum, unless given, is decomposed
     once, in one solver call, at ``DERIVED_RANK_RTOL``, and every slice goes
     through the operations it would go through alone, so a row's result
     does not depend on the stack it came in.  The entries are products the
@@ -315,16 +331,6 @@ def pinv(A) -> SymMatrix:
     precision, and ``pinv(pinv(A))`` recovers ``A``.
     """
     return SymStack.of([as_sym(A)]).pinv().matrix(0)
-
-
-def pinv_sqrt(A) -> SymMatrix:
-    """``(A^+)^{1/2}`` for nonnegative definite ``A``."""
-    return SymStack.of([as_sym(A)]).pinv_sqrt().matrix(0)
-
-
-def sqrt_psd(A) -> SymMatrix:
-    """Symmetric square root ``A^{1/2}`` of a nonnegative definite ``A``."""
-    return SymStack.of([as_sym(A)]).sqrt_psd().matrix(0)
 
 
 def projector(columns) -> SymMatrix:

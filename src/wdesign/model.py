@@ -108,23 +108,6 @@ class DesignSpec:
         assignment = tuple(t for t, r in enumerate(reps, start=1) for _ in range(r))
         return cls(v, assignment, nuisance_kind, block_sizes, L)
 
-    def __eq__(self, other):
-        if not isinstance(other, DesignSpec):
-            return NotImplemented
-        same_l = (self.L is None and other.L is None) or (
-            self.L is not None and other.L is not None and np.array_equal(self.L, other.L)
-        )
-        return (
-            self.v == other.v
-            and self.assignment == other.assignment
-            and self.nuisance_kind == other.nuisance_kind
-            and self.block_sizes == other.block_sizes
-            and same_l
-        )
-
-    def __hash__(self):
-        return hash((self.v, self.assignment, self.nuisance_kind, self.block_sizes))
-
 
 def design_matrix(spec: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(X, L)``: 0/1 treatment indicators and the nuisance matrix,
@@ -332,19 +315,13 @@ def first_infeasible(bad: np.ndarray) -> tuple[int, ...]:
     return tuple(np.flatnonzero(bad[rows[0]]).tolist()) if len(rows) else ()
 
 
-def check_estimation_space(spec: DesignSpec, space: EstimationSpace) -> SymMatrix:
-    """Verify ``C(C(xi))`` equals the declared estimation space; return C.
+def check_estimation_spaces(cs: SymStack, spaces) -> None:
+    """Verify that the column space of each ``C`` of a stack is the declared
+    estimation space of its row, rank and span; SpaceError otherwise.
 
     Cross-design comparisons assume all competing designs share this column
     space; operations that rely on it call this check instead of assuming.
     """
-    c = _information(spec)
-    check_estimation_spaces(SymStack.of([c]), [space])
-    return c
-
-
-def check_estimation_spaces(cs: SymStack, spaces) -> None:
-    """``check_estimation_space`` of each row of a stack of ``C`` matrices."""
     projectors = np.stack([space.projector.entries for space in spaces])
     resids, outside = span_residuals(cs.entries, projectors @ cs.entries)
     for rank, space, resid, out in zip(cs.spectrum[2], spaces, resids.max(axis=1).tolist(),

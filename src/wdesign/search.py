@@ -86,15 +86,10 @@ class SearchProblem:
             raise ValueError("estimation space dimension does not match v")
         # validates n / nuisance consistency once, up front
         self.template(tuple([1] * self.n))
-        if isinstance(self.target, EstimableSystem):
-            if not self.space.contains(self.target.Q):
-                raise SpaceError("target system lies outside the estimation space")
-        elif isinstance(self.target, WeightMatrix):
-            if not self.space.contains(self.target.matrix.entries):
-                raise SpaceError("target weight matrix lies outside the estimation space")
-        else:
-            raise TypeError("target must be an EstimableSystem or a WeightMatrix")
-        if _target_rank(self) == 0:
+        _, rank, _, columns, kind = _target(self)
+        if not self.space.contains(columns):
+            raise SpaceError(f"target {kind} lies outside the estimation space")
+        if rank == 0:
             raise DomainError("target of rank zero weights nothing")
 
     def template(self, assignment: tuple[int, ...]) -> DesignSpec:
@@ -153,16 +148,17 @@ class RestartStats:
     final_value: float
 
 
-def _target_matrix(problem: SearchProblem) -> np.ndarray:
-    if isinstance(problem.target, EstimableSystem):
-        return scale_system(problem.target)
-    return problem.target.K
-
-
-def _target_rank(problem: SearchProblem) -> int:
-    if isinstance(problem.target, EstimableSystem):
-        return problem.target.r
-    return problem.target.d
+def _target(problem: SearchProblem) -> tuple[np.ndarray, int, int, np.ndarray, str]:
+    """``(factor, rank, width, columns, kind)`` of the target: the factor
+    the scorer applies ``C^+`` to (``Q~`` of a system, ``K`` of a weight
+    matrix), its rank, the declared size of its information matrix (``s``,
+    or ``d``), the columns the estimation space must hold, and its name."""
+    target = problem.target
+    if isinstance(target, EstimableSystem):
+        return scale_system(target), target.r, target.s, target.Q, "system"
+    if isinstance(target, WeightMatrix):
+        return target.K, target.d, target.d, target.matrix.entries, "weight matrix"
+    raise TypeError("target must be an EstimableSystem or a WeightMatrix")
 
 
 def label_symmetric(problem: SearchProblem) -> bool:
@@ -229,8 +225,7 @@ def _stack_scorer(problem: SearchProblem):
     """
     mres = nuisance_residual(problem.template(tuple([1] * problem.n)))
     # K plays the role of Q~ for weight targets: the same chain scores both.
-    qs = _target_matrix(problem)
-    rank_needed = _target_rank(problem)
+    qs, rank_needed = _target(problem)[:2]
     criterion = POSITIVE_SPECTRUM_CRITERIA[problem.criterion]
     # row t is the indicator of treatment t, so onehot[keys] is the stack of X
     onehot = np.eye(problem.v + 1)[:, 1:]
@@ -380,8 +375,8 @@ def enumeration_size(problem: SearchProblem) -> int:
 
 
 def _criterion_value(problem: SearchProblem, value: float, spectrum) -> CriterionValue:
-    dim = problem.target.s if isinstance(problem.target, EstimableSystem) else problem.target.d
-    return CriterionValue(problem.criterion, value, np.array(spectrum), len(spectrum), dim)
+    return CriterionValue(problem.criterion, value, np.array(spectrum), len(spectrum),
+                          _target(problem)[2])
 
 
 def enumerate_optimal(problem: SearchProblem) -> SearchResult:

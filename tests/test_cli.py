@@ -442,23 +442,21 @@ class TestCertify:
         assert main(["certify", "--file", write(tmp_path, payload), "--trials", "0"]) == EXIT_OK
         assert "theorem2 on the file instance: pass" in capsys.readouterr().out
 
-    def test_readings_of_a_weighted_information_matrix_under_the_cutoff_are_input_errors(
+    def test_readings_of_a_weighted_information_matrix_pass_at_any_scale_of_w(
             self, tmp_path, capsys):
-        # C_W of this W sits near 1e-36, below the rank cutoff's floor
-        w = 1e36 * np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-        path = write(tmp_path, {"model": {"v": 3, "replications": [2, 2, 2]},
-                                "weight_matrix": {"W": w.tolist()}})
+        # C_W of this W sits near 1 / factor, and near 2e307 the products of
+        # the readings overflow unless W is first taken to unit scale
+        centered = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
         out = tmp_path / "report.json"
-        for which in ("aopt", "eopt"):
-            assert main(["certify", "--file", path, "--which", which, "--trials", "0",
-                         "--out", str(out)]) == EXIT_INPUT
-            captured = capsys.readouterr()
-            assert captured.err == ("error: the weighted information matrix keeps rank 0 "
-                                    "of d = 2 above the rank cutoff\n")
-            assert captured.out == "" and not out.exists()
-        assert main(["certify", "--file", path, "--which", "theorem4", "--trials", "0",
-                     "--out", str(out)]) == EXIT_OK
-        assert json.loads(out.read_text())["pass"] is True
+        for factor in (1e36, 2e307, 4e307):
+            path = write(tmp_path, {"model": {"v": 3, "replications": [2, 2, 2]},
+                                    "weight_matrix": {"W": (factor * centered).tolist()}})
+            for which in ("aopt", "eopt", "theorem4"):
+                assert main(["certify", "--file", path, "--which", which, "--trials", "0",
+                             "--out", str(out)]) == EXIT_OK
+                captured = capsys.readouterr()
+                assert f"{which} on the file instance: pass" in captured.out
+                assert captured.err == "" and json.loads(out.read_text())["pass"] is True
 
     # Which file instance each ``--which`` certifies.  A tuple lists the
     # kinds run on the file, in stdout order; a string is the input error.

@@ -11,7 +11,6 @@ from wdesign import (
     certify_theorem2,
     certify_theorem3,
     certify_theorem4,
-    check_estimation_space,
     criterion_value,
     e_opt_interpretation_check,
     eig_sym,
@@ -32,6 +31,7 @@ from wdesign.criteria import SPECTRAL_TOL, STACKED_CERTIFICATIONS, certify_in_st
 from wdesign.errors import DomainError, RankError, SingularWeightError, SpaceError
 from wdesign.instances import random_instance, random_pd_matrix
 from wdesign.linalg import DERIVED_RANK_RTOL, SymMatrix, SymStack, pinv
+from wdesign.model import _information, check_estimation_spaces
 
 #: Certification kind -> its run on a ``random_instance`` draw.
 CERTIFY = {
@@ -329,15 +329,22 @@ class TestInterpretationChecks:
     def test_a_weighted_information_matrix_under_the_cutoff_is_a_rank_error(self, kind,
                                                                             balanced_design,
                                                                             contrasts3):
-        # C_W of a W near 1e36 sits near 1e-36, below the rank cutoff's floor
+        # the readings take W to unit scale, so a W near 1e36 (C_W near
+        # 1e-36) passes; at unit scale, C_W of a C whose eigenvalues sit just
+        # above the smallest normal float, under a W whose eigenvalues are 1.9,
+        # is subnormal, and every eigenvalue falls under the cutoff's floor
         centered = np.eye(3) - np.ones((3, 3)) / 3
-        huge = (balanced_design, contrasts3, make_weight_matrix(1e36 * centered, contrasts3), 0)
-        good = (balanced_design, contrasts3, make_weight_matrix(centered, contrasts3), 0)
+        huge = make_weight_matrix(1e36 * centered, contrasts3)
+        assert CERTIFY[kind](balanced_design, contrasts3, huge).passed
+        assert certify_in_stacks(kind, [(balanced_design, contrasts3, huge, 0)])[0].passed
+        assert certify_theorem4(balanced_design, huge).passed
+        tiny_c = SymMatrix(2.5e-308 * centered)
+        w = make_weight_matrix(1.9 * centered, contrasts3)
         with pytest.raises(RankError, match="rank 0 of d = 2"):
-            CERTIFY[kind](balanced_design, contrasts3, huge[2])
+            CERTIFY[kind](tiny_c, contrasts3, w)
         with pytest.raises(RankError, match="rank 0 of d = 2"):
-            certify_in_stacks(kind, [good, huge])
-        assert certify_theorem4(balanced_design, huge[2]).passed
+            STACKED_CERTIFICATIONS[kind]([balanced_design, tiny_c], [contrasts3] * 2, [w, w],
+                                         [0, 0])
 
     def test_randomized(self):
         rng = np.random.default_rng(36)
@@ -390,7 +397,10 @@ class TestInterpretationChecks:
             for prev in cols:
                 a = a - (a @ prev) / (prev @ prev) * prev
             cols.append(a)
-        expected = w.K @ np.column_stack(cols)
+        # the reading takes K to 2^-k, k half the binary exponent of the
+        # largest eigenvalue of W
+        k = np.frexp(eig_sym(w.matrix).eigenvalues[0])[1] // 2
+        expected = np.ldexp(w.K, -k) @ np.column_stack(cols)
         got = seen[0][0, -d:].T
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
         gram = got.T @ pinv(w.matrix).entries @ got
@@ -463,8 +473,9 @@ class TestCachedAnalyses:
             assert eigenvalues.flags.writeable
 
     def test_information_matrix_is_built_once_per_design(self, balanced_design, contrasts3):
-        c = check_estimation_space(balanced_design, contrasts3)
-        assert check_estimation_space(balanced_design, contrasts3) is c
+        c = _information(balanced_design)
+        check_estimation_spaces(SymStack.of([c]), [contrasts3])
+        assert _information(balanced_design) is c
         assert eig_sym(c).cutoff == DERIVED_RANK_RTOL * eig_sym(c).eigenvalues[0]
         assert information_matrix(balanced_design) is not c
 
@@ -479,7 +490,7 @@ class TestCachedAnalyses:
 
         monkeypatch.setattr(SymStack, "pinv", recording)
         spec = DesignSpec.from_replications(3, [2, 2, 2])
-        c = check_estimation_space(spec, contrasts3)
+        c = _information(spec)
         info_matrix_for_system(spec, control_system)
         w = weight_matrix_from_system(control_system, contrasts3)
         weighted_info_matrix(spec, w)

@@ -19,7 +19,6 @@ from wdesign import (
     scale_system,
     system_from_weight_matrix_R,
     system_from_weight_matrix_sqrt,
-    validate_system,
     weight_matrix_from_system,
 )
 from wdesign.errors import FeasibilityError, RankError, SingularWeightError
@@ -86,16 +85,16 @@ class TestRankIsTheRankOfTheWeightMatrix:
         assert argmax_equivalence_check(problem).passed
 
 
-class TestValidateSystem:
+class TestSystemInEstimationSpace:
     def test_control_contrasts_in_contrast_space(self, control_system, contrasts3):
-        assert validate_system(control_system, contrasts3)
+        assert contrasts3.contains(control_system.Q)
 
     def test_basis_vector_not_a_contrast(self, contrasts3):
-        assert not validate_system(EstimableSystem(np.array([1.0, 0.0, 0.0])), contrasts3)
+        assert not contrasts3.contains(EstimableSystem(np.array([1.0, 0.0, 0.0])).Q)
 
     def test_everything_valid_in_full_space(self, full3):
         rng = np.random.default_rng(13)
-        assert validate_system(EstimableSystem(rng.standard_normal((3, 2))), full3)
+        assert full3.contains(EstimableSystem(rng.standard_normal((3, 2))).Q)
 
 
 class TestScaleSystem:

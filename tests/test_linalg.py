@@ -10,13 +10,21 @@ from wdesign import (
     eig_sym,
     make_weight_matrix,
     pinv,
-    pinv_sqrt,
     projector,
-    sqrt_psd,
 )
 from wdesign.errors import DomainError, NumericalError
 from wdesign.linalg import SymStack, as_sym, eigh_desc_stack, symmetrized
 from wdesign.model import estimable_forms
+
+
+def pinv_sqrt(a):
+    """``(A^+)^{1/2}`` of one matrix: its one-row stack's ``pinv_sqrt``."""
+    return SymStack.of([as_sym(a)]).pinv_sqrt().matrix(0)
+
+
+def sqrt_psd(a):
+    """``A^{1/2}`` of one matrix: its one-row stack's ``sqrt_psd``."""
+    return SymStack.of([as_sym(a)]).sqrt_psd().matrix(0)
 
 
 def random_psd(rng, dim, rank=None):
@@ -138,25 +146,27 @@ class TestEig:
                 w_alone, s_alone = np.linalg.eigh(a)
                 assert w.tobytes() == w_alone[::-1].tobytes()
                 assert s.tobytes() == s_alone[:, ::-1].tobytes()
-                assert cutoff == 1e-12 * max(float(np.max(np.abs(w_alone))), np.finfo(float).eps)
+                assert cutoff == max(1e-12 * float(np.max(np.abs(w_alone))), np.finfo(float).tiny)
                 assert rank == np.count_nonzero(w_alone > cutoff)
 
     @pytest.mark.parametrize("tol_rank", [1e-12, 0.5, 1.0])
     def test_ranks_and_cutoffs_match_a_scan_of_every_eigenvalue(self, tol_rank):
-        # all-negative, all-positive, mixed, all-zero and signed-zero rows, at
-        # scales where the eps floor wins; tol_rank 0.5 and 1 put eigenvalues
-        # exactly on the cutoff
-        eps = np.finfo(float).eps
+        # all-negative, all-positive, mixed, all-zero and signed-zero rows,
+        # rows far below eps and rows at scales where the floor of the smallest
+        # normal float wins (subnormal eigenvalues); tol_rank 0.5 and 1 put
+        # eigenvalues exactly on the cutoff
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
         rows = [[-3.0, -1.0, -0.5], [0.5, 1.0, 3.0], [-3.0, 0.0, 1.0], [-1.0, 0.5, 3.0],
                 [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, 2.0], [-2.0, -0.0, 1.0],
-                [eps / 4, eps / 2, eps], [-eps, -0.0, eps / 8], [1e-300, 1e-200, 1e-100]]
+                [eps / 4, eps / 2, eps], [-eps, -0.0, eps / 8], [1e-300, 1e-200, 1e-100],
+                [tiny / 4, tiny, 4 * tiny], [-2 * tiny, -0.0, tiny / 8]]
         rng = np.random.default_rng(24)
         stack = np.array([np.diag(rng.permutation(row)) for row in rows]
                          + [random_psd(rng, 3, rank).entries for rank in (0, 1, 2, 3)])
         _, _, ranks, cutoffs = eigh_desc_stack(stack, tol_rank)
         assert any(np.signbit(w).any() and not w.any() for w in np.linalg.eigh(stack)[0])
         for w, rank, cutoff in zip(np.linalg.eigh(stack)[0].tolist(), ranks, cutoffs):
-            scanned = tol_rank * max(max(map(abs, w)), eps)
+            scanned = max(tol_rank * max(map(abs, w)), tiny)
             assert np.float64(cutoff).tobytes() == np.float64(scanned).tobytes()
             assert rank == sum(x > scanned for x in w)
 

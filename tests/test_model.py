@@ -6,7 +6,6 @@ import pytest
 from conftest import contrast
 from wdesign import (
     DesignSpec,
-    check_estimation_space,
     design_matrix,
     eig_sym,
     estimation_space,
@@ -256,9 +255,11 @@ class TestFeasibility:
 class TestCompetingDesignsCheck:
     def test_accepts_connected(self):
         spec = DesignSpec.from_replications(3, [2, 2, 2])
-        check_estimation_space(spec, estimation_space("contrasts", 3))
+        model.check_estimation_spaces(SymStack.of([information_matrix(spec)]),
+                                      [estimation_space("contrasts", 3)])
 
     def test_rejects_disconnected(self):
         spec = DesignSpec(3, (1, 2, 1, 2))
         with pytest.raises(SpaceError):
-            check_estimation_space(spec, estimation_space("contrasts", 3))
+            model.check_estimation_spaces(SymStack.of([information_matrix(spec)]),
+                                          [estimation_space("contrasts", 3)])

@@ -7,7 +7,6 @@ from conftest import generalized_inverse_sample
 from wdesign import (
     DesignSpec,
     EstimableSystem,
-    check_estimation_space,
     check_weight_dominance,
     eig_sym,
     estimation_equivalent,
@@ -26,8 +25,16 @@ from wdesign import (
 )
 from wdesign.errors import DomainError, FeasibilityError, SpaceError
 from wdesign.instances import random_instance
-from wdesign.linalg import DERIVED_RANK_RTOL, FILE_RANK_RTOL, SymMatrix, SymStack, pinv, typed
-from wdesign.model import _information
+from wdesign.linalg import (
+    DERIVED_RANK_RTOL,
+    FILE_RANK_RTOL,
+    SymMatrix,
+    SymStack,
+    as_sym,
+    pinv,
+    typed,
+)
+from wdesign.model import _information, check_estimation_spaces
 from wdesign.weighting import weighted_variances
 
 
@@ -478,8 +485,8 @@ def span_verdicts(q: np.ndarray, c: float) -> dict:
     return {
         "contains": axis.contains(c * q),
         "infeasible_columns": infeasible_columns(c * np.outer(e1, e1), c * q) == (),
-        "check_estimation_space": not raises_space_error(check_estimation_space,
-                                                         along_q, axis),
+        "check_estimation_spaces": not raises_space_error(
+            check_estimation_spaces, SymStack.of([as_sym(along_q)]), [axis]),
         "make_weight_matrix": not raises_space_error(make_weight_matrix, along_q, axis),
         "in_span": on_axis.in_span(c * q),
         "weight_of": weight_of(on_axis, c * q) is not None,
