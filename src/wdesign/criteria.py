@@ -25,10 +25,10 @@ from .estimable import (
 from .linalg import (
     SymStack,
     as_sym,
+    at_unit_scale,
     eig_sym,
     max_abs,
     rank_groups,
-    scaled,
     symmetrize,
 )
 from .model import DesignSpec, EstimationSpace, _information, check_estimation_spaces
@@ -265,37 +265,27 @@ def certify_theorem2(spec: DesignSpec, w_pd, space: EstimationSpace) -> Certific
     including the zero multiplicities.  ``W`` is taken at ``4^-k``, ``k``
     half the binary exponent of its largest eigenvalue: both spectra scale
     by ``4^k`` exactly, so the deviation does not depend on the scale of
-    ``W`` (to the bit under ``W -> 4^j W``), and ``R`` does not fall under
-    the rank cutoff's floor when ``W`` is large.
+    ``W`` (to the bit under ``W -> 4^j W``), and ``R`` does not underflow
+    when ``W`` is large.
     """
     return _theorem2([spec], [space], [w_pd])[0]
 
 
-def _quarter_exponents(largest: np.ndarray) -> np.ndarray:
-    """``k`` of each matrix whose largest eigenvalue is in ``largest``: half
-    its binary exponent, so ``4^-k`` takes the matrix to unit scale exactly,
-    and every spectrum formed from it scales by a power of two."""
-    return np.frexp(largest)[1] // 2
-
-
-def _at_unit_scale(ws: list[WeightMatrix]) -> list[WeightMatrix]:
-    """Each ``W`` at ``4^-k`` (``_quarter_exponents``), its ``K`` at ``2^-k``:
-    the readings' products then neither overflow nor underflow, and their
-    deviations, ratios at one scale, keep their bits."""
-    exponents = _quarter_exponents(np.array([eig_sym(w.matrix).eigenvalues[0] for w in ws]))
-    return [WeightMatrix(scaled(w.matrix, -2 * k), w.d, np.ldexp(w.K, -k))
-            for w, k in zip(ws, exponents.tolist())]
+def _unit_weights(ws: list[WeightMatrix]) -> list[WeightMatrix]:
+    """Each ``W`` at ``4^-k`` (``linalg.at_unit_scale``), its ``K`` at
+    ``2^-k``: no product overflows, and deviations keep their bits."""
+    return [WeightMatrix(m, w.d, np.ldexp(w.K, -k))
+            for w in ws for m, k in [at_unit_scale(w.matrix)]]
 
 
 def _theorem2(specs, spaces, ws, seeds=None):
-    wms = SymStack.of([as_sym(w) for w in ws])
+    wms = SymStack.of([at_unit_scale(as_sym(w))[0] for w in ws])
     values, _, ranks, _ = wms.spectrum
     for rank, smallest in zip(ranks, values[:, -1].tolist()):
         if rank < values.shape[1] or smallest <= 0.0:
             raise SingularWeightError(
                 "theorem2 needs a positive definite W; see certify_theorem4 for singular W"
             )
-    wms = SymStack(np.ldexp(wms.entries, -2 * _quarter_exponents(values[:, 0])[:, None, None]))
     cs = _designs(specs)
     check_estimation_spaces(cs, spaces)
     wph = wms.pinv_sqrt().entries
@@ -386,7 +376,7 @@ def _full_rank(cw: SymStack, d: int) -> None:
 
 def _aopt(specs, spaces, ws, seeds):
     trials = 3  # rotations drawn from each seed, after the identity
-    ws = _at_unit_scale(ws)
+    ws = _unit_weights(ws)
     cs = _designs(specs)
     ks = np.stack([w.K for w in ws])
     _, cw = weighted_info_matrices(cs, ks)
@@ -441,7 +431,7 @@ def e_opt_interpretation_check(spec: DesignSpec, w: WeightMatrix) -> Interpretat
 
 
 def _eopt(specs, spaces, ws, seeds=None):
-    ws = _at_unit_scale(ws)
+    ws = _unit_weights(ws)
     cs = _designs(specs)
     ks = np.stack([w.K for w in ws])
     m, cw = weighted_info_matrices(cs, ks)

@@ -4,16 +4,15 @@ Every matrix that matters downstream (information matrices, weight matrices,
 projectors) is symmetric, so this module fixes a single spectral convention
 for all of them: eigenvalues are sorted in descending order, and an
 eigenvalue counts as nonzero when it exceeds ``max(tol * |lambda|_max,
-tiny)``, ``tol`` being ``DERIVED_RANK_RTOL``, or ``FILE_RANK_RTOL`` for a
-matrix typed into a problem file (``typed``), and ``tiny`` the smallest
-normal float.  Pseudoinverses, square roots and projectors all derive from
-the spectrum a matrix keeps, so every use of a matrix makes the same rank
-decisions.  A SymMatrix keeps only its
-spectrum; its pseudoinverse, square roots and projectors are formed afresh
-on each call.  The one product with a pseudoinverse, ``Q' A^+ Q``, is
-written once, with the estimability test it needs, in
-``model.estimable_forms``; every route forms it there and none forms
-``C^+``.
+TINY)`` (see ``eigh_desc_stack``), ``tol`` being ``DERIVED_RANK_RTOL``, or
+``FILE_RANK_RTOL`` for a matrix typed into a problem file (``typed``).
+Pseudoinverses, square roots and projectors all derive from the spectrum a
+matrix keeps, so every use of a matrix makes the same rank decisions.  A
+SymMatrix keeps only its spectrum; its pseudoinverse, square roots and
+projectors are formed afresh on each call.  The one product with a
+pseudoinverse, ``Q' A^+ Q``, is written once, with the estimability test it
+needs, in ``model.estimable_forms``; every route forms it there and none
+forms ``C^+``.
 
 Input is validated once, at the boundary: ``SymMatrix(...)``, ``typed`` and
 ``as_sym`` on an array check shape, finiteness and symmetry.  Products the
@@ -24,6 +23,7 @@ symmetric and so skips the symmetry test, which could not fail on them.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,16 +107,17 @@ def typed(entries) -> SymMatrix:
     return m
 
 
-def scaled(m: SymMatrix, exponent: int) -> SymMatrix:
-    """``2^exponent m``, which keeps the spectrum of ``m`` scaled alike and so
-    its rank decisions.  Exact while the entries stay normal floats."""
+def at_unit_scale(m: SymMatrix) -> tuple[SymMatrix, int]:
+    """``(4^-k m, k)``, ``k`` half the binary exponent of the largest
+    eigenvalue: exact while the entries stay normal, and the spectrum kept
+    on ``m``, with its rank decisions, is scaled alike."""
     s = eig_sym(m)
-    out = SymMatrix._trusted(np.ldexp(m.entries, exponent))
-    w = np.ldexp(s.eigenvalues, exponent)
+    k = math.frexp(s.eigenvalues[0])[1] // 2
+    w = np.ldexp(s.eigenvalues, -2 * k)
     w.flags.writeable = False
-    out._spectrum = Spectrum(w, s.eigenvectors, s.numeric_rank,
-                             float(np.ldexp(s.cutoff, exponent)))
-    return out
+    out = SymMatrix._trusted(np.ldexp(m.entries, -2 * k))
+    out._spectrum = Spectrum(w, s.eigenvectors, s.numeric_rank, math.ldexp(s.cutoff, -2 * k))
+    return out, k
 
 
 def as_sym(a) -> SymMatrix:
@@ -162,8 +163,8 @@ class Spectrum:
 def eig_sym(A) -> Spectrum:
     """Spectral decomposition of a symmetric matrix, eigenvalues descending.
 
-    The rank cutoff is ``max(DERIVED_RANK_RTOL * |lambda|_max, TINY)``, but
-    for a matrix from ``typed``.  Within ties the eigenvector order is
+    The rank cutoff is that of ``eigh_desc_stack`` at ``DERIVED_RANK_RTOL``,
+    but for a matrix from ``typed``.  Within ties the eigenvector order is
     solver-dependent; only spectra and spanned subspaces are contractual.
     The spectrum is computed once per SymMatrix and shared by every later
     call, so its arrays are read-only.
@@ -187,10 +188,12 @@ def eigh_desc_stack(a: np.ndarray, tol_rank: float = DERIVED_RANK_RTOL):
 
     The one place the spectral convention is written: descending
     eigenvalues and the cutoff ``max(tol_rank * |lambda|_max, TINY)``,
-    relative above the subnormal range, like every other tolerance.
-    Returns the eigenvalues ``(B, v)`` (a descending view of the solver's
-    array), the matching eigenvectors ``(B, v, v)`` (a copy), and lists of
-    the numeric ranks and the cutoffs.  One solver call decomposes each
+    relative above the subnormal range.  A row with a subnormal eigenvalue
+    above ``tol_rank * |lambda|_max`` has rank 0 (cutoff ``|lambda|_max``),
+    so no rank is cut short by the floor.  Returns the eigenvalues ``(B,
+    v)`` (a descending view of the solver's array), the matching
+    eigenvectors ``(B, v, v)`` (a copy), and lists of the numeric ranks and
+    the cutoffs.  One solver call decomposes each
     matrix of the stack on its own, so a row's result does not depend on the
     stack it came in.  No input is checked.  The cutoffs are taken on Python
     floats, which is exact and cheaper than array reductions on rows this
@@ -209,7 +212,12 @@ def eigh_desc_stack(a: np.ndarray, tol_rank: float = DERIVED_RANK_RTOL):
     cutoffs = []
     size = w.shape[1]
     for row in w.tolist():
-        cutoff = max(tol_rank * max(-row[0], row[-1]), TINY)
+        top = max(-row[0], row[-1])
+        cutoff = tol_rank * top
+        if cutoff < TINY:
+            # dropping a subnormal eigenvalue alone would cut the rank silently
+            straddles = bisect.bisect_right(row, TINY) > bisect.bisect_right(row, cutoff)
+            cutoff = top if straddles else TINY
         cutoffs.append(cutoff)
         ranks.append(size - bisect.bisect_right(row, cutoff))
     return w[:, ::-1], s[:, :, ::-1].copy(), ranks, cutoffs

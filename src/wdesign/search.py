@@ -214,7 +214,9 @@ def _stack_scorer(problem: SearchProblem):
     ``keys`` holds ``B`` keys (see ``_key_function``), as tuples or as a
     ``(B, n)`` array of treatment labels; each result is ``(value, positive
     spectrum)``, or ``None`` when the target is not estimable under that
-    labelling.  The nuisance projector is fixed per problem.  The scorer
+    labelling.  The nuisance projector is fixed per problem, and the target
+    factor is taken to unit scale by a power of two, which the spectra undo
+    exactly, so no form underflows.  The scorer
     builds the stack of ``C``, forms ``Q~' C^+ Q~`` and decides estimability
     in ``model.estimable_forms``, the chain every route shares, drops the
     rows under which the target is not estimable, and takes one batched
@@ -226,6 +228,8 @@ def _stack_scorer(problem: SearchProblem):
     mres = nuisance_residual(problem.template(tuple([1] * problem.n)))
     # K plays the role of Q~ for weight targets: the same chain scores both.
     qs, rank_needed = _target(problem)[:2]
+    exponent = int(np.frexp(max_abs(qs))[1])
+    qs = np.ldexp(qs, -exponent)
     criterion = POSITIVE_SPECTRUM_CRITERIA[problem.criterion]
     # row t is the indicator of treatment t, so onehot[keys] is the stack of X
     onehot = np.eye(problem.v + 1)[:, 1:]
@@ -246,6 +250,8 @@ def _stack_scorer(problem: SearchProblem):
                 # ascending, so its reversed view is the descending spectrum
                 # ``value_from_positive_spectrum`` would sort it into
                 ascending = 1.0 / pos[:rank_needed]
+                if exponent:
+                    ascending = np.ldexp(ascending, -2 * exponent)
                 ascending.flags.writeable = False
                 spectrum = ascending[::-1]
                 results[row] = criterion(spectrum), spectrum
@@ -351,8 +357,9 @@ def _score_incidences(problem: SearchProblem, symmetric: bool) -> None:
 
     Does nothing unless the problem keeps scores and the keys fit in
     ``SCORE_CACHE_LIMIT``; otherwise it scores the keys the memo lacks in
-    stacks of ``INCIDENCE_STACK_ROWS``, first emptying a memo they could
-    overflow, so that every key of the walk is then in the memo.
+    stacks of ``INCIDENCE_STACK_ROWS``, so that every key of the walk is
+    then in the memo; a memo those keys would overflow is emptied first, and
+    the whole walk scored.
     """
     score = problem.scorer()
     memo = getattr(score, "memo", None)
@@ -361,9 +368,11 @@ def _score_incidences(problem: SearchProblem, symmetric: bool) -> None:
     count, keys = _incidences(problem, symmetric)
     if count > SCORE_CACHE_LIMIT:
         return
-    if len(memo) + count > SCORE_CACHE_LIMIT:
-        memo.clear()
+    keys = list(keys)
     missing = [key for key in keys if key not in memo]
+    if len(memo) + len(missing) > SCORE_CACHE_LIMIT:
+        memo.clear()
+        missing = keys
     for start in range(0, len(missing), INCIDENCE_STACK_ROWS):
         score(missing[start:start + INCIDENCE_STACK_ROWS])
 

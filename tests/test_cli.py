@@ -436,6 +436,27 @@ class TestCertify:
         assert ran == list(self.ALL_SYSTEM)
         assert len(calls) == 1
 
+    def test_a_system_whose_weights_straddle_the_smallest_normal_float_is_refused(
+            self, tmp_path, capsys):
+        # W = Q~Q~' has eigenvalues 2^-1020 and 0.0025 * 2^-1020, the second
+        # subnormal: it cannot be inverted, and counting the first alone would
+        # give a rank-one answer for a rank-two system
+        u = np.column_stack([[1.0, -1.0, 0.0], np.array([1.0, 1.0, -2.0]) / np.sqrt(3.0)])
+        q = u / np.sqrt(2.0) @ np.diag([1.0, 0.05])
+        for exponent, code in ((-500, EXIT_OK), (-510, EXIT_INPUT)):
+            path = write(tmp_path, {"model": {"v": 3, "replications": [2, 2, 2]},
+                                    "estimation_space": {"kind": "contrasts"},
+                                    "system": {"Q": np.ldexp(q, exponent).tolist()},
+                                    "criterion": {"name": "A"}})
+            for command in (["criterion"], ["weights"], ["certify", "--trials", "0"]):
+                assert main(command + ["--file", path]) == code
+                captured = capsys.readouterr()
+                if code == EXIT_INPUT:
+                    assert_one_error_line(captured.err)
+                    assert "rank zero" in captured.err
+                else:
+                    assert "rank 1" not in captured.out
+
     def test_theorem2_passes_on_a_large_positive_definite_weight(self, tmp_path, capsys):
         payload = json.loads((GOLDEN_PROBLEMS / "certify-pd-weight.json").read_text())
         payload["weight_matrix"]["W"] = (1e36 * np.array(payload["weight_matrix"]["W"])).tolist()
@@ -522,6 +543,23 @@ class TestCertify:
 
 
 class TestSearch:
+    def test_an_exchange_search_does_not_depend_on_a_tiny_scale_of_the_weights(self, tmp_path,
+                                                                              capsys):
+        # at W x 1e-307 the forms K' C^+ K of some designs fall into the
+        # subnormal range unless the scorer takes K to unit scale
+        document = json.loads((GOLDEN_PROBLEMS / "exchange-trend-0.json").read_text())
+        document["search"]["restarts"] = 4
+        out = tmp_path / "report.json"
+        found = []
+        for factor in (1.0, 1e-307, 2e-307):
+            scaled = json.loads(json.dumps(document))
+            scaled["weight_matrix"]["W"] = _scaled(scaled["weight_matrix"]["W"], factor)
+            assert main(["search", "--file", write(tmp_path, scaled), "--out", str(out)]) == EXIT_OK
+            results = json.loads(out.read_text())["results"]
+            found.append((results["best_assignment"], [r["passes"] for r in results["restarts"]]))
+        assert found[1] == found[0] and found[2] == found[0]
+        capsys.readouterr()
+
     def test_enumerates_fixture(self, tmp_path, capsys):
         path = write(tmp_path, BALANCED)
         assert main(["search", "--file", path, "--both-routes"]) == EXIT_OK
@@ -651,9 +689,57 @@ def _sweep_cases():
                                        id=f"{path.stem}-{'.'.join(keys)}-{factor:g}")
 
 
+#: Subtrees that scale the weights by ``factor``: ``C_W`` and ``N_Q`` scale by
+#: ``1 / factor``, so D, A and E, homogeneous of degree one, do too.
+WEIGHT_SUBTREES = (("system", "b"), ("weight_matrix", "W"))
+
+#: Relative gap allowed between a scaled criterion value and the unscaled
+#: value divided by the factor.
+VALUE_RTOL = 1e-9
+
+
+def _run(tmp_path, capsys, document, commands):
+    """``command -> (exit code, stdout, --out report or None)`` of each command
+    on the document, each run asserted to keep the exit-code contract."""
+    path = write(tmp_path, document)
+    out = tmp_path / "report.json"
+    runs = {}
+    for command in commands:
+        out.unlink(missing_ok=True)
+        code = main(command + ["--file", path, "--out", str(out)])
+        captured = capsys.readouterr()
+        if code == EXIT_INPUT:
+            assert_one_error_line(captured.err)
+            assert not out.exists()
+            report = None
+        else:
+            report = json.loads(out.read_text())
+            assert code == (EXIT_CERT_FAIL if report["pass"] is False else EXIT_OK)
+        runs[command[0]] = (code, captured.out, report)
+    return runs
+
+
+def _readings(runs):
+    """The criterion values of both routes (None when refused) and the
+    file-instance verdicts of certify, deviations aside."""
+    code, _, report = runs["criterion"]
+    values = None if code == EXIT_INPUT else [report["results"][route]["value"]
+                                              for route in ("route_system", "route_weighted")]
+    verdicts = [line.split(" (deviation")[0] for line in runs["certify"][1].splitlines()
+                if " on the file instance" in line]
+    return values, verdicts
+
+
 class TestScaleSweep:
     """Each golden problem file with one numeric subtree scaled, through every
-    command that applies: the exit code keeps its contract at every scale."""
+    command that applies: the exit code keeps its contract at every scale,
+    and a scale of the weights scales the criterion values by its inverse
+    and leaves the certify verdicts as they are."""
+
+    COMMANDS = (["info"], ["criterion"], ["weights"], ["certify", "--trials", "0"])
+
+    #: ``_readings`` of each unscaled file, run once.
+    unscaled = {}
 
     @pytest.mark.parametrize("name, keys, factor", list(_sweep_cases()))
     def test_exit_codes_keep_their_contract(self, tmp_path, capsys, name, keys, factor):
@@ -661,24 +747,26 @@ class TestScaleSweep:
         if keys is not None:
             parent = _subtree_parent(document, keys)
             parent[keys[-1]] = _scaled(parent[keys[-1]], factor)
-        path = write(tmp_path, document)
-        commands = [["info"], ["criterion"], ["weights"], ["certify", "--trials", "0"]]
+        commands = list(self.COMMANDS)
         if "search" in document and factor in SEARCH_FACTORS:
             commands.append(["search"])
-        out = tmp_path / "report.json"
-        for command in commands:
-            out.unlink(missing_ok=True)
-            code = main(command + ["--file", path, "--out", str(out)])
-            captured = capsys.readouterr()
-            if code == EXIT_INPUT:
-                assert_one_error_line(captured.err)
-                assert not out.exists()
-            else:
-                passed = json.loads(out.read_text())["pass"]
-                assert code == (EXIT_CERT_FAIL if passed is False else EXIT_OK)
-            if command[0] == "certify":
-                # a scale of valid input is valid input: it may pass or be
-                # refused, never fail; every certifiable unscaled file passes
-                assert code != EXIT_CERT_FAIL
-                if keys is None and name not in UNCERTIFIABLE:
-                    assert code == EXIT_OK and passed is True
+        runs = _run(tmp_path, capsys, document, commands)
+        # a scale of valid input is valid input: certify may pass or be
+        # refused, never fail; every certifiable unscaled file passes
+        code, _, report = runs["certify"]
+        assert code != EXIT_CERT_FAIL
+        if keys is None and name not in UNCERTIFIABLE:
+            assert code == EXIT_OK and report["pass"] is True
+        if keys not in WEIGHT_SUBTREES:
+            return
+        if name not in self.unscaled:
+            unscaled = json.loads((GOLDEN_PROBLEMS / name).read_text())
+            self.unscaled[name] = _readings(_run(tmp_path, capsys, unscaled, self.COMMANDS))
+        values, verdicts = self.unscaled[name]
+        got_values, got_verdicts = _readings(runs)
+        assert got_verdicts == verdicts
+        if values is None:
+            assert got_values is None
+        else:
+            assert got_values == pytest.approx([value / factor for value in values],
+                                               rel=VALUE_RTOL, abs=0.0)

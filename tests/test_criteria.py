@@ -30,7 +30,7 @@ from wdesign import (
 from wdesign.criteria import SPECTRAL_TOL, STACKED_CERTIFICATIONS, certify_in_stacks
 from wdesign.errors import DomainError, RankError, SingularWeightError, SpaceError
 from wdesign.instances import random_instance, random_pd_matrix
-from wdesign.linalg import DERIVED_RANK_RTOL, SymMatrix, SymStack, pinv
+from wdesign.linalg import DERIVED_RANK_RTOL, SymMatrix, SymStack, at_unit_scale, pinv
 from wdesign.model import _information, check_estimation_spaces
 
 #: Certification kind -> its run on a ``random_instance`` draw.
@@ -397,9 +397,8 @@ class TestInterpretationChecks:
             for prev in cols:
                 a = a - (a @ prev) / (prev @ prev) * prev
             cols.append(a)
-        # the reading takes K to 2^-k, k half the binary exponent of the
-        # largest eigenvalue of W
-        k = np.frexp(eig_sym(w.matrix).eigenvalues[0])[1] // 2
+        # the reading takes W to 4^-k and K to 2^-k
+        k = at_unit_scale(w.matrix)[1]
         expected = np.ldexp(w.K, -k) @ np.column_stack(cols)
         got = seen[0][0, -d:].T
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())

@@ -152,21 +152,26 @@ class TestEig:
     @pytest.mark.parametrize("tol_rank", [1e-12, 0.5, 1.0])
     def test_ranks_and_cutoffs_match_a_scan_of_every_eigenvalue(self, tol_rank):
         # all-negative, all-positive, mixed, all-zero and signed-zero rows,
-        # rows far below eps and rows at scales where the floor of the smallest
-        # normal float wins (subnormal eigenvalues); tol_rank 0.5 and 1 put
-        # eigenvalues exactly on the cutoff
+        # rows far below eps, and rows whose relative cutoff is subnormal:
+        # with no eigenvalue between it and the smallest normal float, that
+        # float is the cutoff; with one, the row has rank 0; tol_rank 0.5 and
+        # 1 put eigenvalues exactly on the cutoff
         eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
         rows = [[-3.0, -1.0, -0.5], [0.5, 1.0, 3.0], [-3.0, 0.0, 1.0], [-1.0, 0.5, 3.0],
                 [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, 2.0], [-2.0, -0.0, 1.0],
                 [eps / 4, eps / 2, eps], [-eps, -0.0, eps / 8], [1e-300, 1e-200, 1e-100],
-                [tiny / 4, tiny, 4 * tiny], [-2 * tiny, -0.0, tiny / 8]]
+                [tiny / 4, tiny, 4 * tiny], [-2 * tiny, -0.0, tiny / 8],
+                [tiny / 2, 1e-300, 3e-300], [0.0, -0.0, 1e-300]]
         rng = np.random.default_rng(24)
         stack = np.array([np.diag(rng.permutation(row)) for row in rows]
                          + [random_psd(rng, 3, rank).entries for rank in (0, 1, 2, 3)])
         _, _, ranks, cutoffs = eigh_desc_stack(stack, tol_rank)
         assert any(np.signbit(w).any() and not w.any() for w in np.linalg.eigh(stack)[0])
         for w, rank, cutoff in zip(np.linalg.eigh(stack)[0].tolist(), ranks, cutoffs):
-            scanned = max(tol_rank * max(map(abs, w)), tiny)
+            top = max(map(abs, w))
+            relative = tol_rank * top
+            straddles = any(relative < x <= tiny for x in w)
+            scanned = top if relative < tiny and straddles else max(relative, tiny)
             assert np.float64(cutoff).tobytes() == np.float64(scanned).tobytes()
             assert rank == sum(x > scanned for x in w)
 

@@ -649,6 +649,44 @@ class TestScorer:
                              (base.best_value.value, base.best_value.spectrum_used))
             assert got.optimal_assignments == base.optimal_assignments
 
+    def test_a_second_enumeration_scores_no_incidence_again(self, monkeypatch, contrasts3):
+        # 360 incidences fill more than half of a 512-key memo: a second
+        # enumeration of the problem, as ``search --both-routes`` runs on the
+        # system route, finds every one of them there
+        monkeypatch.setattr(search_module, "SCORE_CACHE_LIMIT", 512)
+        pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+        problem = SearchProblem(v=3, n=8, criterion="A", target=EstimableSystem(pairs),
+                                space=contrasts3, nuisance_kind="blocks", block_sizes=(3, 3, 2))
+        stack_scorer = search_module._stack_scorer
+        rows = []
+
+        def counting(problem):
+            score = stack_scorer(problem)
+
+            def counted(keys):
+                rows.extend(keys)
+                return score(keys)
+
+            return counted
+
+        monkeypatch.setattr(search_module, "_stack_scorer", counting)
+        first = enumerate_optimal(problem)
+        assert len(rows) == len(set(rows)) == 360
+        rows.clear()
+        again = enumerate_optimal(problem)
+        assert rows == []
+        assert again.optimal_assignments == first.optimal_assignments
+        # a memo whose other keys leave no room for the walk's is emptied
+        # first, and the walk is scored whole
+        fresh = replace(problem)
+        junk = [tuple(rng_row) for rng_row in
+                np.random.default_rng(0).integers(1, 4, size=(400, 8)).tolist()]
+        fresh.scorer()(junk)
+        rows.clear()
+        assert enumerate_optimal(fresh).optimal_assignments == first.optimal_assignments
+        assert len(rows) == 360
+        assert set(fresh.scorer().memo) == set(search_module._incidences(fresh, True)[1])
+
     def test_a_replaced_target_is_scored_afresh(self, contrasts3, control_system):
         pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
         problem = SearchProblem(v=3, n=6, criterion="A", target=EstimableSystem(pairs),
