@@ -228,8 +228,10 @@ def _stack_scorer(problem: SearchProblem):
     mres = nuisance_residual(problem.template(tuple([1] * problem.n)))
     # K plays the role of Q~ for weight targets: the same chain scores both.
     qs, rank_needed = _target(problem)[:2]
-    exponent = int(np.frexp(max_abs(qs))[1])
+    # clamped so that 4^-exponent is a normal float and unit / pos is exact
+    exponent = min(max(int(np.frexp(max_abs(qs))[1]), -511), 511)
     qs = np.ldexp(qs, -exponent)
+    unit = math.ldexp(1.0, -2 * exponent)
     criterion = POSITIVE_SPECTRUM_CRITERIA[problem.criterion]
     # row t is the indicator of treatment t, so onehot[keys] is the stack of X
     onehot = np.eye(problem.v + 1)[:, 1:]
@@ -249,9 +251,7 @@ def _stack_scorer(problem: SearchProblem):
             if rank_m == rank_needed:
                 # ascending, so its reversed view is the descending spectrum
                 # ``value_from_positive_spectrum`` would sort it into
-                ascending = 1.0 / pos[:rank_needed]
-                if exponent:
-                    ascending = np.ldexp(ascending, -2 * exponent)
+                ascending = unit / pos[:rank_needed]
                 ascending.flags.writeable = False
                 spectrum = ascending[::-1]
                 results[row] = criterion(spectrum), spectrum

@@ -543,8 +543,7 @@ class TestCertify:
 
 
 class TestSearch:
-    def test_an_exchange_search_does_not_depend_on_a_tiny_scale_of_the_weights(self, tmp_path,
-                                                                              capsys):
+    def test_search_does_not_depend_on_an_extreme_scale_of_the_weights(self, tmp_path, capsys):
         # at W x 1e-307 the forms K' C^+ K of some designs fall into the
         # subnormal range unless the scorer takes K to unit scale
         document = json.loads((GOLDEN_PROBLEMS / "exchange-trend-0.json").read_text())
@@ -558,7 +557,13 @@ class TestSearch:
             results = json.loads(out.read_text())["results"]
             found.append((results["best_assignment"], [r["passes"] for r in results["restarts"]]))
         assert found[1] == found[0] and found[2] == found[0]
-        capsys.readouterr()
+        # at W x 1e300 the forms of the enumeration overflowed before they
+        # were dropped, with a RuntimeWarning
+        w = (1e300 * (3.0 * np.eye(3) - np.ones((3, 3)))).tolist()
+        payload = dict(BALANCED, system=None, weight_matrix={"W": w})
+        assert main(["search", "--file", write(tmp_path, payload)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "best replications: [2, 2, 2]" in captured.out and captured.err == ""
 
     def test_enumerates_fixture(self, tmp_path, capsys):
         path = write(tmp_path, BALANCED)

@@ -71,7 +71,7 @@ def reference_evaluator(problem, outcomes=None):
         w, s = np.linalg.eigh(a)
         w = w[::-1].copy()
         s = s[:, ::-1].copy()
-        cutoff = DERIVED_RANK_RTOL * max(float(np.max(np.abs(w))), EPS)
+        cutoff = max(DERIVED_RANK_RTOL * float(np.max(np.abs(w))), np.finfo(float).tiny)
         rank = int(np.count_nonzero(w > cutoff))
         return w[:rank], s[:, :rank]
 
