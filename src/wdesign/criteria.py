@@ -50,24 +50,28 @@ A_INTERPRETATION_TOL = 1e-8
 E_INTERPRETATION_TOL = 1e-9
 
 
-# ``np.mean`` and ``np.sum`` of a float64 vector are ``np.add.reduce`` (then
-# ``/ size``) behind a Python wrapper; the reduction called directly gives the
-# same bits at about half the cost.
-def _geometric_mean(pos: np.ndarray) -> float:
-    return float(np.exp(np.add.reduce(np.log(pos)) / pos.size))
+# Each criterion maps a ``(B, r)`` stack of ascending positive spectra to its
+# ``B`` values, each with the bits of its row alone.  ``np.log`` picks its
+# inner loop by stride, and only a reversed 1-D view (libm's scalar loop, not
+# the SIMD one) gives every row the bits of that row's own reversed view.
+# Rows are summed descending by ``np.add.reduce``, which ``np.sum`` wraps.
+def _geometric_mean(ascending: np.ndarray) -> np.ndarray:
+    logs = np.log(ascending.ravel()[::-1]).reshape(ascending.shape)[::-1]
+    return np.exp(np.add.reduce(logs, axis=1) / ascending.shape[1])
 
 
-def _harmonic_mean(pos: np.ndarray) -> float:
-    return float(pos.size / np.add.reduce(1.0 / pos))
+def _harmonic_mean(ascending: np.ndarray) -> np.ndarray:
+    return ascending.shape[1] / np.add.reduce(1.0 / ascending[:, ::-1], axis=1)
 
 
-def _smallest(pos: np.ndarray) -> float:
-    return float(pos[-1])
+def _smallest(ascending: np.ndarray) -> np.ndarray:
+    return ascending[:, 0]
 
 
-#: Eigenvalue-based criteria as functions of the positive spectrum
-#: (descending).  The extension point: register a new name here and every
-#: evaluation and search routine picks it up.
+#: Eigenvalue-based criteria as functions of a ``(B, r)`` stack of positive
+#: spectra, each row ascending, to the ``B`` values.  The extension point:
+#: register a new name here and every evaluation and search routine picks
+#: it up.
 POSITIVE_SPECTRUM_CRITERIA = {
     "D": _geometric_mean,
     "A": _harmonic_mean,
@@ -87,16 +91,15 @@ def _criterion_function(name: str):
 
 
 def value_from_positive_spectrum(name: str, positive) -> float:
-    """Criterion value computed from the positive eigenvalues alone."""
+    """Criterion value computed from the positive eigenvalues alone: the
+    registered criterion on the one-row stack of them, sorted ascending."""
     fn = _criterion_function(name)
     pos = np.asarray(positive, dtype=float)
     if pos.size == 0:
         return 0.0
     pos = pos.copy()
     pos.sort()
-    # the descending view, not a descending copy: ``np.log`` picks its inner
-    # loop by stride, so a contiguous copy would move the last bit of D
-    return fn(pos[::-1])
+    return float(fn(pos[None])[0])
 
 
 @dataclass(frozen=True, eq=False)

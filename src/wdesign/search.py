@@ -211,19 +211,19 @@ def _key_function(problem: SearchProblem):
 def _stack_scorer(problem: SearchProblem):
     """Scorer of a stack of labellings: ``score(keys)`` gives one result per row.
 
-    ``keys`` holds ``B`` keys (see ``_key_function``), as tuples or as a
-    ``(B, n)`` array of treatment labels; each result is ``(value, positive
-    spectrum)``, or ``None`` when the target is not estimable under that
-    labelling.  The nuisance projector is fixed per problem, and the target
-    factor is taken to unit scale by a power of two, which the spectra undo
-    exactly, so no form underflows.  The scorer
-    builds the stack of ``C``, forms ``Q~' C^+ Q~`` and decides estimability
-    in ``model.estimable_forms``, the chain every route shares, drops the
-    rows under which the target is not estimable, and takes one batched
-    eigendecomposition of the rest.  Each matrix goes through the
-    operations it would go through alone, so a row's result does not depend
-    on the stack it came in.  The returned spectra are read-only, because a
-    cached result is shared.
+    ``keys`` holds ``B`` keys (see ``_key_function``), each a tuple of ``n``
+    treatment labels; each result is ``(value, positive spectrum)``, or
+    ``None`` when the target is not estimable under that labelling.  The
+    nuisance projector is fixed per problem, and the target factor is taken
+    to unit scale by a power of two, which the spectra undo exactly, so no
+    form underflows.  The scorer builds the stack of ``C``, forms
+    ``Q~' C^+ Q~`` and decides estimability in ``model.estimable_forms``, the
+    chain every route shares, drops the rows under which the target is not
+    estimable, takes one batched eigendecomposition of the rest, and scores
+    the spectra of the target's rank in one call of the criterion.  Each
+    matrix and spectrum goes through the operations it would go through
+    alone, so a row's result does not depend on the stack it came in.  The
+    spectra are read-only views, because a cached result is shared.
     """
     mres = nuisance_residual(problem.template(tuple([1] * problem.n)))
     # K plays the role of Q~ for weight targets: the same chain scores both.
@@ -237,24 +237,25 @@ def _stack_scorer(problem: SearchProblem):
     onehot = np.eye(problem.v + 1)[:, 1:]
 
     def score(keys):
-        if len(keys) == 0:
+        count = len(keys)
+        if count == 0:
             return []
-        x = onehot[np.asarray(keys)]
+        labels = np.fromiter(itertools.chain.from_iterable(keys), np.intp, count * problem.n)
+        x = onehot[labels.reshape(count, problem.n)]
         cs = SymStack(symmetrize(x.transpose(0, 2, 1) @ mres @ x))
         bad, forms = estimable_forms(cs, qs)
         rows = np.flatnonzero(~bad.any(axis=1)).tolist()
-        results = [None] * len(x)
+        results = [None] * count
         if not rows:
             return results
-        inverse, _, ranks_m, _ = eigh_desc_stack(take_rows(forms, rows, len(x)))
-        for row, pos, rank_m in zip(rows, inverse, ranks_m):
-            if rank_m == rank_needed:
-                # ascending, so its reversed view is the descending spectrum
-                # ``value_from_positive_spectrum`` would sort it into
-                ascending = unit / pos[:rank_needed]
-                ascending.flags.writeable = False
-                spectrum = ascending[::-1]
-                results[row] = criterion(spectrum), spectrum
+        inverse, _, ranks_m, _ = eigh_desc_stack(take_rows(forms, rows, count))
+        kept = [i for i, rank_m in enumerate(ranks_m) if rank_m == rank_needed]
+        # each row ascending, so its reversed view is the descending spectrum
+        # ``value_from_positive_spectrum`` would sort it into
+        ascending = unit / take_rows(inverse, kept, len(rows))[:, :rank_needed]
+        ascending.flags.writeable = False
+        for j, (i, value) in enumerate(zip(kept, criterion(ascending).tolist())):
+            results[rows[i]] = value, ascending[j, ::-1]
         return results
 
     return score

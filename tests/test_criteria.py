@@ -27,7 +27,12 @@ from wdesign import (
     weighted_info_matrix,
     weighted_variance,
 )
-from wdesign.criteria import SPECTRAL_TOL, STACKED_CERTIFICATIONS, certify_in_stacks
+from wdesign.criteria import (
+    POSITIVE_SPECTRUM_CRITERIA,
+    SPECTRAL_TOL,
+    STACKED_CERTIFICATIONS,
+    certify_in_stacks,
+)
 from wdesign.errors import DomainError, RankError, SingularWeightError, SpaceError
 from wdesign.instances import random_instance, random_pd_matrix
 from wdesign.linalg import DERIVED_RANK_RTOL, SymMatrix, SymStack, at_unit_scale, pinv
@@ -121,6 +126,41 @@ class TestCriterionValue:
             for name in "DAE":
                 assert (value_from_positive_spectrum(name, spectrum).hex()
                         == wrapped_criterion(name, spectrum).hex())
+
+    def test_stacked_criteria_keep_the_bits_of_each_row_alone(self):
+        # stacks of 1 to 600 ascending rows of lengths 1-24 (past the
+        # pairwise-sum block of 8): each row spread over e^-1 to e^1 around
+        # its own scale, in e^-3 to e^3 and, every eighth row, in e^-600 to
+        # e^600, and one constant row per stack.  Near unit scale about one D
+        # row in 2,500 shows the last-bit difference of ``np.log``'s SIMD loop
+        # from the one-row call's scalar loop.
+        rng = np.random.default_rng(43)
+        compared = 0
+        for length in range(1, 25):
+            for rows in (1, 2, 9, 600, 600, 600):
+                exponents = rng.uniform(-3.0, 3.0, (rows, 1))
+                exponents[::8] *= 200.0
+                stack = np.sort(np.exp(exponents + rng.uniform(-1.0, 1.0, (rows, length))),
+                                axis=1)
+                stack[-1] = stack[-1, 0]
+                stack.flags.writeable = False
+                for name, fn in POSITIVE_SPECTRUM_CRITERIA.items():
+                    values = fn(stack)
+                    assert values.shape == (rows,)
+                    assert ([value.hex() for value in values.tolist()]
+                            == [one_row_criterion(name, row[::-1]).hex() for row in stack])
+                compared += rows
+        assert compared == 24 * 1812
+
+
+def one_row_criterion(name, pos):
+    """A criterion on one descending spectrum ``pos`` (a reversed view), as
+    computed before the criteria took stacks."""
+    if name == "D":
+        return float(np.exp(np.add.reduce(np.log(pos)) / pos.size))
+    if name == "A":
+        return float(pos.size / np.add.reduce(1.0 / pos))
+    return float(pos[-1])
 
 
 def wrapped_criterion(name, positive):

@@ -11,8 +11,10 @@ from conftest import contrast
 from wdesign import (
     DesignSpec,
     EstimableSystem,
+    POSITIVE_SPECTRUM_CRITERIA,
     SearchProblem,
     argmax_equivalence_check,
+    criterion_value,
     enumerate_optimal,
     estimation_space,
     exchange_search,
@@ -1166,6 +1168,31 @@ class TestArgmaxEquivalence:
         best, argmax = brute_force_best(problem)
         assert result.best_value.value == pytest.approx(best, rel=1e-12)
         assert set(result.optimal_assignments) == set(argmax)
+
+
+class TestExtensionPoint:
+    def test_a_registered_criterion_reaches_evaluation_and_enumeration(
+            self, monkeypatch, contrasts3, control_system):
+        # the arithmetic mean of each positive spectrum of a stack
+        monkeypatch.setitem(POSITIVE_SPECTRUM_CRITERIA, "M",
+                            lambda ascending: np.add.reduce(ascending, axis=1) / ascending.shape[1])
+        assert value_from_positive_spectrum("M", [1.0, 4.0, 1.0]) == 2.0
+        problem = SearchProblem(v=3, n=5, criterion="M", target=control_system,
+                                space=contrasts3)
+        values = {}
+        for assignment in itertools.product(range(1, 4), repeat=5):
+            try:
+                n = info_matrix_for_system(problem.template(assignment), control_system)
+            except FeasibilityError:
+                continue
+            spectrum = criterion_value(n, "M").spectrum_used
+            values[assignment] = float(np.mean(spectrum))
+        best = max(values.values())
+        result = enumerate_optimal(problem)
+        assert result.best_value.value == pytest.approx(best, rel=1e-12)
+        assert set(result.optimal_assignments) == {
+            assignment for assignment, value in values.items() if value >= best * (1 - 1e-9)}
+        assert 0 < len(result.optimal_assignments) < len(values)
 
 
 class TestScaleFreeTies:
