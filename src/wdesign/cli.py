@@ -22,7 +22,7 @@ import numpy as np
 
 from . import criteria, search
 from .errors import DomainError, ParseError, SpaceError, WdesignError
-from .estimable import EstimableSystem, system_from_weight_matrix_sqrt
+from .estimable import EstimableSystem, scale_system, system_from_weight_matrix_sqrt
 from .instances import random_instance
 from .linalg import DERIVED_RANK_RTOL, SymMatrix, eig_sym, max_abs, typed
 from .model import (
@@ -31,6 +31,7 @@ from .model import (
     _information,
     estimation_space,
     infeasible_columns,
+    unit_columns,
 )
 from .weighting import (
     check_weight_dominance,
@@ -236,10 +237,9 @@ def _parse_system(data: dict, spec: DesignSpec) -> EstimableSystem | None:
     if not isinstance(normalize, bool):
         raise ParseError(f"system.normalize must be true or false, got {normalize!r}")
     if normalize:
-        norms = np.linalg.norm(q, axis=0)
-        if np.any(norms == 0.0):
+        if not q.any(axis=0).all():
             raise ParseError("cannot normalize a zero column")
-        q = q / norms
+        q = unit_columns(q)
     b = _numbers(float, section["b"], "system.b") if "b" in section else None
     try:
         return EstimableSystem(q, b)
@@ -350,7 +350,7 @@ def cmd_info(problem: Problem, args) -> tuple[dict, list, bool | None]:
         f"estimation space: {problem.space.kind} (dim {problem.space.dim})",
     ]
     if problem.system is not None:
-        bad = infeasible_columns(c, problem.system.Q * np.sqrt(problem.system.b))
+        bad = infeasible_columns(c, scale_system(problem.system))
         results["system"] = {
             "s": problem.system.s,
             "rank": problem.system.r,

@@ -131,15 +131,22 @@ def block_ranges(n: int, nuisance_kind: str,
     return tuple(zip((0,) + ends[:-1], ends))
 
 
+def unit_columns(a: np.ndarray) -> np.ndarray:
+    """Each column of ``a`` divided by its norm; a zero column stays zero.
+
+    A power of two takes each column near unit scale first, so its norm
+    neither overflows nor underflows, and no bit moves where it does neither.
+    """
+    a = np.ldexp(a, -np.frexp(np.max(np.abs(a), axis=0))[1])
+    norms = np.linalg.norm(a, axis=0)
+    return a / np.where(norms > 0.0, norms, 1.0)
+
+
 def _nuisance_matrix(spec: DesignSpec) -> np.ndarray:
     if spec.nuisance_kind == "explicit":
         # only the span of L enters C; unit columns keep the Gram matrix of
-        # its projector well conditioned whatever the scale of each column.
-        # A power of two takes each column near unit scale first, so its
-        # norm neither overflows nor underflows and no bit moves
-        ell = np.ldexp(spec.L, -np.frexp(np.max(np.abs(spec.L), axis=0))[1])
-        norms = np.linalg.norm(ell, axis=0)
-        return ell / np.where(norms > 0.0, norms, 1.0)
+        # its projector well conditioned whatever the scale of each column
+        return unit_columns(spec.L)
     blocks = block_ranges(spec.n, spec.nuisance_kind, spec.block_sizes)
     ell = np.zeros((spec.n, len(blocks)))
     for j, (start, end) in enumerate(blocks):
@@ -235,10 +242,9 @@ def estimation_space(kind: str, v: int, basis=None) -> EstimationSpace:
             b = b[:, None]
         if b.shape[0] != v:
             raise ValueError(f"basis must have {v} rows, got {b.shape[0]}")
-        norms = np.linalg.norm(b, axis=0)
-        if np.any(norms == 0.0):
+        if not b.any(axis=0).all():
             raise ValueError("basis columns must be nonzero")
-        p = projector(b / norms)  # unit columns, as for an explicit L
+        p = projector(unit_columns(b))  # as for an explicit L
         dim = int(round(float(np.trace(p.entries))))
         return EstimationSpace(v, kind, p, dim)
     raise ValueError(f"unknown estimation space kind {kind!r}")

@@ -41,11 +41,12 @@ ENUMERATION_LIMIT = 10**6
 #: memo holds at most ~4.5 MiB.
 SCORE_CACHE_LIMIT = 2**13
 
-#: Rows per stack when enumerate_optimal scores a walk's incidences before
-#: the walk.  One stack of all 4,000 incidences of a v=4 problem in blocks
+#: Most rows the scorer decomposes in one stack; it splits a call with more
+#: keys.  One stack of all 4,000 incidences of a v=4 problem in blocks
 #: (3,3,3) raised the peak RSS of a search by ~4 MiB; 512-row stacks left it
-#: unchanged and took no longer.
-INCIDENCE_STACK_ROWS = 512
+#: unchanged and took no longer.  An exchange at v=60, n=120 peaked at about
+#: 380 MiB with whole 1,180-row move stacks and at 210-240 MiB with them split.
+STACK_ROWS = 512
 
 #: Relative slack for collecting ties into the optimal set: a value ties the
 #: best when within ``TIE_RTOL * |best|``, with no floor, so the set does not
@@ -73,9 +74,8 @@ class SearchProblem:
     seed: int = 0
     restarts: int = 20
     max_passes: int = 100
-    #: ``_stack_scorer`` and the ``_remembering`` memo around it, built on
-    #: first use; ``dataclasses.replace`` starts afresh.
-    _scorers: tuple | None = field(default=None, init=False, repr=False)
+    #: The scorer, built on first use; ``dataclasses.replace`` starts afresh.
+    _scorer: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.criterion not in POSITIVE_SPECTRUM_CRITERIA:
@@ -99,15 +99,14 @@ class SearchProblem:
 
     def scorer(self):
         """The problem's stack scorer, built on first use and kept, as a
-        ``DesignSpec`` keeps ``C``: ``_stack_scorer``, seen through its
-        ``_remembering`` memo while ``_keeps_scores`` holds (asked on every
-        call)."""
-        if self._scorers is None:
+        ``DesignSpec`` keeps ``C``: ``_stack_scorer``, wrapped in a
+        ``_remembering`` memo when ``_keeps_scores`` holds."""
+        if self._scorer is None:
             score = _stack_scorer(self)
-            object.__setattr__(self, "_scorers",
-                               (score, _remembering(score, SCORE_CACHE_LIMIT)))
-        score, remembered = self._scorers
-        return remembered if _keeps_scores(self) else score
+            if _keeps_scores(self):
+                score = _remembering(score, SCORE_CACHE_LIMIT)
+            object.__setattr__(self, "_scorer", score)
+        return self._scorer
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +212,9 @@ def _stack_scorer(problem: SearchProblem):
 
     ``keys`` holds ``B`` keys (see ``_key_function``), each a tuple of ``n``
     treatment labels; each result is ``(value, positive spectrum)``, or
-    ``None`` when the target is not estimable under that labelling.  The
+    ``None`` when the target is not estimable under that labelling.  A call
+    with more than ``STACK_ROWS`` keys is scored in stacks of at most that
+    many, whoever makes it, so no call decomposes a longer stack.  The
     nuisance projector is fixed per problem, and the target factor is taken
     to unit scale by a power of two, which the spectra undo exactly, so no
     form underflows.  The scorer builds the stack of ``C``, forms
@@ -236,10 +237,8 @@ def _stack_scorer(problem: SearchProblem):
     # row t is the indicator of treatment t, so onehot[keys] is the stack of X
     onehot = np.eye(problem.v + 1)[:, 1:]
 
-    def score(keys):
+    def score_stack(keys):
         count = len(keys)
-        if count == 0:
-            return []
         labels = np.fromiter(itertools.chain.from_iterable(keys), np.intp, count * problem.n)
         x = onehot[labels.reshape(count, problem.n)]
         cs = SymStack(symmetrize(x.transpose(0, 2, 1) @ mres @ x))
@@ -258,6 +257,12 @@ def _stack_scorer(problem: SearchProblem):
             results[rows[i]] = value, ascending[j, ::-1]
         return results
 
+    def score(keys):
+        results = []
+        for start in range(0, len(keys), STACK_ROWS):
+            results += score_stack(keys[start:start + STACK_ROWS])
+        return results
+
     return score
 
 
@@ -270,10 +275,12 @@ def _keeps_scores(problem: SearchProblem) -> bool:
 def _remembering(score, limit: int):
     """Stack scorer that remembers the results of up to ``limit`` keys.
 
-    Only the keys it has not seen are scored, each once, in one stack; when
-    they would overflow the memory, it is emptied first, and a stack with
-    more of them than ``limit`` is not remembered at all.  The memory is the
-    dict ``remembered.memo``, key to result.
+    Only the keys it has not seen are scored, each once, in one call.  When
+    they would overflow the memory, it is emptied first, keeping the keys
+    of the call it found there if they fit with the new ones, so a call of
+    at most ``limit`` keys leaves all of them remembered; more new keys than
+    ``limit`` are not remembered at all.  The memory is the dict
+    ``remembered.memo``, key to result.
     """
     memo = {}
 
@@ -285,6 +292,8 @@ def _remembering(score, limit: int):
             if len(fresh) <= limit:
                 if len(memo) + len(fresh) > limit:
                     memo.clear()
+                    if len(found) + len(fresh) <= limit:
+                        memo.update(found)
                 memo.update(fresh)
             found.update(fresh)
         return [found[key] for key in keys]
@@ -304,24 +313,22 @@ def make_evaluator(problem: SearchProblem):
     (``SearchProblem.scorer``), as a one-row stack, unless its memo holds
     it.  On problems small enough to enumerate
     (``v**(n-1) <= ENUMERATION_LIMIT``) the memo holds the scores of up to
-    ``SCORE_CACHE_LIMIT`` block incidences and is emptied when a new one
-    would overflow it.  Values are thus exactly invariant under permuting
-    units within a block and never depend on what the memo holds.  The
-    returned spectra are read-only, because a remembered result is shared.
+    ``SCORE_CACHE_LIMIT`` block incidences (see ``_remembering``); other
+    problems have no memo, and every key is scored.  Values are thus
+    exactly invariant under permuting units within a block and never
+    depend on what the memo holds.  The returned spectra are read-only,
+    because a remembered result is shared.
     """
     score = problem.scorer()
     key_of = _key_function(problem)
-    memo = getattr(score, "memo", None)
-    if memo is None:
-        def evaluate(assignment):
-            return score((key_of(assignment),))[0]
-    else:
-        def evaluate(assignment):
-            key = key_of(assignment)
-            try:
-                return memo[key]
-            except KeyError:
-                return score((key,))[0]
+    memo = getattr(score, "memo", {})
+
+    def evaluate(assignment):
+        key = key_of(assignment)
+        try:
+            return memo[key]
+        except KeyError:
+            return score((key,))[0]
 
     return evaluate
 
@@ -353,31 +360,6 @@ def _incidences(problem: SearchProblem, symmetric: bool):
     return count, keys()
 
 
-def _score_incidences(problem: SearchProblem, symmetric: bool) -> None:
-    """Fill the scorer's memo with the keys of enumerate_optimal's walk.
-
-    Does nothing unless the problem keeps scores and the keys fit in
-    ``SCORE_CACHE_LIMIT``; otherwise it scores the keys the memo lacks in
-    stacks of ``INCIDENCE_STACK_ROWS``, so that every key of the walk is
-    then in the memo; a memo those keys would overflow is emptied first, and
-    the whole walk scored.
-    """
-    score = problem.scorer()
-    memo = getattr(score, "memo", None)
-    if memo is None:
-        return
-    count, keys = _incidences(problem, symmetric)
-    if count > SCORE_CACHE_LIMIT:
-        return
-    keys = list(keys)
-    missing = [key for key in keys if key not in memo]
-    if len(memo) + len(missing) > SCORE_CACHE_LIMIT:
-        memo.clear()
-        missing = keys
-    for start in range(0, len(missing), INCIDENCE_STACK_ROWS):
-        score(missing[start:start + INCIDENCE_STACK_ROWS])
-
-
 def enumeration_size(problem: SearchProblem) -> int:
     """Assignment count enumerate_optimal would walk, after symmetry reduction."""
     exponent = problem.n - 1 if label_symmetric(problem) else problem.n
@@ -399,11 +381,11 @@ def enumerate_optimal(problem: SearchProblem) -> SearchResult:
 
     Under an intercept or block nuisance the walk asks only for the scores
     of block incidences.  When they fit in ``SCORE_CACHE_LIMIT``, they are
-    generated and scored into the scorer's memo in stacks first (see
-    ``_score_incidences``), so the walk only looks them up; when they do
-    not, nothing is filled, and the walk scores each incidence it misses
-    alone.  A row's score does not depend on its stack, so the result is
-    the same either way.
+    generated and passed to the scorer's memo in one call first, which
+    scores those it lacks and keeps them all (see ``_remembering``), so the
+    walk only looks them up; when they do not, nothing is filled, and the
+    walk scores each incidence it misses alone.  A row's score does not
+    depend on its stack, so the result is the same either way.
     """
     size = enumeration_size(problem)
     if size > ENUMERATION_LIMIT:
@@ -412,7 +394,10 @@ def enumerate_optimal(problem: SearchProblem) -> SearchResult:
             f"({ENUMERATION_LIMIT}); use exchange_search"
         )
     symmetric = size < problem.v**problem.n
-    _score_incidences(problem, symmetric)
+    score = problem.scorer()
+    count, keys = _incidences(problem, symmetric)
+    if hasattr(score, "memo") and count <= SCORE_CACHE_LIMIT:
+        score(list(keys))
     evaluate = make_evaluator(problem)
     labels = range(1, problem.v + 1)
     heads = [1] if symmetric else labels
@@ -484,17 +469,14 @@ def exchange_search(problem: SearchProblem) -> SearchResult:
     own slice.  A row's score does not depend on the stack it is scored in,
     so the result is the one the restarts would reach one after another;
     the best is the first restart to reach the best value.  Starting draws
-    and moves are scored through their keys, as ``make_evaluator`` scores
-    them, by the problem's scorer, so the nuisance residual is built once
-    per problem; on problems whose scorer keeps scores they are remembered,
-    so a revisited block incidence is not scored again.
+    are scored by ``make_evaluator``, and moves through their keys by the
+    same scorer of the problem, so the nuisance residual is built once per
+    problem; on problems whose scorer keeps scores they are remembered, so
+    a revisited block incidence is not scored again.
     """
+    evaluate = make_evaluator(problem)
     score = problem.scorer()
     key_of = _key_function(problem)
-
-    def evaluate(assignment):
-        return score((key_of(assignment),))[0]
-
     width = problem.v - 1
     # others[t]: the treatments a unit holding t can move to, in index order
     others = [[s for s in range(1, problem.v + 1) if s != t] for t in range(problem.v + 1)]

@@ -775,3 +775,52 @@ class TestScaleSweep:
         else:
             assert got_values == pytest.approx([value / factor for value in values],
                                                rel=VALUE_RTOL, abs=0.0)
+
+
+#: A system normalized on reading, in an explicit estimation space: both
+#: take their columns to unit length, so neither depends on their scale.
+UNIT_COLUMNS = dict(BALANCED, system={"Q": [[1, 0], [-1, 1], [0, -1]], "normalize": True},
+                    estimation_space={"kind": "explicit",
+                                      "basis": [[1, 0], [-1, 1], [0, -1]]})
+
+
+def _numbers(node, path=()):
+    """``(path, number)`` of each numeric leaf of a report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numbers(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _numbers(value, path + (index,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+
+
+class TestUnitColumns:
+    COMMANDS = (["info"], ["criterion"], ["weights"])
+
+    @pytest.mark.parametrize("keys", [("system", "Q"), ("estimation_space", "basis")],
+                             ids=".".join)
+    @pytest.mark.parametrize("factor", [2.0**600, 2.0**-600, 1e200, 1e-200, 1e300, 1e-300],
+                             ids=["2^600", "2^-600", "1e200", "1e-200", "1e300", "1e-300"])
+    def test_normalize_and_basis_do_not_depend_on_the_scale_of_their_columns(
+            self, tmp_path, capsys, keys, factor):
+        document = json.loads(json.dumps(UNIT_COLUMNS))
+        document[keys[0]][keys[1]] = _scaled(document[keys[0]][keys[1]], factor)
+        base = _run(tmp_path, capsys, UNIT_COLUMNS, self.COMMANDS)
+        runs = _run(tmp_path, capsys, document, self.COMMANDS)
+        exact = factor == 2.0 ** round(np.log2(factor))
+        for command, (code, stdout, report) in runs.items():
+            base_code, base_stdout, base_report = base[command]
+            assert code == base_code == EXIT_OK
+            if exact:
+                assert stdout == base_stdout
+            numbers = dict(_numbers(report["results"]))
+            expected = dict(_numbers(base_report["results"]))
+            assert numbers.keys() == expected.keys()
+            for path, value in expected.items():
+                if path[-1] == "deviation":
+                    # the gap between two routes, not a value: both at rounding
+                    assert numbers[path] <= 1e-12
+                else:
+                    assert numbers[path] == pytest.approx(value, rel=1e-12, abs=0.0)

@@ -622,30 +622,35 @@ class TestScorer:
                                  space=contrasts3, nuisance_kind="explicit",
                                  L=np.ones((5, 1)))
         default = [enumerate_optimal(replace(problem)) for problem in (blocks, explicit)]
-        stack_scorer = search_module._stack_scorer
-        stacks = []
+        stack_scorer, forms = search_module._stack_scorer, search_module.estimable_forms
+        rows, stacks = [], []
 
         def counting(problem):
             score = stack_scorer(problem)
 
             def counted(keys):
-                stacks.append([tuple(key) for key in keys])
+                rows.extend(tuple(key) for key in keys)
                 return score(keys)
 
             return counted
 
+        def decomposing(cs, qs):
+            stacks.append(len(cs.entries))
+            return forms(cs, qs)
+
         monkeypatch.setattr(search_module, "_stack_scorer", counting)
-        monkeypatch.setattr(search_module, "INCIDENCE_STACK_ROWS", 64)
+        monkeypatch.setattr(search_module, "estimable_forms", decomposing)
+        monkeypatch.setattr(search_module, "STACK_ROWS", 64)
         result = enumerate_optimal(blocks)
         count, keys = search_module._incidences(blocks, True)
         assert count == 6 * 10 * 6
-        assert [len(stack) for stack in stacks] == [64] * 5 + [40]
-        rows = [key for stack in stacks for key in stack]
+        # the rows of each C stack the scorer decomposes
+        assert stacks == [64] * 5 + [40]
         assert len(rows) == len(set(rows)) and set(rows) == set(keys)
         # an explicit L has no incidences: each labelling is scored alone
         stacks.clear()
         explicit_result = enumerate_optimal(explicit)
-        assert [len(stack) for stack in stacks] == [1] * 3**5
+        assert stacks == [1] * 3**5
         for got, base in zip((result, explicit_result), default):
             assert same_bits((got.best_value.value, got.best_value.spectrum_used),
                              (base.best_value.value, base.best_value.spectrum_used))
@@ -678,16 +683,103 @@ class TestScorer:
         again = enumerate_optimal(problem)
         assert rows == []
         assert again.optimal_assignments == first.optimal_assignments
-        # a memo whose other keys leave no room for the walk's is emptied
-        # first, and the walk is scored whole
+        # a memo whose other keys leave no room for the walk's is emptied,
+        # keeping the walk's keys it held, and the rest of the walk is
+        # scored, each key once
         fresh = replace(problem)
         junk = [tuple(rng_row) for rng_row in
                 np.random.default_rng(0).integers(1, 4, size=(400, 8)).tolist()]
         fresh.scorer()(junk)
         rows.clear()
+        walk = set(search_module._incidences(fresh, True)[1])
         assert enumerate_optimal(fresh).optimal_assignments == first.optimal_assignments
-        assert len(rows) == 360
-        assert set(fresh.scorer().memo) == set(search_module._incidences(fresh, True)[1])
+        assert len(rows) == len(set(rows)) and set(rows) == walk - set(junk)
+        assert len(walk & set(junk)) == 13
+        assert set(fresh.scorer().memo) == walk
+
+    def test_a_memo_overflowed_by_half_a_walk_keeps_the_other_half(self, monkeypatch,
+                                                                  contrasts3):
+        # the memo holds every other key of the walk and 300 keys off it, so
+        # the 180 keys the walk lacks overflow it: the walk's keys it holds
+        # stay, and no key of the walk is scored alone
+        monkeypatch.setattr(search_module, "SCORE_CACHE_LIMIT", 512)
+        pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
+        problem = SearchProblem(v=3, n=8, criterion="A", target=EstimableSystem(pairs),
+                                space=contrasts3, nuisance_kind="blocks", block_sizes=(3, 3, 2))
+        base = enumerate_optimal(replace(problem))
+        walk = list(search_module._incidences(problem, True)[1])
+        others = list(itertools.islice(set(itertools.product(range(1, 4), repeat=8))
+                                       - set(walk), 300))
+        stack_scorer = search_module._stack_scorer
+        calls = []
+
+        def counting(problem):
+            score = stack_scorer(problem)
+
+            def counted(keys):
+                calls.append(list(keys))
+                return score(keys)
+
+            return counted
+
+        monkeypatch.setattr(search_module, "_stack_scorer", counting)
+        problem.scorer()(walk[::2] + others)
+        assert len(problem.scorer().memo) == 480
+        calls.clear()
+        result = enumerate_optimal(problem)
+        assert calls == [walk[1::2]]
+        assert set(problem.scorer().memo) == set(walk)
+        assert result.optimal_assignments == base.optimal_assignments
+        assert same_bits((result.best_value.value, result.best_value.spectrum_used),
+                         (base.best_value.value, base.best_value.spectrum_used))
+
+    def test_every_decomposed_stack_is_bounded_whoever_calls(self, monkeypatch):
+        stack_scorer, forms = search_module._stack_scorer, search_module.estimable_forms
+        calls, stacks = [], []
+
+        def recording(problem):
+            score = stack_scorer(problem)
+
+            def recorded(keys):
+                results = score(keys)
+                calls.append((problem, list(keys), results))
+                return results
+
+            return recorded
+
+        def decomposing(cs, qs):
+            stacks.append(len(cs.entries))
+            return forms(cs, qs)
+
+        # a remembered call of 1,000 keys: incidences of v=4 in blocks (3,3,3)
+        remembered = SearchProblem(v=4, n=9, criterion="A", target=EstimableSystem(pairwise(4)),
+                                   space=estimation_space("contrasts", 4),
+                                   nuisance_kind="blocks", block_sizes=(3, 3, 3))
+        keys = list(itertools.islice(search_module._incidences(remembered, True)[1], 1000))
+        # exchange at v=30, too large to keep scores: 20 restarts move each
+        # unit to 29 treatments, 580 keys a call
+        moving = SearchProblem(v=30, n=6, criterion="A",
+                               target=EstimableSystem(contrast(30, 1, 2)),
+                               space=estimation_space("contrasts", 30), max_passes=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(search_module, "_stack_scorer", recording)
+            patch.setattr(search_module, "estimable_forms", decomposing)
+            remembered.scorer()(keys)
+            assert len(remembered.scorer().memo) == 1000
+            assert stacks == [512, 488]
+            stacks.clear()
+            exchange_search(moving)
+        moves = [call for call in calls if len(call[1]) == 20 * 29]
+        assert len(moves) == moving.n
+        assert max(stacks) == search_module.STACK_ROWS
+        assert stacks.count(512) == stacks.count(580 - 512) == moving.n
+        checked = 0
+        for problem, keys, results in calls[:1] + moves[:1] + moves[-1:]:
+            alone = stack_scorer(problem)
+            for key, scored in zip(keys, results, strict=True):
+                assert same_bits(scored, alone((key,))[0])
+                checked += scored is not None
+        assert checked > 500
 
     def test_a_replaced_target_is_scored_afresh(self, contrasts3, control_system):
         pairs = np.column_stack([contrast(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))])
@@ -738,8 +830,9 @@ class TestScorer:
         assignment, shuffled = (1, 2, 3, 3, 1, 2, 1, 2), (3, 2, 1, 1, 2, 3, 2, 1)
         evaluate = make_evaluator(problem)
         assert evaluate(assignment) is evaluate(shuffled)
+        # a problem chooses its scorer once, so the capped one is built afresh
         monkeypatch.setattr(search_module, "ENUMERATION_LIMIT", problem.v ** (problem.n - 1) - 1)
-        evaluate = make_evaluator(problem)
+        evaluate = make_evaluator(replace(problem))
         first, second = evaluate(assignment), evaluate(shuffled)
         assert first is not second
         assert same_bits(first, second)
